@@ -1,9 +1,9 @@
-//! Criterion microbenches for the DHT substrates.
+//! Criterion microbenches for the DHT world.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use emerge_dht::analytic::AnalyticSubstrate;
 use emerge_dht::id::NodeId;
-use emerge_dht::overlay::{Overlay, OverlayConfig};
+use emerge_dht::overlay::OverlayConfig;
 
 fn config(n: usize) -> OverlayConfig {
     OverlayConfig {
@@ -18,63 +18,7 @@ fn churny_config(n: usize) -> OverlayConfig {
         malicious_fraction: 0.2,
         mean_lifetime: Some(40_000),
         horizon: 200_000,
-        ..OverlayConfig::default()
     }
-}
-
-fn bench_overlay_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("overlay_build");
-    group.sample_size(10);
-    for n in [1_000usize, 10_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| Overlay::build(config(n), black_box(7)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_routing_tables(c: &mut Criterion) {
-    let mut group = c.benchmark_group("routing_tables");
-    group.sample_size(10);
-    for n in [1_000usize, 4_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let mut overlay = Overlay::build(config(n), 7);
-                overlay.build_routing_tables();
-                overlay
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_lookup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("iterative_lookup");
-    for n in [512usize, 4_096] {
-        let mut overlay = Overlay::build(config(n), 7);
-        overlay.build_routing_tables();
-        let mut i = 0u64;
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                i += 1;
-                let target = NodeId::from_name(format!("target-{i}").as_bytes());
-                overlay.find_node(black_box(0), target)
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_resolve_holder(c: &mut Criterion) {
-    let mut group = c.benchmark_group("resolve_holder");
-    for n in [1_000usize, 10_000] {
-        let overlay = Overlay::build(config(n), 7);
-        let target = NodeId::from_name(b"addr");
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| overlay.resolve_holder(black_box(&target)));
-        });
-    }
-    group.finish();
 }
 
 fn bench_analytic_build(c: &mut Criterion) {
@@ -91,9 +35,6 @@ fn bench_analytic_build(c: &mut Criterion) {
 fn bench_churny_world_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("churny_world_build_10000");
     group.sample_size(10);
-    group.bench_function("overlay", |b| {
-        b.iter(|| Overlay::build(churny_config(10_000), black_box(7)));
-    });
     group.bench_function("analytic", |b| {
         b.iter(|| AnalyticSubstrate::build(churny_config(10_000), black_box(7)));
     });
@@ -114,10 +55,6 @@ fn bench_analytic_resolve(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_overlay_build,
-    bench_routing_tables,
-    bench_lookup,
-    bench_resolve_holder,
     bench_analytic_build,
     bench_churny_world_build,
     bench_analytic_resolve

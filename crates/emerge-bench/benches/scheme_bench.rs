@@ -15,11 +15,11 @@ use emerge_core::path::construct_paths;
 use emerge_core::protocol::{execute_keyed, execute_share, AttackMode, RunConfig};
 use emerge_crypto::keys::SymmetricKey;
 use emerge_dht::analytic::AnalyticSubstrate;
-use emerge_dht::overlay::{Overlay, OverlayConfig};
+use emerge_dht::overlay::OverlayConfig;
 use emerge_sim::time::{SimDuration, SimTime};
 
-fn overlay(n: usize) -> Overlay {
-    Overlay::build(
+fn overlay(n: usize) -> AnalyticSubstrate {
+    AnalyticSubstrate::build(
         OverlayConfig {
             n_nodes: n,
             ..OverlayConfig::default()
@@ -227,7 +227,6 @@ fn bench_protocol_montecarlo_sharded(c: &mut Criterion) {
         malicious_fraction: 0.2,
         mean_lifetime: Some(40_000),
         horizon: 200_000,
-        ..OverlayConfig::default()
     };
     let mut thread_counts = vec![1usize];
     if mc_threads() > 1 {
@@ -258,7 +257,6 @@ fn bench_contract_substrate(c: &mut Criterion) {
         malicious_fraction: 0.2,
         mean_lifetime: Some(40_000),
         horizon: 200_000,
-        ..OverlayConfig::default()
     };
 
     // The four-scheme wire protocol on the contract substrate: the cost

@@ -40,7 +40,6 @@ fn main() {
         malicious_fraction: 0.2,
         mean_lifetime: Some(40_000),
         horizon: 200_000,
-        ..OverlayConfig::default()
     };
     let trials = 1000usize;
 

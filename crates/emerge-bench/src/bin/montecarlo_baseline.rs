@@ -2,10 +2,10 @@
 //!
 //! Runs the wire-protocol Monte-Carlo (real path construction, packaging
 //! and hop-by-hop execution) at the paper's scale — 10 000-node worlds —
-//! on the routing-free `AnalyticSubstrate`, on the full `Overlay` and on
-//! the smart-contract `ContractSubstrate`, plus the contract-native
-//! bonded-release cell, and writes trials/sec for each to
-//! `BENCH_montecarlo.json` (first non-flag CLI arg overrides the path).
+//! on the `AnalyticSubstrate` DHT world and on the smart-contract
+//! `ContractSubstrate`, plus the contract-native bonded-release cell,
+//! and writes trials/sec for each to `BENCH_montecarlo.json` (first
+//! non-flag CLI arg overrides the path).
 //! Later PRs diff against the committed numbers.
 //!
 //! Trials run through the profiled sharded engine
@@ -15,10 +15,8 @@
 //! per-worker `emerge-obs` collector. Results are bit-identical to a
 //! serial run for any thread count; threads only change the wall clock.
 //!
-//! The overlay is measured over fewer trials (it is orders of magnitude
-//! slower at this population; throughput is what matters), after a
-//! fingerprint cross-check on a small shared cell proves all substrates
-//! still produce identical outcomes.
+//! Before measuring, a fingerprint cross-check on a small shared cell
+//! proves both substrates still produce identical outcomes.
 //!
 //! ## Cell filters
 //!
@@ -76,8 +74,8 @@
 //! counting allocator, so the `allocs` column is live; on the pooled
 //! share cells it shows the steady state holding at zero.
 //!
-//! Environment: `EMERGE_BASELINE_TRIALS` (default 1000),
-//! `EMERGE_BASELINE_OVERLAY_TRIALS` (default 200) and `EMERGE_MC_THREADS`.
+//! Environment: `EMERGE_BASELINE_TRIALS` (default 1000) and
+//! `EMERGE_MC_THREADS`.
 
 use emerge_bench::mc::{
     run_bonded_faulted_trials_profiled, run_bonded_trials_profiled, run_faulted_trials_profiled,
@@ -94,7 +92,7 @@ use emerge_core::config::SchemeParams;
 use emerge_core::montecarlo::ProtocolTrialSpec;
 use emerge_core::protocol::AttackMode;
 use emerge_dht::analytic::AnalyticSubstrate;
-use emerge_dht::overlay::{Overlay, OverlayConfig};
+use emerge_dht::overlay::OverlayConfig;
 use emerge_faults::{RecoveryPolicy, Scenario};
 use emerge_obs::alloccount::CountingAllocator;
 use emerge_obs::{MetricsSnapshot, Stopwatch};
@@ -122,7 +120,6 @@ fn world_config(n: usize) -> OverlayConfig {
         malicious_fraction: 0.2,
         mean_lifetime: Some(40_000),
         horizon: 200_000,
-        ..OverlayConfig::default()
     }
 }
 
@@ -294,7 +291,7 @@ fn parse_args() -> Result<Args, String> {
                 args.substrate = Some(
                     it.next()
                         .ok_or_else(|| {
-                            "--substrate needs a value (analytic, overlay or contract)".to_string()
+                            "--substrate needs a value (analytic or contract)".to_string()
                         })?
                         .to_lowercase(),
                 );
@@ -562,10 +559,9 @@ fn run() -> Result<(), String> {
         }
     };
     let analytic_trials = env_usize("EMERGE_BASELINE_TRIALS", 1_000);
-    let overlay_trials = env_usize("EMERGE_BASELINE_OVERLAY_TRIALS", 200);
     let threads = mc_threads();
 
-    // Cross-check first: all substrates must agree trial for trial on a
+    // Cross-check first: both substrates must agree trial for trial on a
     // small shared cell — and the threaded runner must agree with itself
     // single-threaded — otherwise the throughput numbers compare
     // different computations. Filtered dev-loop runs skip the gate, and
@@ -575,10 +571,6 @@ fn run() -> Result<(), String> {
     } else if !args.filtered() {
         let check_spec = &cells()[0].1;
         let check_cfg = world_config(500);
-        let full = run_protocol_trials_threaded(check_spec, 10, SEED, threads, |s| {
-            Overlay::build(check_cfg, s)
-        })
-        .map_err(|e| format!("overlay parity check: {e}"))?;
         let fast = run_protocol_trials_threaded(check_spec, 10, SEED, 1, |s| {
             AnalyticSubstrate::build(check_cfg, s)
         })
@@ -587,12 +579,6 @@ fn run() -> Result<(), String> {
             ContractSubstrate::build(ContractConfig::over(check_cfg), s)
         })
         .map_err(|e| format!("contract parity check: {e}"))?;
-        if full.fingerprint != fast.fingerprint {
-            return Err(format!(
-                "overlay/analytic parity violated ({:#018x} vs {:#018x}); refusing to record a baseline",
-                full.fingerprint, fast.fingerprint
-            ));
-        }
         if fast.fingerprint != chained.fingerprint {
             return Err(format!(
                 "analytic/contract parity violated ({:#018x} vs {:#018x}); refusing to record a baseline",
@@ -600,8 +586,8 @@ fn run() -> Result<(), String> {
             ));
         }
         eprintln!(
-            "parity check passed across 3 substrates (fingerprint {:#018x})",
-            full.fingerprint
+            "parity check passed across 2 substrates (fingerprint {:#018x})",
+            fast.fingerprint
         );
     } else {
         eprintln!("cell filters active: skipping the cross-substrate parity gate");
@@ -657,20 +643,6 @@ fn run() -> Result<(), String> {
                 },
             )?);
         }
-        if args.wants_substrate("overlay") {
-            measurements.push(measure(
-                cell,
-                "overlay",
-                threads,
-                overlay_trials,
-                args.profile,
-                |trials, threads| {
-                    run_protocol_trials_profiled(&spec, trials, SEED, threads, |ws| {
-                        Overlay::build(config, ws)
-                    })
-                },
-            )?);
-        }
         if args.wants_substrate("contract") {
             measurements.push(measure(
                 cell,
@@ -704,7 +676,7 @@ fn run() -> Result<(), String> {
 
     if measurements.is_empty() {
         eprintln!(
-            "error: the filters matched no cells; available cells: {}, substrates: analytic, overlay, contract",
+            "error: the filters matched no cells; available cells: {}, substrates: analytic, contract",
             cells()
                 .iter()
                 .map(|(name, _)| *name)
@@ -751,26 +723,5 @@ fn run() -> Result<(), String> {
         );
     }
 
-    for (cell, _) in cells() {
-        let a = measurements
-            .iter()
-            .find(|m| m.cell == cell && m.substrate == "analytic");
-        let o = measurements
-            .iter()
-            .find(|m| m.cell == cell && m.substrate == "overlay");
-        let (Some(a), Some(o)) = (a, o) else {
-            continue; // filtered out: nothing to compare
-        };
-        let speedup = if o.trials_per_sec() > 0.0 {
-            a.trials_per_sec() / o.trials_per_sec()
-        } else {
-            0.0
-        };
-        println!(
-            "{cell}: analytic {:.2} trials/sec vs overlay {:.2} trials/sec ({speedup:.1}x speedup)",
-            a.trials_per_sec(),
-            o.trials_per_sec(),
-        );
-    }
     Ok(())
 }

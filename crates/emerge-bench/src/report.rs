@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 pub struct McMeasurement {
     /// Scenario cell label, e.g. `share_40x5_release_ahead`.
     pub cell: String,
-    /// Substrate label (`analytic` or `overlay`).
+    /// Substrate label (`analytic` or `contract`).
     pub substrate: String,
     /// Worker threads used by the sharded runner.
     pub threads: usize,

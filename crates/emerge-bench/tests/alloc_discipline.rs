@@ -2,10 +2,15 @@
 //!
 //! The pooled Monte-Carlo pipeline (substrate rebuild + `TrialWorkspace`)
 //! promises that after a warm-up pass every trial runs without touching
-//! the allocator. This test installs a counting `#[global_allocator]`
-//! shim (legal here: integration tests are their own crate roots) and
-//! asserts the promise literally: a second, identical pass over the
-//! share_8x3 analytic cell performs **zero** heap allocations.
+//! the allocator. This test installs `emerge-obs`'s counting
+//! `#[global_allocator]` (legal here: integration tests are their own
+//! crate roots) and asserts the promise literally: a second, identical
+//! pass over the share_8x3 analytic cell performs **zero** heap
+//! allocations.
+//!
+//! The count is per thread. The trials run on the test's own thread, so
+//! the measured window sees every allocation they make and none made by
+//! tests running in parallel on sibling threads.
 //!
 //! Warm-up is an identical pass over the same trial range, so every
 //! pooled buffer reaches the exact capacity the measured pass needs —
@@ -17,42 +22,13 @@ use emerge_core::montecarlo::{
 };
 use emerge_core::protocol::AttackMode;
 use emerge_core::substrate::{AnalyticSubstrate, OverlayConfig};
+use emerge_obs::alloccount::{allocations, CountingAllocator};
 use emerge_obs::collector::{install, take};
 use emerge_obs::Collector;
 use emerge_sim::time::SimDuration;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every allocation-path call (alloc, alloc_zeroed, realloc);
-/// frees are uncounted — releasing warm capacity is not the regression
-/// this test guards against, acquiring it per trial is.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_share_trials_allocate_nothing() {
@@ -72,7 +48,6 @@ fn steady_state_share_trials_allocate_nothing() {
         malicious_fraction: 0.2,
         mean_lifetime: Some(40_000),
         horizon: 200_000,
-        ..OverlayConfig::default()
     };
     let mut substrate = AnalyticSubstrate::build(config, 0);
     let mut ws = TrialWorkspace::new();
@@ -97,7 +72,7 @@ fn steady_state_share_trials_allocate_nothing() {
     }
 
     // Measured pass: identical trials, zero allocations allowed.
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocations();
     let steady = run_protocol_trial_range_pooled(
         &spec,
         0,
@@ -108,16 +83,16 @@ fn steady_state_share_trials_allocate_nothing() {
         &mut ws,
     )
     .expect("steady-state trials");
-    let allocations = ALLOCS.load(Ordering::SeqCst) - before;
+    let allocated = allocations() - before;
 
     assert_eq!(
         steady.fingerprint, warm.fingerprint,
         "the measured pass must rerun the exact warm-up trials"
     );
     assert_eq!(
-        allocations, 0,
+        allocated, 0,
         "steady-state pooled trials must not touch the allocator \
-         ({allocations} allocation(s) across {TRIALS} trials)"
+         ({allocated} allocation(s) across {TRIALS} trials)"
     );
 }
 
@@ -144,7 +119,6 @@ fn steady_state_share_trials_allocate_nothing_with_metrics_enabled() {
         malicious_fraction: 0.2,
         mean_lifetime: Some(40_000),
         horizon: 200_000,
-        ..OverlayConfig::default()
     };
 
     // The collector preallocates its registry and trace ring here, before
@@ -168,7 +142,7 @@ fn steady_state_share_trials_allocate_nothing_with_metrics_enabled() {
         .expect("warm-up trials");
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocations();
     let steady = run_protocol_trial_range_pooled(
         &spec,
         0,
@@ -179,7 +153,7 @@ fn steady_state_share_trials_allocate_nothing_with_metrics_enabled() {
         &mut ws,
     )
     .expect("steady-state trials");
-    let allocations = ALLOCS.load(Ordering::SeqCst) - before;
+    let allocated = allocations() - before;
 
     // The instrumentation actually fired during the measured window.
     let snapshot = take().expect("collector installed above").snapshot();
@@ -201,8 +175,8 @@ fn steady_state_share_trials_allocate_nothing_with_metrics_enabled() {
         "the measured pass must rerun the exact warm-up trials"
     );
     assert_eq!(
-        allocations, 0,
+        allocated, 0,
         "steady-state pooled trials with metrics enabled must not touch \
-         the allocator ({allocations} allocation(s) across {TRIALS} trials)"
+         the allocator ({allocated} allocation(s) across {TRIALS} trials)"
     );
 }

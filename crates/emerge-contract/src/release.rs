@@ -569,7 +569,6 @@ mod tests {
                 malicious_fraction: 0.0,
                 mean_lifetime: Some(4_000),
                 horizon: 100_000,
-                ..OverlayConfig::default()
             }),
             5,
         );

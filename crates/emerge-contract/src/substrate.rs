@@ -6,9 +6,9 @@
 //! timelines, XOR-closest holder resolution, storage oracle) are
 //! *delegated verbatim* to the inner substrate, so for a given
 //! `(OverlayConfig, seed)` pair every path plan, protocol run and
-//! Monte-Carlo fingerprint is bit-identical across the overlay, the
-//! analytic substrate and this one — the cross-substrate parity the
-//! workspace test suites pin down. What the contract layer adds:
+//! Monte-Carlo fingerprint is bit-identical to the analytic substrate's —
+//! the cross-substrate parity the workspace test suites pin down. What
+//! the contract layer adds:
 //!
 //! * a **block clock**: `advance_to` keeps a blockchain height in sync
 //!   with simulated time, and contract deadlines are block heights;
@@ -274,7 +274,8 @@ impl ContractSubstrate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emerge_dht::overlay::Overlay;
+    use emerge_dht::population::Population;
+    use emerge_sim::rng::SeedSource;
 
     fn config(n: usize) -> ContractConfig {
         ContractConfig::over(OverlayConfig {
@@ -290,18 +291,17 @@ mod tests {
             malicious_fraction: 0.3,
             mean_lifetime: Some(2_000),
             horizon: 50_000,
-            ..OverlayConfig::default()
         };
-        let overlay = Overlay::build(overlay_cfg, 42);
+        let eager = Population::build(&overlay_cfg, &SeedSource::new(42));
         let analytic = AnalyticSubstrate::build(overlay_cfg, 42);
         let contract = ContractSubstrate::build(ContractConfig::over(overlay_cfg), 42);
         for slot in 0..120 {
-            assert_eq!(overlay.generations(slot), contract.generations(slot));
+            assert_eq!(eager.generations[slot], contract.generations(slot));
             assert_eq!(analytic.generations(slot), contract.generations(slot));
         }
         let target = NodeId::from_name(b"parity-probe");
         assert_eq!(
-            overlay.closest_slots(&target, 8),
+            analytic.closest_slots(&target, 8),
             contract.closest_slots(&target, 8)
         );
     }

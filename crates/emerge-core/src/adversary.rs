@@ -22,7 +22,7 @@
 //!   because a malicious holder that first touches the onion at column
 //!   `j₀` already holds everything below it. The paper's formulas do not
 //!   count these partial-early releases; we expose them as an ablation
-//!   (see EXPERIMENTS.md).
+//!   (study B of `emerge-bench`'s `ablations` binary).
 
 /// One holder position's tenancy over a trial, in units of the mean node
 /// lifetime. `renewals[g]` is the instant tenant `g` is replaced by tenant

@@ -251,8 +251,7 @@ pub fn select_threshold(n: usize, d: usize, p: f64) -> usize {
 /// Algorithm 1 as printed does not model this starvation channel (its
 /// `d = ⌊pdead·n⌋` is a deterministic expectation with no variance); the
 /// solver uses this term in addition so that the parameters it picks hold
-/// up in the mechanistic Monte-Carlo. See EXPERIMENTS.md for the
-/// comparison.
+/// up in the mechanistic Monte-Carlo.
 pub fn share_flow_survival(n: usize, m: &[usize], p: f64, t_over_lambda: f64, l: usize) -> f64 {
     // LINT-WAIVER(panic): documented precondition: share flow needs at least one column
     assert!(l >= 1);

@@ -44,7 +44,7 @@ use crate::path::{construct_paths, PathPlan};
 use crate::protocol::{
     execute_central, execute_keyed, execute_share, AttackMode, RunConfig, RunReport,
 };
-use crate::substrate::{AnalyticSubstrate, HolderSubstrate, Overlay, OverlayConfig};
+use crate::substrate::{AnalyticSubstrate, HolderSubstrate, OverlayConfig};
 use emerge_cloud::{AccessToken, BlobId, BlobStore};
 use emerge_crypto::aead;
 use emerge_crypto::keys::SymmetricKey;
@@ -91,14 +91,12 @@ pub struct SendHandle {
 /// The assembled system: DHT substrate + cloud.
 ///
 /// Generic over the [`HolderSubstrate`] carrying the key packages; the
-/// default is the fully simulated [`Overlay`]. Use
-/// [`SelfEmergingSystem::new_analytic`] (or [`with_substrate`] with any
-/// other backend) for the routing-free substrate, which produces identical
-/// emergence outcomes at a fraction of the cost.
+/// default is the [`AnalyticSubstrate`] DHT world. Use [`with_substrate`]
+/// for any other backend, such as the contract substrate.
 ///
 /// [`with_substrate`]: SelfEmergingSystem::with_substrate
 #[derive(Debug)]
-pub struct SelfEmergingSystem<S: HolderSubstrate = Overlay> {
+pub struct SelfEmergingSystem<S: HolderSubstrate = AnalyticSubstrate> {
     substrate: S,
     cloud: BlobStore,
     seeds: SeedSource,
@@ -106,18 +104,9 @@ pub struct SelfEmergingSystem<S: HolderSubstrate = Overlay> {
     attack: AttackMode,
 }
 
-impl SelfEmergingSystem<Overlay> {
-    /// Builds a system over a fresh fully simulated overlay.
-    pub fn new(config: OverlayConfig, seed: u64) -> Self {
-        Self::with_substrate(Overlay::build(config, seed), seed)
-    }
-}
-
 impl SelfEmergingSystem<AnalyticSubstrate> {
-    /// Builds a system over the routing-free analytic substrate — the
-    /// same population and emergence outcomes as [`SelfEmergingSystem::new`]
-    /// for equal `(config, seed)`, without routing-table or network costs.
-    pub fn new_analytic(config: OverlayConfig, seed: u64) -> Self {
+    /// Builds a system over a fresh DHT world.
+    pub fn new(config: OverlayConfig, seed: u64) -> Self {
         Self::with_substrate(AnalyticSubstrate::build(config, seed), seed)
     }
 }

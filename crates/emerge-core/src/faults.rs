@@ -476,7 +476,6 @@ mod tests {
             malicious_fraction: p,
             mean_lifetime: Some(10_000),
             horizon: 100_000,
-            ..OverlayConfig::default()
         }
     }
 

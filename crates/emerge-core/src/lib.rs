@@ -22,9 +22,8 @@
 //! * [`analysis`] — equations (1)–(3), Lemma 1, Algorithm 1, and the
 //!   `(k, l)` solver behind the paper's cost/resilience sweeps
 //! * [`substrate`] — the [`substrate::HolderSubstrate`] trait decoupling
-//!   the schemes from any concrete DHT, with the simulated overlay, the
-//!   fast analytic substrate and the smart-contract release layer as
-//!   backends
+//!   the schemes from any concrete DHT, with the analytic DHT world and
+//!   the smart-contract release layer as backends
 //! * [`path`] — pseudo-random holder selection on the DHT
 //! * [`package`] — onion and share package generation (real crypto)
 //! * [`protocol`] — hop-by-hop execution with churn and attacks

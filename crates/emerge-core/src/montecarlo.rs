@@ -756,7 +756,7 @@ impl TimelineSampler<'_> {
 mod tests {
     use super::*;
     use crate::analysis;
-    use crate::substrate::{AnalyticSubstrate, Overlay, OverlayConfig};
+    use crate::substrate::{AnalyticSubstrate, ContractConfig, ContractSubstrate, OverlayConfig};
 
     fn protocol_spec(params: SchemeParams, attack: AttackMode) -> ProtocolTrialSpec {
         ProtocolTrialSpec {
@@ -818,15 +818,16 @@ mod tests {
             ),
         ] {
             let spec = protocol_spec(params, attack);
-            let full =
-                run_protocol_trials(&spec, 8, 5, |s| Overlay::build(world_config(150, 0.4), s))
-                    .unwrap();
+            let chained = run_protocol_trials(&spec, 8, 5, |s| {
+                ContractSubstrate::build(ContractConfig::over(world_config(150, 0.4)), s)
+            })
+            .unwrap();
             let fast = run_protocol_trials(&spec, 8, 5, |s| {
                 AnalyticSubstrate::build(world_config(150, 0.4), s)
             })
             .unwrap();
             assert_eq!(
-                full.fingerprint, fast.fingerprint,
+                chained.fingerprint, fast.fingerprint,
                 "substrates diverged for {:?}",
                 spec.params
             );
@@ -892,7 +893,6 @@ mod tests {
                     malicious_fraction: 0.3,
                     mean_lifetime: Some(2_500),
                     horizon: 100_000,
-                    ..OverlayConfig::default()
                 },
             ] {
                 let spec = protocol_spec(params.clone(), attack);
@@ -959,7 +959,6 @@ mod tests {
             malicious_fraction: 0.2,
             mean_lifetime: Some(40_000),
             horizon: 200_000,
-            ..OverlayConfig::default()
         };
         let fresh =
             run_protocol_trials(&spec, 100, 0xB45E, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
@@ -1017,7 +1016,6 @@ mod tests {
                     malicious_fraction: 0.3,
                     mean_lifetime: Some(3_000),
                     horizon: 100_000,
-                    ..OverlayConfig::default()
                 };
                 let fresh = run_protocol_trials(&spec, trials, 7, |s| {
                     AnalyticSubstrate::build(cfg, s)
@@ -1057,24 +1055,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, EmergeError::InvalidParameters(_)));
-    }
-
-    #[test]
-    fn shard_ranges_partition_contiguously() {
-        for (trials, shards) in [(10, 3), (7, 7), (5, 9), (1, 1), (0, 4), (1000, 16)] {
-            let ranges = shard_ranges(trials, shards);
-            assert_eq!(ranges.len(), shards.max(1), "one range per shard");
-            let mut next = 0;
-            for &(start, count) in &ranges {
-                assert_eq!(start, next, "ranges must be contiguous");
-                next = start + count;
-            }
-            assert_eq!(next, trials, "ranges must cover every trial");
-            let sizes: Vec<usize> = ranges.iter().map(|&(_, c)| c).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "near-equal split: {sizes:?}");
-        }
-        assert_eq!(shard_ranges(5, 0), vec![(0, 5)], "0 shards clamps to 1");
     }
 
     #[test]

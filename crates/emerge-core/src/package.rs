@@ -1592,11 +1592,11 @@ mod tests {
     use super::*;
     use crate::path::construct_paths;
     use emerge_crypto::onion::{peel, peel_core, Peeled};
-    use emerge_dht::overlay::{Overlay, OverlayConfig};
+    use emerge_dht::{AnalyticSubstrate, OverlayConfig};
     use rand::RngCore;
 
-    fn overlay(n: usize) -> Overlay {
-        Overlay::build(
+    fn overlay(n: usize) -> AnalyticSubstrate {
+        AnalyticSubstrate::build(
             OverlayConfig {
                 n_nodes: n,
                 ..OverlayConfig::default()

@@ -232,10 +232,10 @@ pub fn construct_paths_into<S: HolderSubstrate + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::substrate::{Overlay, OverlayConfig};
+    use crate::substrate::{AnalyticSubstrate, OverlayConfig};
 
-    fn overlay(n: usize) -> Overlay {
-        Overlay::build(
+    fn overlay(n: usize) -> AnalyticSubstrate {
+        AnalyticSubstrate::build(
             OverlayConfig {
                 n_nodes: n,
                 ..OverlayConfig::default()

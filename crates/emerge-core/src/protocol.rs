@@ -1196,12 +1196,12 @@ mod tests {
     use super::*;
     use crate::package::{build_keyed_packages, build_share_packages, KeySchedule};
     use crate::path::construct_paths;
-    use crate::substrate::{Overlay, OverlayConfig};
+    use crate::substrate::{AnalyticSubstrate, OverlayConfig};
 
     const SECRET: &[u8] = b"THE SELF-EMERGING SECRET KEY 32B";
 
-    fn overlay_with(n: usize, p: f64, seed: u64) -> Overlay {
-        Overlay::build(
+    fn overlay_with(n: usize, p: f64, seed: u64) -> AnalyticSubstrate {
+        AnalyticSubstrate::build(
             OverlayConfig {
                 n_nodes: n,
                 malicious_fraction: p,
@@ -1219,7 +1219,11 @@ mod tests {
         }
     }
 
-    fn keyed_setup(params: &SchemeParams, p: f64, seed: u64) -> (Overlay, PathPlan, KeyedPackages) {
+    fn keyed_setup(
+        params: &SchemeParams,
+        p: f64,
+        seed: u64,
+    ) -> (AnalyticSubstrate, PathPlan, KeyedPackages) {
         let overlay = overlay_with(100, p, seed);
         let sender_seed = SymmetricKey::from_bytes([seed as u8; 32]);
         let plan = construct_paths(&overlay, params, &sender_seed).unwrap();
@@ -1396,13 +1400,12 @@ mod tests {
             for fraction in [0.0, 0.3, 1.0] {
                 for lifetime in [None, Some(2_000u64)] {
                     case += 1;
-                    let mut overlay = Overlay::build(
+                    let mut overlay = AnalyticSubstrate::build(
                         OverlayConfig {
                             n_nodes: 80,
                             malicious_fraction: fraction,
                             mean_lifetime: lifetime,
                             horizon: 100_000,
-                            ..OverlayConfig::default()
                         },
                         case,
                     );
@@ -1470,13 +1473,12 @@ mod tests {
             n: 9,
             m: vec![3, 3],
         };
-        let mut overlay = Overlay::build(
+        let mut overlay = AnalyticSubstrate::build(
             OverlayConfig {
                 n_nodes: 100,
                 malicious_fraction: 0.0,
                 mean_lifetime: Some(30_000), // 10x the emerging period
                 horizon: 100_000,
-                ..OverlayConfig::default()
             },
             10,
         );
@@ -1844,7 +1846,6 @@ mod tests {
                             malicious_fraction: 0.35,
                             mean_lifetime: Some(9_000),
                             horizon: 100_000,
-                            ..OverlayConfig::default()
                         };
                         let sender = SymmetricKey::from_bytes([seed as u8 + 100; 32]);
                         let mut world_a = AnalyticSubstrate::build(cfg, seed);

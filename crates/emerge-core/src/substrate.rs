@@ -8,19 +8,19 @@
 //! [`emergence`](crate::emergence) are generic over it, so the same
 //! protocol code runs on:
 //!
-//! * [`Overlay`] — the full simulated Kademlia network (routing tables,
-//!   latency/loss model, iterative lookups),
-//! * [`AnalyticSubstrate`] — the routing-free twin that makes paper-scale
-//!   Monte-Carlo (10 000 nodes × 1 000 trials) cheap, and
-//! * [`ContractSubstrate`] — the smart-contract release layer (analytic
-//!   DHT semantics plus a block clock, a token ledger and the bonded
+//! * [`AnalyticSubstrate`] — the DHT world (exact XOR-closest holder
+//!   resolution, lazily sampled churn, a storage oracle), which makes
+//!   paper-scale Monte-Carlo (10 000 nodes × 1 000 trials) cheap, and
+//! * [`ContractSubstrate`] — the smart-contract release layer (the same
+//!   DHT world plus a block clock, a token ledger and the bonded
 //!   commit/reveal escrow contract of `emerge-contract`).
 //!
-//! All substrates build *identical* populations for the same
-//! `(OverlayConfig, seed)` pair, so plans and protocol outcomes agree bit
-//! for bit — the workspace's `substrate_parity` and
-//! `substrate_conformance` suites enforce that. New backends (an async
-//! networked DHT) only need to implement this trait.
+//! Both build *identical* populations for the same `(OverlayConfig,
+//! seed)` pair, so plans and protocol outcomes agree bit for bit — the
+//! workspace's `substrate_parity` and `substrate_conformance` suites
+//! enforce that. The fault plane's `FaultySubstrate` wraps either one.
+//! New backends (an async networked DHT) only need to implement this
+//! trait.
 //!
 //! This module is the **only** place in `emerge-core` that names the
 //! concrete substrate types; everything else goes through the trait or
@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 
 pub use emerge_contract::{ContractConfig, ContractSubstrate};
 pub use emerge_dht::analytic::AnalyticSubstrate;
-pub use emerge_dht::overlay::{Overlay, OverlayConfig};
+pub use emerge_dht::overlay::OverlayConfig;
 
 /// The DHT surface consumed by the key-routing schemes.
 ///
@@ -97,64 +97,6 @@ pub trait HolderSubstrate {
 
     /// Fetches a stored value from the slots responsible for `key`.
     fn find_value(&mut self, key: NodeId) -> Option<Vec<u8>>;
-}
-
-impl HolderSubstrate for Overlay {
-    fn n_nodes(&self) -> usize {
-        Overlay::n_nodes(self)
-    }
-
-    fn now(&self) -> SimTime {
-        Overlay::now(self)
-    }
-
-    fn advance_to(&mut self, t: SimTime) {
-        Overlay::advance_to(self, t);
-    }
-
-    fn resolve_holder(&self, target: &NodeId) -> usize {
-        Overlay::resolve_holder(self, target)
-    }
-
-    fn closest_slots(&self, target: &NodeId, count: usize) -> Vec<usize> {
-        Overlay::closest_slots(self, target, count)
-    }
-
-    fn generations(&self, slot: usize) -> &[NodeInfo] {
-        Overlay::generations(self, slot)
-    }
-
-    fn generation_at(&self, slot: usize, t: SimTime) -> &NodeInfo {
-        Overlay::generation_at(self, slot, t)
-    }
-
-    fn any_malicious_exposure(&self, slot: usize, from: SimTime, to: SimTime) -> bool {
-        Overlay::any_malicious_exposure(self, slot, from, to)
-    }
-
-    fn exposures_during(&self, slot: usize, from: SimTime, to: SimTime) -> usize {
-        Overlay::exposures_during(self, slot, from, to)
-    }
-
-    fn sample_distinct_slots(&self, count: usize, rng: &mut StdRng) -> Vec<usize> {
-        Overlay::sample_distinct_slots(self, count, rng)
-    }
-
-    fn store(&mut self, key: NodeId, value: Vec<u8>, ttl: Option<SimDuration>) -> Vec<usize> {
-        match ttl {
-            Some(ttl) => Overlay::store_with_ttl(self, key, value, ttl),
-            None => Overlay::store(self, key, value),
-        }
-    }
-
-    /// Routed lookup through the overlay's iterative FIND_VALUE; routing
-    /// tables are built on first use.
-    fn find_value(&mut self, key: NodeId) -> Option<Vec<u8>> {
-        if !self.has_routing_tables() {
-            self.build_routing_tables();
-        }
-        Overlay::find_value(self, 0, key).map(|found| found.value)
-    }
 }
 
 impl HolderSubstrate for AnalyticSubstrate {
@@ -294,10 +236,8 @@ mod tests {
             horizon: 100_000,
             ..config(150)
         };
-        let mut overlay = Overlay::build(cfg, 11);
         let mut analytic = AnalyticSubstrate::build(cfg, 11);
         let mut contract = ContractSubstrate::build(ContractConfig::over(cfg), 11);
-        assert_eq!(probe(&mut overlay), probe(&mut analytic));
         assert_eq!(probe(&mut analytic), probe(&mut contract));
     }
 
@@ -311,7 +251,6 @@ mod tests {
 
     #[test]
     fn ttl_store_expires_on_all() {
-        ttl_roundtrip(Overlay::build(config(64), 3));
         ttl_roundtrip(AnalyticSubstrate::build(config(64), 3));
         ttl_roundtrip(ContractSubstrate::build(
             ContractConfig::over(config(64)),

@@ -1,27 +1,24 @@
-//! A lightweight DHT substrate for paper-scale Monte-Carlo runs.
+//! The DHT world every substrate builds on.
 //!
-//! [`AnalyticSubstrate`] carries the *same* deterministic population as
-//! [`crate::overlay::Overlay`] (same generation-0 IDs, malicious marking
-//! and churn timelines for a given `(OverlayConfig, seed)` pair — both
-//! sample from [`crate::population::Genesis`]), but drops everything the
-//! key-routing schemes do not need when measuring resilience:
+//! [`AnalyticSubstrate`] holds the deterministic population sampled from
+//! [`crate::population::Genesis`] for an `(OverlayConfig, seed)` pair —
+//! generation-0 IDs, the exact malicious marking and per-slot churn
+//! timelines — and answers the three questions the paper's experiments
+//! depend on: which node is XOR-closest to a holder address, which nodes
+//! are malicious, and when churn replaces a tenant.
 //!
 //! * **no routing tables** — holder addresses are resolved directly
 //!   against a sorted ID index (bit-descent over the implicit binary
-//!   trie), hundreds of times faster per resolution than the overlay's
-//!   linear selection scan;
+//!   trie), `O(log² n)` per resolution and exact: the same slot an
+//!   iterative Kademlia lookup converges to in a fault-free network;
 //! * **lazy churn** — each slot's generation timeline is sampled from its
 //!   own per-slot stream only when first queried, so a Monte-Carlo trial
 //!   that touches ~30 holders of a 10 000-node world never pays for the
-//!   other 9 970 timelines;
+//!   other 9 970 timelines (bit-identical to the eager
+//!   [`crate::population::Population::build`]);
 //! * **no network model** — storage is an oracle: values land on the
-//!   responsible slots instantly and lookups read them back directly.
-//!
-//! Because holder resolution is exact (the XOR-closest generation-0 ID)
-//! and lazily sampled timelines are bit-identical to eagerly sampled ones,
-//! every path plan, protocol run and emergence outcome matches the full
-//! overlay bit for bit; `tests/substrate_parity.rs` in the workspace root
-//! enforces this for all four schemes.
+//!   [`REPLICATION`] responsible slots instantly and lookups read them
+//!   back directly.
 
 use crate::id::NodeId;
 use crate::index::{IndexScratch, SortedIdIndex};
@@ -35,6 +32,10 @@ use rand::Rng;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 
+/// Replication factor for stored values: each `store` lands on this many
+/// XOR-closest slots.
+pub const REPLICATION: usize = 3;
+
 /// Holder resolutions served by the analytic substrate's sorted-ID
 /// index (recorded into the thread's `emerge-obs` collector, if any).
 static RESOLVES: CounterId = CounterId::new("dht.analytic.resolves");
@@ -42,7 +43,6 @@ static RESOLVES: CounterId = CounterId::new("dht.analytic.resolves");
 /// The analytic (routing-free, lazily churned) DHT substrate.
 #[derive(Debug)]
 pub struct AnalyticSubstrate {
-    config: OverlayConfig,
     seed: SeedSource,
     genesis: Genesis,
     /// Per-slot generation timelines, materialized on first access.
@@ -51,8 +51,7 @@ pub struct AnalyticSubstrate {
     /// back out as later worlds materialize slots — the recycling that
     /// makes a warm rebuilt world allocation-free.
     timeline_pool: RefCell<Vec<Vec<NodeInfo>>>,
-    /// The sorted generation-0 ID index behind closest-slot resolution
-    /// (shared machinery with the full overlay).
+    /// The sorted generation-0 ID index behind closest-slot resolution.
     index: SortedIdIndex,
     /// Decoration scratch for warm index rebuilds.
     index_scratch: IndexScratch,
@@ -64,19 +63,18 @@ pub struct AnalyticSubstrate {
 }
 
 impl AnalyticSubstrate {
-    /// Builds the substrate deterministically from `seed`. The population
-    /// is identical to `Overlay::build(config, seed)`'s.
+    /// Builds the substrate deterministically from `seed`; only
+    /// generation-0 identities and the malicious marking are sampled here.
     ///
     /// # Panics
     ///
     /// Panics if `n_nodes == 0` or `malicious_fraction ∉ [0, 1]`.
     pub fn build(config: OverlayConfig, seed: u64) -> Self {
         let seed = SeedSource::new(seed);
-        let genesis = Genesis::sample(&config.population(), &seed);
+        let genesis = Genesis::sample(&config, &seed);
         let n = genesis.n_nodes();
         let index = SortedIdIndex::build(genesis.initial_ids());
         AnalyticSubstrate {
-            config,
             seed,
             genesis,
             timelines: (0..n).map(|_| OnceCell::new()).collect(),
@@ -111,11 +109,6 @@ impl AnalyticSubstrate {
         }
         self.stores.clear();
         self.now = SimTime::ZERO;
-    }
-
-    /// The configuration this substrate was built with.
-    pub fn config(&self) -> &OverlayConfig {
-        &self.config
     }
 
     /// Number of population slots.
@@ -188,9 +181,9 @@ impl AnalyticSubstrate {
     }
 
     /// The `count` slots whose generation-0 IDs are XOR-closest to
-    /// `target`, closest first — identical output to
-    /// `Overlay::closest_slots`, computed by descending the implicit
-    /// binary trie over the sorted ID index.
+    /// `target`, closest first, computed by descending the implicit
+    /// binary trie over the sorted ID index. Reads only generation-0
+    /// IDs — no churn materialization.
     pub fn closest_slots(&self, target: &NodeId, count: usize) -> Vec<usize> {
         self.index.closest_slots(target, count)
     }
@@ -201,8 +194,7 @@ impl AnalyticSubstrate {
         self.index.resolve(target)
     }
 
-    /// Samples `count` distinct slots uniformly (same stream contract as
-    /// `Overlay::sample_distinct_slots`).
+    /// Samples `count` distinct slots uniformly.
     ///
     /// # Panics
     ///
@@ -216,7 +208,7 @@ impl AnalyticSubstrate {
         rand::seq::index::sample(rng, self.n_nodes(), count).into_vec()
     }
 
-    /// Stores `value` under `key` on the `replication` closest slots
+    /// Stores `value` under `key` on the [`REPLICATION`] closest slots
     /// (oracle placement — no lookup traffic). Returns the slots written.
     pub fn store(&mut self, key: NodeId, value: Vec<u8>) -> Vec<usize> {
         self.store_with_ttl_opt(key, value, None)
@@ -233,7 +225,7 @@ impl AnalyticSubstrate {
         value: Vec<u8>,
         ttl: Option<SimDuration>,
     ) -> Vec<usize> {
-        let targets = self.closest_slots(&key, self.config.replication);
+        let targets = self.closest_slots(&key, REPLICATION);
         for &slot in &targets {
             self.stores
                 .entry(slot)
@@ -245,7 +237,7 @@ impl AnalyticSubstrate {
 
     /// Reads a value back from the responsible slots (oracle lookup).
     pub fn find_value(&self, key: NodeId) -> Option<Vec<u8>> {
-        let targets = self.closest_slots(&key, self.config.replication);
+        let targets = self.closest_slots(&key, REPLICATION);
         for slot in targets {
             if let Some(v) = self
                 .stores
@@ -257,18 +249,13 @@ impl AnalyticSubstrate {
         }
         None
     }
-
-    /// Direct access to a slot's local store (created on first use).
-    pub fn store_of(&mut self, slot: usize) -> &mut Store {
-        self.stores.entry(slot).or_default()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::id::sort_by_distance;
-    use crate::overlay::Overlay;
+    use crate::population::Population;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -280,21 +267,33 @@ mod tests {
     }
 
     #[test]
-    fn population_matches_overlay_bit_for_bit() {
+    fn build_is_deterministic() {
+        let a = AnalyticSubstrate::build(config(50), 7);
+        let b = AnalyticSubstrate::build(config(50), 7);
+        for slot in 0..50 {
+            assert_eq!(a.initial(slot).id, b.initial(slot).id);
+        }
+        let c = AnalyticSubstrate::build(config(50), 8);
+        assert_ne!(a.initial(0).id, c.initial(0).id);
+    }
+
+    #[test]
+    fn population_matches_eager_build_bit_for_bit() {
+        // The lazy substrate must produce the exact timelines the eager
+        // Population build does: same per-slot streams, any access order.
         let cfg = OverlayConfig {
             n_nodes: 200,
             malicious_fraction: 0.3,
             mean_lifetime: Some(2_000),
             horizon: 50_000,
-            ..OverlayConfig::default()
         };
-        let overlay = Overlay::build(cfg, 42);
+        let eager = Population::build(&cfg, &SeedSource::new(42));
         let analytic = AnalyticSubstrate::build(cfg, 42);
-        for slot in 0..200 {
-            assert_eq!(overlay.generations(slot), analytic.generations(slot));
+        for slot in (0..200).rev().chain([55, 0, 55]) {
+            assert_eq!(eager.generations[slot], analytic.generations(slot));
         }
         assert_eq!(
-            overlay.initial_malicious_count(),
+            eager.initial_malicious_count(),
             analytic.initial_malicious_count()
         );
     }
@@ -306,7 +305,6 @@ mod tests {
             malicious_fraction: 0.25,
             mean_lifetime: Some(1_500),
             horizon: 40_000,
-            ..OverlayConfig::default()
         };
         let mut warm = AnalyticSubstrate::build(cfg, 100);
         // Materialize a spread of timelines and dirty the clock/stores so
@@ -359,9 +357,102 @@ mod tests {
         assert_eq!(sub.materialized_timelines(), 0);
         let target = NodeId::from_name(b"one-holder");
         let slot = sub.resolve_holder(&target);
+        let _ = sub.closest_slots(&target, 8);
         assert_eq!(sub.materialized_timelines(), 0, "resolution needs no churn");
         let _ = sub.generation_at(slot, SimTime::from_ticks(500));
         assert_eq!(sub.materialized_timelines(), 1);
+    }
+
+    #[test]
+    fn no_churn_means_immortal_nodes() {
+        let sub = AnalyticSubstrate::build(config(20), 2);
+        for slot in 0..20 {
+            assert_eq!(sub.generations(slot).len(), 1);
+            assert!(sub
+                .initial(slot)
+                .alive_at(SimTime::from_ticks(u64::MAX - 1)));
+        }
+    }
+
+    #[test]
+    fn churn_generations_tile_the_horizon() {
+        let cfg = OverlayConfig {
+            n_nodes: 100,
+            mean_lifetime: Some(1000),
+            horizon: 10_000,
+            ..OverlayConfig::default()
+        };
+        let sub = AnalyticSubstrate::build(cfg, 3);
+        let mut multi_gen = 0;
+        for slot in 0..100 {
+            let gens = sub.generations(slot);
+            if gens.len() > 1 {
+                multi_gen += 1;
+            }
+            // Generations are contiguous: next spawn == previous death.
+            for w in gens.windows(2) {
+                assert_eq!(w[0].death, w[1].spawn);
+            }
+            assert_eq!(gens.last().unwrap().death, SimTime::MAX);
+            assert_eq!(gens[0].spawn, SimTime::ZERO);
+        }
+        // With horizon = 10 lifetimes, nearly every slot churns.
+        assert!(multi_gen > 90, "only {multi_gen} slots churned");
+    }
+
+    #[test]
+    fn generation_at_finds_the_right_tenant() {
+        let cfg = OverlayConfig {
+            n_nodes: 50,
+            mean_lifetime: Some(500),
+            horizon: 50_000,
+            ..OverlayConfig::default()
+        };
+        let sub = AnalyticSubstrate::build(cfg, 4);
+        for slot in 0..50 {
+            for t in [0u64, 100, 1000, 10_000, 49_999] {
+                let t = SimTime::from_ticks(t);
+                let g = sub.generation_at(slot, t);
+                assert!(
+                    g.alive_at(t) || g.death == SimTime::MAX,
+                    "tenant must cover the queried instant"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exposures_count_overlapping_generations() {
+        let cfg = OverlayConfig {
+            n_nodes: 200,
+            mean_lifetime: Some(100),
+            horizon: 100_000,
+            ..OverlayConfig::default()
+        };
+        let sub = AnalyticSubstrate::build(cfg, 5);
+        // Over [0, 1000) with mean lifetime 100 we expect ~11 generations.
+        let mut total = 0usize;
+        for slot in 0..200 {
+            let e = sub.exposures_during(slot, SimTime::ZERO, SimTime::from_ticks(1000));
+            assert!(e >= 1);
+            total += e;
+        }
+        let mean = total as f64 / 200.0;
+        assert!(
+            (mean - 11.0).abs() < 2.0,
+            "mean exposures {mean}, expected ≈ 11"
+        );
+    }
+
+    #[test]
+    fn sample_distinct_slots_has_no_repeats() {
+        let sub = AnalyticSubstrate::build(config(100), 11);
+        let mut rng = sub.seed().stream("sampling");
+        let sample = sub.sample_distinct_slots(40, &mut rng);
+        let mut dedup = sample.clone();
+        dedup.sort_unstable();
+        dedup.dedup();
+        assert_eq!(dedup.len(), 40);
     }
 
     #[test]
@@ -384,20 +475,6 @@ mod tests {
                     "rank {rank} of {target:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn resolution_agrees_with_overlay() {
-        let overlay = Overlay::build(config(500), 21);
-        let sub = AnalyticSubstrate::build(config(500), 21);
-        for i in 0..100 {
-            let target = NodeId::from_name(format!("addr-{i}").as_bytes());
-            assert_eq!(overlay.resolve_holder(&target), sub.resolve_holder(&target));
-            assert_eq!(
-                overlay.closest_slots(&target, 5),
-                sub.closest_slots(&target, 5)
-            );
         }
     }
 
@@ -434,7 +511,7 @@ mod tests {
         let mut sub = AnalyticSubstrate::build(config(64), 5);
         let key = NodeId::from_name(b"k");
         let written = sub.store(key, b"v".to_vec());
-        assert_eq!(written.len(), sub.config().replication);
+        assert_eq!(written.len(), REPLICATION);
         assert_eq!(sub.find_value(key), Some(b"v".to_vec()));
         assert_eq!(sub.find_value(NodeId::from_name(b"missing")), None);
     }

@@ -7,7 +7,6 @@
 
 use emerge_crypto::sha256::Sha256;
 use rand::RngCore;
-use std::cmp::Ordering;
 use std::fmt;
 
 /// Identifier length in bytes (160 bits).
@@ -67,30 +66,6 @@ impl NodeId {
     /// The raw bytes.
     pub fn as_bytes(&self) -> &[u8; ID_LEN] {
         &self.0
-    }
-
-    /// The index of the highest differing bit relative to `other`, i.e.
-    /// `159 - leading_zeros(distance)`. Returns `None` for identical IDs.
-    ///
-    /// This is the k-bucket index in a routing table owned by `self`.
-    pub fn bucket_index(&self, other: &NodeId) -> Option<usize> {
-        let d = self.distance(other);
-        let lz = d.leading_zeros();
-        if lz == ID_BITS {
-            None
-        } else {
-            Some(ID_BITS - 1 - lz)
-        }
-    }
-
-    /// Flips bit `bit` (0 = most significant) returning a new ID. Used to
-    /// construct bucket range endpoints.
-    pub fn with_flipped_bit(&self, bit: usize) -> NodeId {
-        // LINT-WAIVER(panic): documented contract: the bit index is bounded by ID_BITS
-        assert!(bit < ID_BITS);
-        let mut bytes = self.0;
-        bytes[bit / 8] ^= 0x80 >> (bit % 8);
-        NodeId(bytes)
     }
 
     /// Returns the value of bit `bit` (0 = most significant).
@@ -159,12 +134,7 @@ impl From<[u8; ID_LEN]> for NodeId {
 
 /// Sorts `ids` in place by distance to `target` (closest first).
 pub fn sort_by_distance(ids: &mut [NodeId], target: &NodeId) {
-    ids.sort_by(|a, b| cmp_distance(a, b, target));
-}
-
-/// Compares two IDs by their distance to `target`.
-pub fn cmp_distance(a: &NodeId, b: &NodeId, target: &NodeId) -> Ordering {
-    a.distance(target).cmp(&b.distance(target))
+    ids.sort_by_key(|id| id.distance(target));
 }
 
 #[cfg(test)]
@@ -183,7 +153,6 @@ mod tests {
         let a = id(7);
         assert!(a.distance(&a).is_zero());
         assert_eq!(a.distance(&a).leading_zeros(), ID_BITS);
-        assert_eq!(a.bucket_index(&a), None);
     }
 
     #[test]
@@ -194,34 +163,14 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_examples() {
-        let zero = NodeId::ZERO;
-        // Differ only in the least significant bit -> bucket 0.
-        let mut lsb = [0u8; ID_LEN];
-        lsb[ID_LEN - 1] = 1;
-        assert_eq!(zero.bucket_index(&NodeId::from_bytes(lsb)), Some(0));
-        // Differ in the most significant bit -> bucket 159.
+    fn bit_accessor_is_msb_first() {
         let mut msb = [0u8; ID_LEN];
         msb[0] = 0x80;
-        assert_eq!(zero.bucket_index(&NodeId::from_bytes(msb)), Some(159));
-    }
-
-    #[test]
-    fn flipped_bit_lands_in_expected_bucket() {
-        let a = NodeId::from_name(b"node");
+        let mut lsb = [0u8; ID_LEN];
+        lsb[ID_LEN - 1] = 1;
         for bit in [0usize, 1, 7, 8, 63, 159] {
-            let flipped = a.with_flipped_bit(bit);
-            assert_eq!(a.bucket_index(&flipped), Some(ID_BITS - 1 - bit));
-            // Flipping twice returns the original.
-            assert_eq!(flipped.with_flipped_bit(bit), a);
-        }
-    }
-
-    #[test]
-    fn bit_accessor_matches_flip() {
-        let a = NodeId::from_name(b"x");
-        for bit in [0usize, 5, 100, 159] {
-            assert_ne!(a.bit(bit), a.with_flipped_bit(bit).bit(bit));
+            assert_eq!(NodeId::from_bytes(msb).bit(bit), bit == 0, "bit {bit}");
+            assert_eq!(NodeId::from_bytes(lsb).bit(bit), bit == 159, "bit {bit}");
         }
     }
 

@@ -1,20 +1,16 @@
-//! The sorted generation-0 ID index shared by every DHT substrate.
+//! The sorted generation-0 ID index behind holder resolution.
 //!
 //! Resolving a pseudo-random holder address to the XOR-closest node is
 //! the innermost loop of path construction; at the paper's 10 000-node
-//! scale a linear selection costs ~200 µs per address and dominated the
-//! full overlay's Monte-Carlo trials. This index keeps `(id, slot)` pairs
-//! in ascending ID order and resolves by descending the implicit binary
-//! trie over that order — `O(log² n)` per query, identical output to the
-//! brute-force XOR sort (pinned by the analytic substrate's tests and the
-//! overlay/analytic parity suites).
+//! scale a linear selection costs ~200 µs per address. This index keeps
+//! `(id, slot)` pairs in ascending ID order and resolves by descending
+//! the implicit binary trie over that order — `O(log² n)` per query,
+//! identical output to the brute-force XOR sort (pinned by the tests
+//! below and the analytic substrate's).
 //!
-//! [`crate::analytic::AnalyticSubstrate`] builds one at construction;
-//! [`crate::overlay::Overlay`] additionally mutates it when a node
-//! [`join`](crate::overlay::Overlay::join)s (the "lookup invalidation"
-//! the lazy world-build needs — joins extend the ID space, so the index
-//! learns the newcomer immediately; `leave` marks a death but never
-//! changes generation-0 responsibility, so it needs no index update).
+//! [`crate::analytic::AnalyticSubstrate`] builds one per world and
+//! rebuilds it in place on reseed. Churn never changes generation-0
+//! responsibility, so the index is immutable within a world.
 
 use crate::id::{NodeId, ID_BITS};
 
@@ -81,23 +77,6 @@ impl SortedIdIndex {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
-    }
-
-    /// The `(id, slot)` pairs in ascending ID order — for consumers that
-    /// need a sorted walk of the ID space (e.g. the overlay's
-    /// prefix-range routing-table construction) without re-sorting what
-    /// the index already maintains.
-    pub fn entries(&self) -> &[(NodeId, u32)] {
-        &self.sorted
-    }
-
-    /// Registers a newly joined `slot` under `id`, keeping the order
-    /// invariant (binary-search insert).
-    pub fn insert(&mut self, id: NodeId, slot: usize) {
-        let pos = self
-            .sorted
-            .partition_point(|(i, s)| (*i, *s) < (id, slot as u32));
-        self.sorted.insert(pos, (id, slot as u32));
     }
 
     /// The `count` slots whose IDs are XOR-closest to `target`, closest
@@ -216,26 +195,6 @@ mod tests {
             }
             assert_eq!(index.resolve(&target), got[0]);
         }
-    }
-
-    #[test]
-    fn insert_keeps_resolution_exact() {
-        let mut ids = random_ids(64, 5);
-        let mut index = SortedIdIndex::build(&ids);
-        let mut rng = StdRng::seed_from_u64(29);
-        for _ in 0..32 {
-            let id = NodeId::random(&mut rng);
-            index.insert(id, ids.len());
-            ids.push(id);
-            let target = NodeId::random(&mut rng);
-            let got = index.closest_slots(&target, 5);
-            let mut expect = ids.clone();
-            sort_by_distance(&mut expect, &target);
-            for (rank, slot) in got.iter().enumerate() {
-                assert_eq!(ids[*slot], expect[rank]);
-            }
-        }
-        assert_eq!(index.len(), 96);
     }
 
     #[test]

@@ -1,63 +1,51 @@
 //! # emerge-dht
 //!
-//! A Kademlia-style distributed hash table running on the [`emerge_sim`]
-//! discrete-event engine. This crate replaces the paper's use of the
-//! Overlay Weaver DHT emulator: it provides the node population, uniform
-//! 160-bit ID space, XOR-metric routing, iterative lookups, storage with
-//! replication, churn (exponential node lifetimes with generational
-//! replacement) and adversarial node marking that the self-emerging
-//! key-routing schemes in `emerge-core` are built upon.
+//! The simulated DHT world the self-emerging key-routing schemes in
+//! `emerge-core` are built upon. This crate replaces the paper's use of
+//! the Overlay Weaver DHT emulator with what its experiments actually
+//! measure: a node population over a uniform 160-bit ID space, exact
+//! XOR-closest holder resolution, churn (exponential node lifetimes with
+//! generational replacement), exact adversarial node marking and a
+//! replicated storage oracle.
 //!
 //! ## Layout
 //!
 //! * [`id`] — 160-bit node/key identifiers and the XOR distance metric
-//! * [`bucket`] — k-buckets with least-recently-seen eviction
-//! * [`table`] — per-node routing tables
-//! * [`rpc`] — the four Kademlia RPCs and message envelopes
-//! * [`node`] — the server side: RPC handling with passive learning
-//! * [`lookup`] — iterative node/value lookup with α-way parallelism
+//! * [`index`] — the sorted generation-0 ID index behind `O(log² n)`
+//!   XOR-closest resolution
 //! * [`storage`] — TTL'd local key-value store
-//! * [`network`] — latency and loss models, message accounting
-//! * [`population`] — the churn-expanded node population shared by every
-//!   substrate (generation timelines, malicious marking)
-//! * [`overlay`] — the whole-network harness: population, churn
-//!   generations, malicious marking, store/get, holder sampling
-//! * [`analytic`] — the routing-free substrate for paper-scale
-//!   Monte-Carlo sweeps (same population, `O(log² n)` holder resolution)
+//! * [`population`] — the churn-expanded node population (generation
+//!   timelines, malicious marking), sampled lazily per slot or eagerly
+//! * [`overlay`] — [`OverlayConfig`], the world parameters
+//! * [`analytic`] — [`AnalyticSubstrate`], the DHT world: population,
+//!   holder resolution, churn queries and storage
 //!
 //! ## Example
 //!
 //! ```
-//! use emerge_dht::overlay::{Overlay, OverlayConfig};
+//! use emerge_dht::{AnalyticSubstrate, OverlayConfig};
 //!
 //! let config = OverlayConfig { n_nodes: 64, ..OverlayConfig::default() };
-//! let mut overlay = Overlay::build(config, 42);
-//! overlay.build_routing_tables();
+//! let mut world = AnalyticSubstrate::build(config, 42);
 //!
-//! // Store a value and retrieve it through iterative lookup.
+//! // Store a value on the responsible slots and read it back.
 //! let key = emerge_dht::id::NodeId::from_name(b"the-key");
-//! overlay.store(key, b"hello".to_vec());
-//! let found = overlay.find_value(0, key).expect("value should be found");
-//! assert_eq!(found.value, b"hello");
+//! let holders = world.store(key, b"hello".to_vec());
+//! assert_eq!(holders[0], world.resolve_holder(&key));
+//! assert_eq!(world.find_value(key).as_deref(), Some(&b"hello"[..]));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytic;
-pub mod bucket;
 pub mod id;
 pub mod index;
-pub mod lookup;
-pub mod network;
-pub mod node;
 pub mod overlay;
 pub mod population;
-pub mod rpc;
 pub mod storage;
-pub mod table;
 
 pub use analytic::AnalyticSubstrate;
 pub use id::NodeId;
-pub use overlay::{Overlay, OverlayConfig};
+pub use overlay::OverlayConfig;
 pub use population::NodeInfo;

@@ -1,10 +1,11 @@
-//! The whole-network DHT harness: population, churn generations, malicious
-//! marking, routing, storage and lookup.
+//! The DHT overlay's world parameters.
 //!
-//! An [`Overlay`] owns every node in the simulated DHT. It mirrors how the
-//! paper drives Overlay Weaver: "we invoke 10000 DHT node instances …
-//! randomly select 10000·p non-repeated nodes and mark them as malicious",
-//! with node death following an exponential distribution.
+//! The paper drives Overlay Weaver this way: "we invoke 10000 DHT node
+//! instances … randomly select 10000·p non-repeated nodes and mark them as
+//! malicious", with node death following an exponential distribution.
+//! [`OverlayConfig`] captures exactly those knobs; the world itself is
+//! [`crate::analytic::AnalyticSubstrate`], sampled from
+//! [`crate::population::Genesis`].
 //!
 //! ## Slots and generations
 //!
@@ -16,40 +17,11 @@
 //! replacement, which is precisely the re-exposure channel the paper's
 //! churn analysis worries about (Section III-D).
 
-use crate::bucket::DEFAULT_K;
-use crate::id::NodeId;
-use crate::index::SortedIdIndex;
-use crate::lookup::{iterative_find_node, LookupOutcome, NodeQuery};
-use crate::network::{Network, NetworkConfig};
-use crate::population::{self, Genesis, PopulationConfig};
-use crate::storage::Store;
-use crate::table::RoutingTable;
-use emerge_obs::metrics::CounterId;
-use emerge_sim::rng::SeedSource;
-use emerge_sim::time::{SimDuration, SimTime};
-use rand::Rng;
-use std::cell::OnceCell;
-use std::collections::HashMap;
-
-pub use crate::population::NodeInfo;
-
-/// Holder resolutions served by the full overlay (recorded into the
-/// thread's `emerge-obs` collector, if any).
-static RESOLVES: CounterId = CounterId::new("dht.overlay.resolves");
-
-/// Configuration of an overlay network.
+/// Configuration of an overlay world.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlayConfig {
     /// Number of population slots (live nodes at any instant).
     pub n_nodes: usize,
-    /// Kademlia bucket size.
-    pub bucket_k: usize,
-    /// Lookup parallelism α.
-    pub alpha: usize,
-    /// Replication factor for stored values.
-    pub replication: usize,
-    /// Network latency/loss model.
-    pub network: NetworkConfig,
     /// Fraction `p` of initially malicious nodes (marked exactly,
     /// `⌊p·n⌋` non-repeated nodes as in the paper's setup).
     pub malicious_fraction: f64,
@@ -63,895 +35,9 @@ impl Default for OverlayConfig {
     fn default() -> Self {
         OverlayConfig {
             n_nodes: 128,
-            bucket_k: DEFAULT_K,
-            alpha: 3,
-            replication: 3,
-            network: NetworkConfig::default(),
             malicious_fraction: 0.0,
             mean_lifetime: None,
             horizon: 1_000_000,
         }
-    }
-}
-
-impl OverlayConfig {
-    /// The churn-relevant subset, for [`Genesis::sample`] (and the eager
-    /// [`crate::population::Population::build`]).
-    pub fn population(&self) -> PopulationConfig {
-        PopulationConfig {
-            n_nodes: self.n_nodes,
-            malicious_fraction: self.malicious_fraction,
-            mean_lifetime: self.mean_lifetime,
-            horizon: self.horizon,
-        }
-    }
-}
-
-/// A population slot and its succession of node generations, materialized
-/// from the shared [`Genesis`] on first access.
-///
-/// World construction at the paper's 10 000-node scale used to spend
-/// milliseconds eagerly sampling every slot's churn timeline; a protocol
-/// run touches a few dozen slots, so the overlay now adopts the analytic
-/// substrate's per-slot lazy sampling (bit-identical timelines — both
-/// sample the same per-slot `Genesis` stream). Slots created by
-/// [`Overlay::join`] or mutated by [`Overlay::leave`] hold their
-/// timelines directly in the cell.
-#[derive(Debug)]
-struct Slot {
-    generations: OnceCell<Vec<NodeInfo>>,
-}
-
-impl Slot {
-    fn lazy() -> Self {
-        Slot {
-            generations: OnceCell::new(),
-        }
-    }
-
-    fn with(generations: Vec<NodeInfo>) -> Self {
-        let cell = OnceCell::new();
-        // LINT-WAIVER(panic): a freshly created OnceCell is empty, so the first set always succeeds
-        cell.set(generations).expect("fresh cell accepts a value");
-        Slot { generations: cell }
-    }
-
-    /// The timeline, sampling it from `genesis` on first access.
-    fn materialize(&self, slot: usize, genesis: &Genesis) -> &[NodeInfo] {
-        self.generations
-            .get_or_init(|| genesis.slot_generations(slot))
-    }
-}
-
-/// Result of a value lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FoundValue {
-    /// The value bytes.
-    pub value: Vec<u8>,
-    /// Nodes queried during the lookup.
-    pub queried: usize,
-    /// Lookup rounds.
-    pub rounds: usize,
-}
-
-/// The simulated DHT network.
-#[derive(Debug)]
-pub struct Overlay {
-    config: OverlayConfig,
-    seed: SeedSource,
-    /// The deterministic population seed state; slot churn timelines are
-    /// sampled from it lazily.
-    genesis: Genesis,
-    /// Per-slot generation-0 IDs (genesis slots, then joined nodes).
-    /// Holder resolution and routing-table construction read these, so
-    /// neither materializes a single churn timeline.
-    initial_ids: Vec<NodeId>,
-    /// Per-slot generation-0 malicious flags (same layout).
-    initial_malicious: Vec<bool>,
-    /// Sorted generation-0 ID index for closest-slot resolution (shared
-    /// machinery with the analytic substrate); updated on `join`.
-    index: SortedIdIndex,
-    slots: Vec<Slot>,
-    /// Generation-0 ID → slot index.
-    id_index: HashMap<NodeId, usize>,
-    /// Routing tables per slot (for generation-0 IDs); built on demand.
-    tables: Option<Vec<RoutingTable>>,
-    stores: Vec<Store>,
-    network: Network,
-    now: SimTime,
-}
-
-impl Overlay {
-    /// Builds an overlay with `config`, deterministically from `seed`.
-    ///
-    /// Only generation-0 identities and the malicious marking are sampled
-    /// here; each slot's churn timeline materializes on first query
-    /// (bit-identical to the eager build — same per-slot streams).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_nodes == 0` or `malicious_fraction ∉ [0, 1]`.
-    pub fn build(config: OverlayConfig, seed: u64) -> Self {
-        let seed = SeedSource::new(seed);
-        let genesis = Genesis::sample(&config.population(), &seed);
-        let n = genesis.n_nodes();
-        let initial_ids = genesis.initial_ids().to_vec();
-        let initial_malicious: Vec<bool> = (0..n).map(|s| genesis.initial_malicious(s)).collect();
-        let id_index = initial_ids
-            .iter()
-            .enumerate()
-            .map(|(slot, id)| (*id, slot))
-            .collect();
-        let index = SortedIdIndex::build(&initial_ids);
-        let slots: Vec<Slot> = (0..n).map(|_| Slot::lazy()).collect();
-
-        // Network misconfiguration is repaired rather than rejected here:
-        // overlays are built deep inside Monte-Carlo factories where a
-        // Result would poison every signature, and the nearest valid
-        // config (ordered band, clamped drop rate) is always well-defined.
-        let network = Network::new_normalized(config.network, seed.stream("network"));
-        let stores = (0..n).map(|_| Store::new()).collect();
-
-        Overlay {
-            config,
-            seed,
-            genesis,
-            initial_ids,
-            initial_malicious,
-            index,
-            slots,
-            id_index,
-            tables: None,
-            stores,
-            network,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The configuration this overlay was built with.
-    pub fn config(&self) -> &OverlayConfig {
-        &self.config
-    }
-
-    /// Number of population slots.
-    pub fn n_nodes(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Current simulated time of the overlay.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances the overlay clock (monotonic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is earlier than the current time.
-    pub fn advance_to(&mut self, t: SimTime) {
-        // LINT-WAIVER(panic): documented # Panics contract: the overlay clock is monotone
-        assert!(t >= self.now, "overlay clock cannot go backwards");
-        self.now = t;
-    }
-
-    /// The initial (generation-0) node of a slot.
-    pub fn initial(&self, slot: usize) -> &NodeInfo {
-        &self.generations(slot)[0]
-    }
-
-    /// All generations of a slot, in order (sampled on first access).
-    pub fn generations(&self, slot: usize) -> &[NodeInfo] {
-        self.slots[slot].materialize(slot, &self.genesis)
-    }
-
-    /// How many slot timelines have been materialized so far (diagnostic
-    /// for the lazy world-build).
-    pub fn materialized_timelines(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.generations.get().is_some())
-            .count()
-    }
-
-    /// The generation occupying `slot` at time `t`.
-    pub fn generation_at(&self, slot: usize, t: SimTime) -> &NodeInfo {
-        population::tenant_at(self.generations(slot), t)
-    }
-
-    /// Whether the generation-0 node of `slot` is still the occupant and
-    /// alive at `t`.
-    pub fn initial_alive_at(&self, slot: usize, t: SimTime) -> bool {
-        self.generations(slot)[0].alive_at(t)
-    }
-
-    /// Number of distinct node generations whose tenancy overlaps the
-    /// half-open window `[from, to)` — the key **re-exposure count** used
-    /// by the churn analysis: each overlapping generation saw whatever
-    /// the slot stored.
-    pub fn exposures_during(&self, slot: usize, from: SimTime, to: SimTime) -> usize {
-        population::exposures_during(self.generations(slot), from, to)
-    }
-
-    /// Whether any generation of `slot` overlapping the half-open window `[from, to)` is
-    /// malicious.
-    pub fn any_malicious_exposure(&self, slot: usize, from: SimTime, to: SimTime) -> bool {
-        population::any_malicious_exposure(self.generations(slot), from, to)
-    }
-
-    /// Slot index of a generation-0 node ID.
-    pub fn slot_of_id(&self, id: &NodeId) -> Option<usize> {
-        self.id_index.get(id).copied()
-    }
-
-    /// The `count` slots whose generation-0 IDs are XOR-closest to
-    /// `target`, sorted closest-first — exact, via the shared
-    /// [`SortedIdIndex`] trie descent (`O(log² n)` instead of the old
-    /// `O(n)` selection scan, which dominated full-overlay Monte-Carlo
-    /// trials at 10 000 nodes). Reads only generation-0 IDs — no churn
-    /// materialization.
-    pub fn closest_slots(&self, target: &NodeId, count: usize) -> Vec<usize> {
-        self.index.closest_slots(target, count)
-    }
-
-    /// The slot responsible for `target` (closest generation-0 ID). This is
-    /// how the key-routing schemes resolve a pseudo-random holder address
-    /// to an actual node.
-    pub fn resolve_holder(&self, target: &NodeId) -> usize {
-        RESOLVES.incr();
-        self.index.resolve(target)
-    }
-
-    /// Samples `count` distinct slots uniformly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > n_nodes`.
-    pub fn sample_distinct_slots<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<usize> {
-        // LINT-WAIVER(panic): documented # Panics contract: cannot sample more slots than nodes
-        assert!(
-            count <= self.slots.len(),
-            "cannot sample more slots than exist"
-        );
-        rand::seq::index::sample(rng, self.slots.len(), count).into_vec()
-    }
-
-    /// Builds all routing tables from global knowledge ("perfect
-    /// bootstrap"). Tables reference generation-0 IDs.
-    ///
-    /// Complexity is `O(n · 160 · log n)` using prefix-range queries over
-    /// the sorted ID space, so it is practical even at the paper's 10000
-    /// node scale.
-    pub fn build_routing_tables(&mut self) {
-        // The closest-slot index already maintains every generation-0
-        // `(id, slot)` pair in ascending ID order (kept consistent on
-        // `join`), so the prefix-range walk reuses it instead of
-        // re-sorting the ID space.
-        let sorted: Vec<(NodeId, usize)> = self
-            .index
-            .entries()
-            .iter()
-            .map(|&(id, slot)| (id, slot as usize))
-            .collect();
-
-        let k = self.config.bucket_k;
-        let mut tables = Vec::with_capacity(self.slots.len());
-        for own in self.initial_ids.iter().copied() {
-            let mut rt = RoutingTable::new(own, k);
-            // Bucket for prefix length L covers IDs that share exactly L
-            // leading bits with `own`: a contiguous range in sorted order.
-            for prefix_len in 0..crate::id::ID_BITS {
-                let (lo, hi) = prefix_range(&own, prefix_len);
-                let start = sorted.partition_point(|(id, _)| *id < lo);
-                let mut taken = 0;
-                for &(id, _) in &sorted[start..] {
-                    if id > hi || taken >= k {
-                        break;
-                    }
-                    if id != own {
-                        rt.insert(id, SimTime::ZERO, false);
-                        taken += 1;
-                    }
-                }
-            }
-            tables.push(rt);
-        }
-        self.tables = Some(tables);
-    }
-
-    /// Whether routing tables have been built.
-    pub fn has_routing_tables(&self) -> bool {
-        self.tables.is_some()
-    }
-
-    /// The routing table of a slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if routing tables were not built.
-    pub fn routing_table(&self, slot: usize) -> &RoutingTable {
-        // LINT-WAIVER(panic): documented # Panics contract: routing tables must be built first
-        &self.tables.as_ref().expect("routing tables not built")[slot]
-    }
-
-    /// Runs an iterative FIND_NODE from `from_slot` toward `target`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if routing tables were not built.
-    pub fn find_node(&mut self, from_slot: usize, target: NodeId) -> LookupOutcome {
-        // LINT-WAIVER(panic): documented # Panics contract: routing tables must be built first
-        let tables = self.tables.as_ref().expect("routing tables not built");
-        let seeds = tables[from_slot].closest(&target, self.config.bucket_k);
-        let mut adapter = QueryAdapter {
-            tables,
-            id_index: &self.id_index,
-            genesis: &self.genesis,
-            slots: &self.slots,
-            network: &mut self.network,
-            now: self.now,
-        };
-        iterative_find_node(
-            &seeds,
-            target,
-            self.config.bucket_k,
-            self.config.alpha,
-            &mut adapter,
-        )
-    }
-
-    /// Stores `value` under `key` on the `replication` closest slots.
-    ///
-    /// Returns the slots that accepted the value.
-    pub fn store(&mut self, key: NodeId, value: Vec<u8>) -> Vec<usize> {
-        let targets = self.closest_slots(&key, self.config.replication);
-        for &slot in &targets {
-            self.stores[slot].put(key, value.clone(), self.now, None);
-        }
-        targets
-    }
-
-    /// Stores with a TTL.
-    pub fn store_with_ttl(&mut self, key: NodeId, value: Vec<u8>, ttl: SimDuration) -> Vec<usize> {
-        let targets = self.closest_slots(&key, self.config.replication);
-        for &slot in &targets {
-            self.stores[slot].put(key, value.clone(), self.now, Some(ttl));
-        }
-        targets
-    }
-
-    /// Looks up a value via iterative routing from `from_slot`.
-    ///
-    /// Returns `None` if no responsible live node has the value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if routing tables were not built.
-    pub fn find_value(&mut self, from_slot: usize, key: NodeId) -> Option<FoundValue> {
-        let outcome = self.find_node(from_slot, key);
-        for id in &outcome.closest {
-            if let Some(&slot) = self.id_index.get(id) {
-                if let Some(v) = self.stores[slot].get(&key, self.now) {
-                    return Some(FoundValue {
-                        value: v.value.clone(),
-                        queried: outcome.queried,
-                        rounds: outcome.rounds,
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    /// Direct access to a slot's local store (for protocol hops that
-    /// address holders directly rather than via lookup).
-    pub fn store_of(&mut self, slot: usize) -> &mut Store {
-        &mut self.stores[slot]
-    }
-
-    /// Network counters for traffic accounting.
-    pub fn network(&self) -> &Network {
-        &self.network
-    }
-
-    /// Mutable network access (latency draws, counter resets).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
-    }
-
-    /// The seed source, for components that fork protocol-level streams.
-    pub fn seed(&self) -> SeedSource {
-        self.seed
-    }
-
-    /// Count of initially malicious nodes (generation 0; reads the eager
-    /// marking, no timeline sampling).
-    pub fn initial_malicious_count(&self) -> usize {
-        self.initial_malicious.iter().filter(|&&m| m).count()
-    }
-
-    /// Adds a brand-new node at the current time via the Kademlia join
-    /// flow: look up the newcomer's own ID through a bootstrap node, seed
-    /// its routing table with the results, and let the nodes closest to it
-    /// learn about it (they would have answered its lookup). Returns the
-    /// new slot index.
-    ///
-    /// Without routing tables the node is only added to the population;
-    /// its table is created empty and filled when
-    /// [`Overlay::build_routing_tables`] runs.
-    pub fn join(&mut self, id: NodeId, malicious: bool) -> usize {
-        let slot = self.slots.len();
-        // Joined slots carry their timeline directly (they are beyond the
-        // genesis population, so there is no stream to sample them from),
-        // and every lookup index — IDs, marking, id_index, stores —
-        // learns about them here so the lazy build stays consistent.
-        self.slots.push(Slot::with(vec![NodeInfo {
-            id,
-            malicious,
-            spawn: self.now,
-            death: SimTime::MAX,
-        }]));
-        self.initial_ids.push(id);
-        self.initial_malicious.push(malicious);
-        self.id_index.insert(id, slot);
-        self.index.insert(id, slot);
-        self.stores.push(Store::new());
-
-        if self.tables.is_some() {
-            // Lookup toward the newcomer's own ID from a bootstrap node.
-            let outcome = self.find_node(0, id);
-            // LINT-WAIVER(panic): the find_node call above materialized the routing tables
-            let tables = self.tables.as_mut().expect("checked above");
-            let mut table = RoutingTable::new(id, self.config.bucket_k);
-            for contact in &outcome.closest {
-                table.insert(*contact, self.now, false);
-            }
-            // The bootstrap node itself is always learned.
-            table.insert(self.initial_ids[0], self.now, false);
-            tables.push(table);
-            // Passive learning at the answering side.
-            for contact in &outcome.closest {
-                if let Some(&s) = self.id_index.get(contact) {
-                    tables[s].insert(id, self.now, false);
-                }
-            }
-        }
-        slot
-    }
-
-    /// Marks the current tenant of `slot` as departed at the current time
-    /// (a voluntary leave or crash). Routing tables keep the stale contact
-    /// — real tables learn of departures lazily, and lookups route around
-    /// unresponsive entries.
-    pub fn leave(&mut self, slot: usize) {
-        let now = self.now;
-        // Materialize before mutating: once a timeline is edited it can
-        // never be (re)sampled from the genesis stream, and the OnceCell
-        // guarantees exactly that — the edited value is the one every
-        // later query sees.
-        self.generations(slot);
-        let gens = self.slots[slot]
-            .generations
-            .get_mut()
-            // LINT-WAIVER(panic): get_mut on the cell materialized in the line above always succeeds
-            .expect("just materialized");
-        let current = gens
-            .iter_mut()
-            .find(|g| g.alive_at(now) || g.death == SimTime::MAX)
-            // LINT-WAIVER(panic): every slot keeps an open-ended final generation, so the find always matches
-            .expect("slot always has a tenant");
-        if current.death > now {
-            current.death = now;
-        }
-    }
-}
-
-/// Computes the numeric ID range `[lo, hi]` of IDs sharing exactly
-/// `prefix_len` leading bits with `own` (i.e. differing first at bit
-/// `prefix_len`).
-fn prefix_range(own: &NodeId, prefix_len: usize) -> (NodeId, NodeId) {
-    let flipped = own.with_flipped_bit(prefix_len);
-    let mut lo = *flipped.as_bytes();
-    let mut hi = lo;
-    // Clear (lo) / set (hi) all bits below `prefix_len`.
-    let boundary = prefix_len + 1;
-    for bit in boundary..crate::id::ID_BITS {
-        let byte = bit / 8;
-        let mask = 0x80u8 >> (bit % 8);
-        lo[byte] &= !mask;
-        hi[byte] |= mask;
-    }
-    (NodeId::from_bytes(lo), NodeId::from_bytes(hi))
-}
-
-/// Adapter implementing [`NodeQuery`] against overlay state, with network
-/// accounting: every query costs a request and a response message.
-struct QueryAdapter<'a> {
-    tables: &'a [RoutingTable],
-    id_index: &'a HashMap<NodeId, usize>,
-    genesis: &'a Genesis,
-    slots: &'a [Slot],
-    network: &'a mut Network,
-    now: SimTime,
-}
-
-impl NodeQuery for QueryAdapter<'_> {
-    fn closest_of(&mut self, node: NodeId, target: NodeId, count: usize) -> Option<Vec<NodeId>> {
-        let &slot = self.id_index.get(&node)?;
-        // The generation-0 node must still be alive to answer for its ID
-        // (this is the liveness check, so it does materialize the queried
-        // slot's timeline).
-        if !self.slots[slot].materialize(slot, self.genesis)[0].alive_at(self.now) {
-            // A dead node never answers; the (lost) request still costs a
-            // message.
-            self.network.transmit(64);
-            return None;
-        }
-        // One retransmission on loss, as real Kademlia implementations do.
-        for _attempt in 0..2 {
-            let request_delivered = self.network.transmit(64).is_some();
-            if !request_delivered {
-                continue;
-            }
-            // Response message (size approximates `count` contacts).
-            if self
-                .network
-                .transmit(count * crate::id::ID_LEN + 16)
-                .is_some()
-            {
-                return Some(self.tables[slot].closest(&target, count));
-            }
-        }
-        None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::id::sort_by_distance;
-
-    fn small_config(n: usize) -> OverlayConfig {
-        OverlayConfig {
-            n_nodes: n,
-            ..OverlayConfig::default()
-        }
-    }
-
-    #[test]
-    fn build_is_deterministic() {
-        let a = Overlay::build(small_config(50), 7);
-        let b = Overlay::build(small_config(50), 7);
-        for i in 0..50 {
-            assert_eq!(a.initial(i).id, b.initial(i).id);
-        }
-        let c = Overlay::build(small_config(50), 8);
-        assert_ne!(a.initial(0).id, c.initial(0).id);
-    }
-
-    #[test]
-    fn world_build_and_resolution_are_lazy() {
-        let config = OverlayConfig {
-            n_nodes: 1_000,
-            malicious_fraction: 0.2,
-            mean_lifetime: Some(1_000),
-            horizon: 100_000,
-            ..OverlayConfig::default()
-        };
-        let mut overlay = Overlay::build(config, 9);
-        assert_eq!(overlay.materialized_timelines(), 0, "build samples none");
-        assert_eq!(overlay.initial_malicious_count(), 200);
-        let target = NodeId::from_name(b"one-holder");
-        let slot = overlay.resolve_holder(&target);
-        let _ = overlay.closest_slots(&target, 8);
-        assert_eq!(
-            overlay.materialized_timelines(),
-            0,
-            "resolution needs no churn"
-        );
-        overlay.build_routing_tables();
-        assert_eq!(
-            overlay.materialized_timelines(),
-            0,
-            "routing tables are generation-0 only"
-        );
-        let _ = overlay.generation_at(slot, SimTime::from_ticks(500));
-        assert_eq!(overlay.materialized_timelines(), 1);
-    }
-
-    #[test]
-    fn lazy_overlay_matches_eagerly_sampled_population() {
-        // The lazy overlay must produce the exact timelines the eager
-        // Population build would have: same per-slot streams, any access
-        // order.
-        let config = OverlayConfig {
-            n_nodes: 120,
-            malicious_fraction: 0.3,
-            mean_lifetime: Some(700),
-            horizon: 30_000,
-            ..OverlayConfig::default()
-        };
-        let overlay = Overlay::build(config, 77);
-        let population =
-            crate::population::Population::build(&config.population(), &SeedSource::new(77));
-        for slot in [119usize, 0, 55, 55, 7] {
-            assert_eq!(
-                overlay.generations(slot),
-                population.generations[slot],
-                "slot {slot}"
-            );
-        }
-    }
-
-    #[test]
-    fn leave_after_lazy_build_edits_the_materialized_timeline() {
-        let config = OverlayConfig {
-            n_nodes: 64,
-            mean_lifetime: Some(5_000),
-            horizon: 100_000,
-            ..OverlayConfig::default()
-        };
-        let mut overlay = Overlay::build(config, 31);
-        overlay.advance_to(SimTime::from_ticks(10));
-        overlay.leave(5);
-        // The departure sticks: later queries see the edited timeline,
-        // not a fresh sample.
-        assert!(!overlay.initial_alive_at(5, SimTime::from_ticks(11)));
-        assert!(overlay
-            .generations(5)
-            .iter()
-            .any(|g| g.death == SimTime::from_ticks(10)));
-    }
-
-    #[test]
-    fn malicious_marking_is_exact() {
-        let config = OverlayConfig {
-            n_nodes: 1000,
-            malicious_fraction: 0.3,
-            ..OverlayConfig::default()
-        };
-        let overlay = Overlay::build(config, 1);
-        assert_eq!(overlay.initial_malicious_count(), 300);
-    }
-
-    #[test]
-    fn no_churn_means_immortal_nodes() {
-        let overlay = Overlay::build(small_config(20), 2);
-        for slot in 0..20 {
-            assert_eq!(overlay.generations(slot).len(), 1);
-            assert!(overlay.initial_alive_at(slot, SimTime::from_ticks(u64::MAX - 1)));
-        }
-    }
-
-    #[test]
-    fn churn_generations_tile_the_horizon() {
-        let config = OverlayConfig {
-            n_nodes: 100,
-            mean_lifetime: Some(1000),
-            horizon: 10_000,
-            ..OverlayConfig::default()
-        };
-        let overlay = Overlay::build(config, 3);
-        let mut multi_gen = 0;
-        for slot in 0..100 {
-            let gens = overlay.generations(slot);
-            if gens.len() > 1 {
-                multi_gen += 1;
-            }
-            // Generations are contiguous: next spawn == previous death.
-            for w in gens.windows(2) {
-                assert_eq!(w[0].death, w[1].spawn);
-            }
-            assert_eq!(gens.last().unwrap().death, SimTime::MAX);
-            assert_eq!(gens[0].spawn, SimTime::ZERO);
-        }
-        // With horizon = 10 lifetimes, nearly every slot churns.
-        assert!(multi_gen > 90, "only {multi_gen} slots churned");
-    }
-
-    #[test]
-    fn generation_at_finds_the_right_tenant() {
-        let config = OverlayConfig {
-            n_nodes: 50,
-            mean_lifetime: Some(500),
-            horizon: 50_000,
-            ..OverlayConfig::default()
-        };
-        let overlay = Overlay::build(config, 4);
-        for slot in 0..50 {
-            for t in [0u64, 100, 1000, 10_000, 49_999] {
-                let t = SimTime::from_ticks(t);
-                let g = overlay.generation_at(slot, t);
-                assert!(
-                    g.alive_at(t) || g.death == SimTime::MAX,
-                    "tenant must cover the queried instant"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn exposures_count_overlapping_generations() {
-        let config = OverlayConfig {
-            n_nodes: 200,
-            mean_lifetime: Some(100),
-            horizon: 100_000,
-            ..OverlayConfig::default()
-        };
-        let overlay = Overlay::build(config, 5);
-        // Over [0, 1000) with mean lifetime 100 we expect ~11 generations.
-        let mut total = 0usize;
-        for slot in 0..200 {
-            let e = overlay.exposures_during(slot, SimTime::ZERO, SimTime::from_ticks(1000));
-            assert!(e >= 1);
-            total += e;
-        }
-        let mean = total as f64 / 200.0;
-        assert!(
-            (mean - 11.0).abs() < 2.0,
-            "mean exposures {mean}, expected ≈ 11"
-        );
-    }
-
-    #[test]
-    fn closest_slots_is_exact() {
-        let overlay = Overlay::build(small_config(300), 6);
-        let target = NodeId::from_name(b"target");
-        let slots = overlay.closest_slots(&target, 5);
-        // Verify against brute force over IDs.
-        let mut ids: Vec<NodeId> = (0..300).map(|i| overlay.initial(i).id).collect();
-        sort_by_distance(&mut ids, &target);
-        for (rank, slot) in slots.iter().enumerate() {
-            assert_eq!(overlay.initial(*slot).id, ids[rank]);
-        }
-    }
-
-    #[test]
-    fn routing_tables_enable_convergent_lookup() {
-        let mut overlay = Overlay::build(small_config(256), 7);
-        overlay.build_routing_tables();
-        let target = NodeId::from_name(b"lookup-target");
-        let truth = overlay.initial(overlay.resolve_holder(&target)).id;
-        for from in [0usize, 17, 255] {
-            let outcome = overlay.find_node(from, target);
-            assert_eq!(
-                outcome.closest[0], truth,
-                "lookup from {from} must find the responsible node"
-            );
-        }
-    }
-
-    #[test]
-    fn store_and_find_value() {
-        let mut overlay = Overlay::build(small_config(128), 8);
-        overlay.build_routing_tables();
-        let key = NodeId::from_name(b"stored-key");
-        let written_to = overlay.store(key, b"payload".to_vec());
-        assert_eq!(written_to.len(), overlay.config().replication);
-        let found = overlay.find_value(5, key).expect("must find stored value");
-        assert_eq!(found.value, b"payload");
-        assert!(found.queried > 0);
-    }
-
-    #[test]
-    fn find_value_misses_unknown_key() {
-        let mut overlay = Overlay::build(small_config(64), 9);
-        overlay.build_routing_tables();
-        assert!(overlay.find_value(0, NodeId::from_name(b"nope")).is_none());
-    }
-
-    #[test]
-    fn lookup_message_accounting() {
-        let mut overlay = Overlay::build(small_config(128), 10);
-        overlay.build_routing_tables();
-        let before = overlay.network().messages_sent();
-        overlay.find_node(0, NodeId::from_name(b"x"));
-        assert!(overlay.network().messages_sent() > before);
-    }
-
-    #[test]
-    fn sample_distinct_slots_has_no_repeats() {
-        let overlay = Overlay::build(small_config(100), 11);
-        let mut rng = overlay.seed().stream("sampling");
-        let sample = overlay.sample_distinct_slots(40, &mut rng);
-        let mut dedup = sample.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 40);
-    }
-
-    #[test]
-    fn prefix_range_brackets_exactly_that_bucket() {
-        let own = NodeId::from_name(b"owner");
-        for prefix_len in [0usize, 1, 8, 100, 159] {
-            let (lo, hi) = prefix_range(&own, prefix_len);
-            assert!(lo <= hi);
-            // Everything in [lo, hi] differs from own first at prefix_len.
-            assert_eq!(
-                own.bucket_index(&lo),
-                Some(crate::id::ID_BITS - 1 - prefix_len)
-            );
-            assert_eq!(
-                own.bucket_index(&hi),
-                Some(crate::id::ID_BITS - 1 - prefix_len)
-            );
-        }
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut overlay = Overlay::build(small_config(10), 12);
-        overlay.advance_to(SimTime::from_ticks(5));
-        assert_eq!(overlay.now(), SimTime::from_ticks(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot go backwards")]
-    fn clock_rejects_rewind() {
-        let mut overlay = Overlay::build(small_config(10), 13);
-        overlay.advance_to(SimTime::from_ticks(5));
-        overlay.advance_to(SimTime::from_ticks(4));
-    }
-
-    #[test]
-    fn join_integrates_a_newcomer() {
-        let mut overlay = Overlay::build(small_config(128), 21);
-        overlay.build_routing_tables();
-        let newcomer = NodeId::from_name(b"newcomer");
-        let slot = overlay.join(newcomer, false);
-        assert_eq!(overlay.n_nodes(), 129);
-        assert_eq!(overlay.slot_of_id(&newcomer), Some(slot));
-        // The newcomer has working routes: it can find stored data.
-        let key = NodeId::from_name(b"post-join-key");
-        overlay.store(key, b"found".to_vec());
-        let found = overlay
-            .find_value(slot, key)
-            .expect("newcomer must be able to look up values");
-        assert_eq!(found.value, b"found");
-        // And the network can find the newcomer.
-        let outcome = overlay.find_node(3, newcomer);
-        assert_eq!(outcome.closest[0], newcomer);
-    }
-
-    #[test]
-    fn leave_makes_a_node_unresponsive() {
-        let mut overlay = Overlay::build(small_config(64), 22);
-        overlay.build_routing_tables();
-        overlay.advance_to(SimTime::from_ticks(10));
-        overlay.leave(5);
-        assert!(!overlay.initial_alive_at(5, SimTime::from_ticks(11)));
-        assert!(overlay.initial_alive_at(5, SimTime::from_ticks(9)));
-        // Lookups still converge around the departed node.
-        let target = NodeId::from_name(b"after-leave");
-        let outcome = overlay.find_node(0, target);
-        assert!(!outcome.closest.is_empty());
-    }
-
-    #[test]
-    fn join_before_tables_is_population_only() {
-        let mut overlay = Overlay::build(small_config(32), 23);
-        let id = NodeId::from_name(b"early-bird");
-        let slot = overlay.join(id, true);
-        assert_eq!(overlay.initial(slot).id, id);
-        assert!(overlay.initial(slot).malicious);
-        assert!(!overlay.has_routing_tables());
-    }
-
-    #[test]
-    fn dead_nodes_do_not_answer_lookups() {
-        let config = OverlayConfig {
-            n_nodes: 128,
-            mean_lifetime: Some(1000),
-            horizon: 100_000,
-            ..OverlayConfig::default()
-        };
-        let mut overlay = Overlay::build(config, 14);
-        overlay.build_routing_tables();
-        // Move far past the mean lifetime: most gen-0 nodes are dead.
-        overlay.advance_to(SimTime::from_ticks(50_000));
-        let outcome = overlay.find_node(0, NodeId::from_name(b"y"));
-        assert!(
-            outcome.timeouts > 0,
-            "expected timeouts when querying mostly-dead generation-0 nodes"
-        );
     }
 }

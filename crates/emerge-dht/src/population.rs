@@ -1,12 +1,11 @@
-//! The churn-expanded node population shared by every DHT substrate.
+//! The churn-expanded node population behind every DHT substrate.
 //!
-//! Both the full simulated [`crate::overlay::Overlay`] and the lightweight
-//! [`crate::analytic::AnalyticSubstrate`] need the same world: `n` slots,
-//! each occupied by a succession of node generations with exponential
-//! lifetimes and per-generation malicious draws. Building that world from
-//! one shared [`Genesis`] guarantees the two substrates are
-//! *bit-identical* populations — the property the substrate-parity test
-//! suite pins down.
+//! The world is `n` slots, each occupied by a succession of node
+//! generations with exponential lifetimes and per-generation malicious
+//! draws. [`crate::analytic::AnalyticSubstrate`] samples it lazily from a
+//! [`Genesis`]; the eager [`Population::build`] samples every slot up
+//! front and is the independent reference the lazy per-slot sampling is
+//! tested against.
 //!
 //! The sampling scheme is part of the deterministic contract:
 //!
@@ -38,6 +37,7 @@
 //! counting only the single generation (if any) that straddles `b`.
 
 use crate::id::NodeId;
+use crate::overlay::OverlayConfig;
 use emerge_sim::churn::LifetimeModel;
 use emerge_sim::rng::SeedSource;
 use emerge_sim::time::{SimDuration, SimTime};
@@ -65,27 +65,12 @@ impl NodeInfo {
     }
 }
 
-/// Structural parameters of a population (the churn-relevant subset of
-/// `OverlayConfig`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PopulationConfig {
-    /// Number of population slots (live nodes at any instant).
-    pub n_nodes: usize,
-    /// Fraction `p` of initially malicious nodes (marked exactly,
-    /// `⌊p·n⌋` non-repeated nodes as in the paper's setup).
-    pub malicious_fraction: f64,
-    /// Mean node lifetime in ticks; `None` disables churn.
-    pub mean_lifetime: Option<u64>,
-    /// Horizon up to which churn generations are pre-sampled.
-    pub horizon: u64,
-}
-
 /// The deterministic seed state of a population: generation-0 identities
 /// and marking, from which any slot's full churn timeline can be sampled
 /// independently (and therefore lazily).
 #[derive(Debug, Clone)]
 pub struct Genesis {
-    config: PopulationConfig,
+    config: OverlayConfig,
     seed: SeedSource,
     initial_ids: Vec<NodeId>,
     initial_malicious: Vec<bool>,
@@ -98,7 +83,7 @@ impl Genesis {
     /// # Panics
     ///
     /// Panics if `n_nodes == 0` or `malicious_fraction ∉ [0, 1]`.
-    pub fn sample(config: &PopulationConfig, seed: &SeedSource) -> Self {
+    pub fn sample(config: &OverlayConfig, seed: &SeedSource) -> Self {
         // LINT-WAIVER(panic): documented # Panics contract on the population configuration
         assert!(config.n_nodes > 0, "population needs at least one node");
         // LINT-WAIVER(panic): documented # Panics contract on the population configuration
@@ -134,7 +119,7 @@ impl Genesis {
     }
 
     /// The population's structural parameters.
-    pub fn config(&self) -> &PopulationConfig {
+    pub fn config(&self) -> &OverlayConfig {
         &self.config
     }
 
@@ -146,11 +131,6 @@ impl Genesis {
     /// All generation-0 IDs, in slot order.
     pub fn initial_ids(&self) -> &[NodeId] {
         &self.initial_ids
-    }
-
-    /// Whether slot `slot`'s generation-0 node is malicious.
-    pub fn initial_malicious(&self, slot: usize) -> bool {
-        self.initial_malicious[slot]
     }
 
     /// Count of initially malicious nodes (generation 0).
@@ -217,7 +197,7 @@ impl Genesis {
     /// Re-samples generation-0 state in place from a new `seed`, reusing
     /// the identity and marking buffers (and the caller's shuffle
     /// scratch). Bit-identical to [`Genesis::sample`] with the same
-    /// config; the structural [`PopulationConfig`] is retained.
+    /// config; the [`OverlayConfig`] is retained.
     pub fn resample(&mut self, seed: &SeedSource, shuffle_scratch: &mut Vec<usize>) {
         let n = self.config.n_nodes;
         self.seed = *seed;
@@ -309,9 +289,9 @@ pub fn first_malicious_exposure(
 }
 
 /// A fully materialized population: per-slot generation successions plus
-/// the generation-0 ID index. This is what the full overlay consumes; the
-/// analytic substrate keeps the [`Genesis`] and materializes slots on
-/// demand instead.
+/// the generation-0 ID index. The analytic substrate keeps the
+/// [`Genesis`] and materializes slots on demand instead; this eager build
+/// is the reference that lazy sampling is checked against.
 #[derive(Debug, Clone)]
 pub struct Population {
     /// `generations[slot]` is that slot's tenant succession, in time order.
@@ -327,7 +307,7 @@ impl Population {
     /// # Panics
     ///
     /// Panics if `n_nodes == 0` or `malicious_fraction ∉ [0, 1]`.
-    pub fn build(config: &PopulationConfig, seed: &SeedSource) -> Self {
+    pub fn build(config: &OverlayConfig, seed: &SeedSource) -> Self {
         let genesis = Genesis::sample(config, seed);
         let n = genesis.n_nodes();
         let generations: Vec<Vec<NodeInfo>> =
@@ -379,12 +359,10 @@ impl Population {
 mod tests {
     use super::*;
 
-    fn config(n: usize) -> PopulationConfig {
-        PopulationConfig {
+    fn config(n: usize) -> OverlayConfig {
+        OverlayConfig {
             n_nodes: n,
-            malicious_fraction: 0.0,
-            mean_lifetime: None,
-            horizon: 1_000_000,
+            ..OverlayConfig::default()
         }
     }
 
@@ -398,7 +376,7 @@ mod tests {
 
     #[test]
     fn exact_malicious_marking() {
-        let cfg = PopulationConfig {
+        let cfg = OverlayConfig {
             malicious_fraction: 0.25,
             ..config(400)
         };
@@ -410,7 +388,7 @@ mod tests {
 
     #[test]
     fn churn_generations_are_contiguous() {
-        let cfg = PopulationConfig {
+        let cfg = OverlayConfig {
             mean_lifetime: Some(500),
             horizon: 20_000,
             ..config(100)
@@ -434,7 +412,7 @@ mod tests {
 
     #[test]
     fn lazy_slot_sampling_matches_materialized_population() {
-        let cfg = PopulationConfig {
+        let cfg = OverlayConfig {
             malicious_fraction: 0.3,
             mean_lifetime: Some(800),
             horizon: 30_000,
@@ -455,7 +433,7 @@ mod tests {
 
     #[test]
     fn slot_streams_are_independent() {
-        let cfg = PopulationConfig {
+        let cfg = OverlayConfig {
             mean_lifetime: Some(500),
             horizon: 50_000,
             ..config(20)
@@ -586,7 +564,7 @@ mod tests {
 
     #[test]
     fn genesis_timelines_have_a_tenant_at_every_instant() {
-        let cfg = PopulationConfig {
+        let cfg = OverlayConfig {
             mean_lifetime: Some(300),
             horizon: 10_000,
             ..config(30)

@@ -85,12 +85,6 @@ impl Store {
     pub fn iter_live(&self, now: SimTime) -> impl Iterator<Item = (&NodeId, &StoredValue)> {
         self.entries.iter().filter(move |(_, v)| !v.expired(now))
     }
-
-    /// Drains the whole store (used when a dying node hands its data to a
-    /// replacement via the replication mechanism).
-    pub fn drain(&mut self) -> impl Iterator<Item = (NodeId, StoredValue)> + '_ {
-        self.entries.drain()
-    }
 }
 
 #[cfg(test)]
@@ -145,16 +139,6 @@ mod tests {
         let v = s.get(&key(b"a"), t(12)).unwrap();
         assert_eq!(v.value, vec![2]);
         assert_eq!(v.stored_at, t(10));
-    }
-
-    #[test]
-    fn drain_hands_over_everything() {
-        let mut s = Store::new();
-        s.put(key(b"a"), vec![1], t(0), None);
-        s.put(key(b"b"), vec![2], t(0), None);
-        let drained: Vec<_> = s.drain().collect();
-        assert_eq!(drained.len(), 2);
-        assert!(s.is_empty());
     }
 
     #[test]

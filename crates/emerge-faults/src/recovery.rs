@@ -4,7 +4,7 @@
 //! Policies are plain `Copy` configuration — the machinery that applies
 //! them (retry loops in `find_value`, hedges over `closest_slots`) lives
 //! in the substrate wrappers. Keeping policy and mechanism apart lets the
-//! same policy drive the analytic, overlay, contract and cloud paths.
+//! same policy drive the analytic, contract and cloud paths.
 
 /// Bounded retry with deterministic exponential backoff.
 ///

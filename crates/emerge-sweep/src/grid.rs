@@ -51,7 +51,6 @@ pub fn world_config(population: usize) -> OverlayConfig {
         malicious_fraction: 0.2,
         mean_lifetime: Some(40_000),
         horizon: 200_000,
-        ..OverlayConfig::default()
     }
 }
 

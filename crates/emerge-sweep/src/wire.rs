@@ -31,6 +31,11 @@ use crate::grid::UnitSpec;
 /// Wire protocol version; bumped on any incompatible change.
 pub const WIRE_VERSION: u64 = 1;
 
+/// Largest world a request may ask a worker to build: 100× the paper's
+/// 10 000-node worlds. Checked at decode time, before the worker
+/// allocates per-slot state for it.
+pub const MAX_POPULATION: usize = 1_000_000;
+
 /// A decoded worker → coordinator line.
 #[derive(Debug, Clone)]
 pub enum WorkerReply {
@@ -247,6 +252,12 @@ pub fn decode_request(line: &str) -> Result<(UnitSpec, u32), SweepError> {
     if field_u64(&doc, "v")? != WIRE_VERSION {
         return Err(SweepError::Wire("wire version mismatch".to_string()));
     }
+    let population = field_usize(&doc, "population")?;
+    if !(1..=MAX_POPULATION).contains(&population) {
+        return Err(SweepError::Wire(format!(
+            "population {population} is outside 1..={MAX_POPULATION}"
+        )));
+    }
     let spec = UnitSpec {
         unit_index: field_usize(&doc, "index")?,
         cell_index: field_usize(&doc, "cell_index")?,
@@ -256,7 +267,7 @@ pub fn decode_request(line: &str) -> Result<(UnitSpec, u32), SweepError> {
             emerging_period: SimDuration::from_ticks(field_u64(&doc, "period")?),
             attack: decode_attack(field_str(&doc, "attack")?)?,
         },
-        population: field_usize(&doc, "population")?,
+        population,
         seed: field_hex(&doc, "seed")?,
         first_trial: field_usize(&doc, "first")?,
         count: field_usize(&doc, "count")?,

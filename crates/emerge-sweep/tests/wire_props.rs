@@ -7,10 +7,12 @@ use emerge_core::montecarlo::ProtocolMcResults;
 use emerge_obs::metrics::CounterSnap;
 use emerge_obs::MetricsSnapshot;
 use emerge_sim::metrics::Rate;
+use emerge_sweep::error::SweepError;
 use emerge_sweep::grid::SweepGrid;
 use emerge_sweep::wire::{
-    decode_request, decode_worker_line, encode_request, encode_result, WorkerReply,
+    decode_request, decode_worker_line, encode_request, encode_result, WorkerReply, MAX_POPULATION,
 };
+use emerge_sweep::worker::{respond, ReplyPlan};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -20,6 +22,38 @@ fn sample_unit(index: usize) -> emerge_sweep::grid::UnitSpec {
         .with_trials_per_cell(97);
     let units = grid.units(13);
     units[index % units.len()].clone()
+}
+
+/// A well-formed request for a world no worker can build is rejected at
+/// decode time, and `respond` answers it with an error reply instead of
+/// panicking inside world construction.
+fn assert_population_rejected(population: usize) {
+    let mut unit = sample_unit(0);
+    unit.population = population;
+    let line = encode_request(&unit, 0);
+    assert!(
+        matches!(decode_request(&line), Err(SweepError::Wire(_))),
+        "population {population} must not decode"
+    );
+    let ReplyPlan::Respond { lines, .. } = respond(&line, None) else {
+        panic!("no chaos plan, so the worker must reply");
+    };
+    assert_eq!(lines.len(), 1);
+    assert!(
+        matches!(decode_worker_line(&lines[0]), Ok(WorkerReply::Error { .. })),
+        "population {population} must get an error reply: {}",
+        lines[0]
+    );
+}
+
+#[test]
+fn zero_population_requests_get_an_error_reply() {
+    assert_population_rejected(0);
+}
+
+#[test]
+fn oversized_population_requests_get_an_error_reply() {
+    assert_population_rejected(MAX_POPULATION + 1);
 }
 
 proptest! {

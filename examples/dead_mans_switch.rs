@@ -83,6 +83,8 @@ fn main() {
                 String::from_utf8_lossy(&payload)
             );
         }
-        None => println!("the switch failed — see EXPERIMENTS.md resilience tables"),
+        None => println!(
+            "the switch failed — the figure binaries (README: Build, test, run) tabulate how often"
+        ),
     }
 }

@@ -29,7 +29,6 @@ fn main() -> Result<(), EmergeError> {
             malicious_fraction: 0.05,
             mean_lifetime: Some(tlife),
             horizon: 10 * tlife,
-            ..OverlayConfig::default()
         },
         555,
     );

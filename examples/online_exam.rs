@@ -89,8 +89,9 @@ fn main() {
         "notes: 'leaked early' uses the wire-level STRICT adversary — any\n\
          reconstruction before tr counts, including a malicious terminal\n\
          holder peeking one holding period early (the paper's closed forms\n\
-         only count reconstruction at ts; see EXPERIMENTS.md). The disjoint\n\
-         scheme tops out near R≈0.88 at p=0.2, so some worlds leak at ts —\n\
+         only count reconstruction at ts; ablation B of emerge-bench's\n\
+         `ablations` binary compares the two). The disjoint scheme tops\n\
+         out near R≈0.88 at p=0.2, so some worlds leak at ts —\n\
          exactly why the paper moves to the joint and share schemes."
     );
 }

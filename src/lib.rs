@@ -8,7 +8,8 @@
 //!
 //! * [`core`] — the four key-routing schemes, analysis, Monte-Carlo
 //!   evaluation and the high-level sender/receiver API
-//! * [`dht`] — the Kademlia-style DHT substrate
+//! * [`dht`] — the simulated DHT world: XOR-closest holder resolution,
+//!   churn generations and malicious marking
 //! * [`contract`] — the smart-contract release layer: block clock, bonded
 //!   commit/reveal escrow, holder economy, and the contract-native bonded
 //!   release mode

@@ -2,8 +2,8 @@
 //!
 //! 1. **Scheme portability** — all four key-routing schemes run on
 //!    `ContractSubstrate` unchanged, and produce *bit-identical*
-//!    Monte-Carlo fingerprints to the analytic substrate and the full
-//!    overlay (the chain layer never perturbs the DHT semantics).
+//!    Monte-Carlo fingerprints to the analytic substrate (the chain
+//!    layer never perturbs the DHT semantics).
 //! 2. **Sharded == serial** — the sharded Monte-Carlo guarantee extends
 //!    to the new substrate and to the contract-native bonded-release
 //!    mode, for every shard and thread count (what CI's
@@ -29,7 +29,7 @@ use self_emerging_data::core::montecarlo::{
     run_protocol_trials, run_protocol_trials_sharded, ProtocolTrialSpec,
 };
 use self_emerging_data::core::protocol::AttackMode;
-use self_emerging_data::core::substrate::{AnalyticSubstrate, Overlay, OverlayConfig};
+use self_emerging_data::core::substrate::{AnalyticSubstrate, OverlayConfig};
 use self_emerging_data::sim::time::SimDuration;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -54,7 +54,6 @@ fn world(n: usize, p: f64) -> OverlayConfig {
         malicious_fraction: p,
         mean_lifetime: Some(10_000),
         horizon: 100_000,
-        ..OverlayConfig::default()
     }
 }
 
@@ -74,14 +73,9 @@ fn all_four_schemes_agree_with_the_other_substrates() {
         let on_contract = run_protocol_trials(&spec, 12, 9, contract_factory(cfg)).unwrap();
         let on_analytic =
             run_protocol_trials(&spec, 12, 9, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
-        let on_overlay = run_protocol_trials(&spec, 12, 9, |s| Overlay::build(cfg, s)).unwrap();
         assert_eq!(
             on_contract.fingerprint, on_analytic.fingerprint,
             "{kind}: contract/analytic parity"
-        );
-        assert_eq!(
-            on_contract.fingerprint, on_overlay.fingerprint,
-            "{kind}: contract/overlay parity"
         );
     }
 }
@@ -239,7 +233,6 @@ proptest! {
             malicious_fraction: p,
             mean_lifetime: if churn { Some(5_000) } else { None },
             horizon: 100_000,
-            ..OverlayConfig::default()
         };
         let mut substrate = ContractSubstrate::build(ContractConfig::over(cfg), seed);
         let economy = *substrate.economy();

@@ -1,11 +1,11 @@
 //! Reproducibility guarantees: everything in this repository is
-//! deterministic given a seed — overlay construction, protocol execution,
+//! deterministic given a seed — world construction, protocol execution,
 //! Monte-Carlo estimates and whole figure tables.
 
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
 use self_emerging_data::core::emergence::{SelfEmergingSystem, SendRequest};
 use self_emerging_data::core::montecarlo::{run_trials, TrialSpec};
-use self_emerging_data::dht::overlay::{Overlay, OverlayConfig};
+use self_emerging_data::dht::{AnalyticSubstrate, OverlayConfig};
 use self_emerging_data::sim::time::SimDuration;
 
 #[test]
@@ -15,10 +15,9 @@ fn overlay_construction_is_bit_stable() {
         malicious_fraction: 0.2,
         mean_lifetime: Some(10_000),
         horizon: 100_000,
-        ..OverlayConfig::default()
     };
-    let a = Overlay::build(config, 123);
-    let b = Overlay::build(config, 123);
+    let a = AnalyticSubstrate::build(config, 123);
+    let b = AnalyticSubstrate::build(config, 123);
     for slot in 0..500 {
         assert_eq!(a.generations(slot), b.generations(slot), "slot {slot}");
     }
@@ -89,8 +88,8 @@ fn different_seeds_give_different_worlds() {
         n_nodes: 100,
         ..OverlayConfig::default()
     };
-    let a = Overlay::build(config, 1);
-    let b = Overlay::build(config, 2);
+    let a = AnalyticSubstrate::build(config, 1);
+    let b = AnalyticSubstrate::build(config, 2);
     let same = (0..100)
         .filter(|&s| a.initial(s).id == b.initial(s).id)
         .count();
@@ -99,7 +98,7 @@ fn different_seeds_give_different_worlds() {
 
 #[test]
 fn figure_cells_are_reproducible() {
-    // The exact numbers committed in EXPERIMENTS.md depend on this.
+    // The figure tables the emerge-bench binaries regenerate depend on this.
     let spec = TrialSpec::new(SchemeParams::Joint { k: 4, l: 8 }, 10_000, 0.3);
     let r1 = run_trials(&spec, 200, 0x6A ^ 0x03).unwrap();
     let r2 = run_trials(&spec, 200, 0x6A ^ 0x03).unwrap();

@@ -74,7 +74,6 @@ fn share_scheme_survives_combined_attack_and_churn() {
             malicious_fraction: 0.10,
             mean_lifetime: Some(tlife),
             horizon: 5 * tlife,
-            ..OverlayConfig::default()
         },
         99,
     );

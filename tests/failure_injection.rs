@@ -5,10 +5,9 @@
 //! so each assertion replays bit-identically. Scenarios run against the
 //! analytic *and* contract substrates through the same
 //! `FaultySubstrate` wrapper, plus the contract-native bonded path where
-//! crashes turn into slashing withholds. Two legacy probes survive from
-//! the pre-fault-plane suite: the overlay's own lossy-network retries and
-//! the onion AEAD tamper check, which guard layers the injector sits
-//! above.
+//! crashes turn into slashing withholds. One legacy probe survives from
+//! the pre-fault-plane suite: the onion AEAD tamper check, which guards a
+//! layer the injector sits above.
 
 use self_emerging_data::contract::economy::{EconomyParams, HolderStrategy};
 use self_emerging_data::contract::mc::run_bonded_trial_range_faulted;
@@ -21,9 +20,7 @@ use self_emerging_data::core::protocol::AttackMode;
 use self_emerging_data::crypto::keys::SymmetricKey;
 use self_emerging_data::crypto::onion;
 use self_emerging_data::dht::analytic::AnalyticSubstrate;
-use self_emerging_data::dht::id::NodeId;
-use self_emerging_data::dht::network::NetworkConfig;
-use self_emerging_data::dht::overlay::{Overlay, OverlayConfig};
+use self_emerging_data::dht::overlay::OverlayConfig;
 use self_emerging_data::faults::{
     FaultEvent, FaultKind, FaultPlan, RecoveryPolicy, Scenario, PPM_SCALE,
 };
@@ -53,7 +50,6 @@ fn world() -> OverlayConfig {
         malicious_fraction: 0.2,
         mean_lifetime: Some(10_000),
         horizon: 100_000,
-        ..OverlayConfig::default()
     }
 }
 
@@ -185,48 +181,6 @@ fn crashed_bonded_holders_slash_exactly_their_bonds() {
     let bond = EconomyParams::default().bond;
     assert_eq!(r.base.slashed.min(), (6 * bond) as f64);
     assert_eq!(r.base.slashed.max(), (6 * bond) as f64);
-}
-
-#[test]
-fn legacy_probe_lookups_survive_heavy_message_loss() {
-    let mut overlay = Overlay::build(
-        OverlayConfig {
-            n_nodes: 256,
-            network: NetworkConfig {
-                latency_min: 5,
-                latency_max: 50,
-                drop_probability: 0.25,
-            },
-            ..OverlayConfig::default()
-        },
-        1,
-    );
-    overlay.build_routing_tables();
-
-    let mut found_best = 0;
-    let total = 30;
-    for i in 0..total {
-        let target = NodeId::from_name(format!("lossy-{i}").as_bytes());
-        let truth = overlay.initial(overlay.resolve_holder(&target)).id;
-        let outcome = overlay.find_node(i % 200, target);
-        if outcome.closest.first() == Some(&truth) {
-            found_best += 1;
-        }
-        assert!(
-            !outcome.closest.is_empty(),
-            "even lossy lookups must return candidates"
-        );
-    }
-    // 25% loss per message: most lookups still converge to the true
-    // closest node thanks to retries through other contacts.
-    assert!(
-        found_best >= total * 2 / 3,
-        "only {found_best}/{total} lossy lookups converged"
-    );
-    assert!(
-        overlay.network().messages_dropped() > 0,
-        "the drop model must actually fire"
-    );
 }
 
 #[test]

@@ -44,7 +44,6 @@ fn world(p: f64) -> OverlayConfig {
         malicious_fraction: p,
         mean_lifetime: Some(10_000),
         horizon: 100_000,
-        ..OverlayConfig::default()
     }
 }
 

@@ -18,7 +18,9 @@ use self_emerging_data::core::montecarlo::{
     run_protocol_trials, run_protocol_trials_sharded, ProtocolMcResults, ProtocolTrialSpec,
 };
 use self_emerging_data::core::protocol::AttackMode;
-use self_emerging_data::core::substrate::{AnalyticSubstrate, Overlay, OverlayConfig};
+use self_emerging_data::core::substrate::{
+    AnalyticSubstrate, ContractConfig, ContractSubstrate, OverlayConfig,
+};
 use self_emerging_data::faults::{FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 use self_emerging_data::sim::time::{SimDuration, SimTime};
 
@@ -52,8 +54,11 @@ fn world(n: usize, p: f64) -> OverlayConfig {
         malicious_fraction: p,
         mean_lifetime: Some(10_000),
         horizon: 100_000,
-        ..OverlayConfig::default()
     }
+}
+
+fn contract(cfg: OverlayConfig, seed: u64) -> ContractSubstrate {
+    ContractSubstrate::build(ContractConfig::over(cfg), seed)
 }
 
 /// Exact equality on the fingerprint and every counter-valued field; the
@@ -99,9 +104,9 @@ fn sharded_matches_serial_for_all_schemes_on_both_substrates() {
 
         let serial_fast =
             run_protocol_trials(&spec, 12, 9, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
-        let serial_full = run_protocol_trials(&spec, 12, 9, |s| Overlay::build(cfg, s)).unwrap();
+        let serial_chained = run_protocol_trials(&spec, 12, 9, |s| contract(cfg, s)).unwrap();
         assert_eq!(
-            serial_fast.fingerprint, serial_full.fingerprint,
+            serial_fast.fingerprint, serial_chained.fingerprint,
             "{kind}: substrate parity of the serial baseline"
         );
 
@@ -116,13 +121,12 @@ fn sharded_matches_serial_for_all_schemes_on_both_substrates() {
                 &fast,
             );
 
-            let full =
-                run_protocol_trials_sharded(&spec, 12, 9, shards, |s| Overlay::build(cfg, s))
-                    .unwrap();
+            let chained =
+                run_protocol_trials_sharded(&spec, 12, 9, shards, |s| contract(cfg, s)).unwrap();
             assert_identical(
-                &format!("{kind}/overlay/{shards} shards"),
-                &serial_full,
-                &full,
+                &format!("{kind}/contract/{shards} shards"),
+                &serial_chained,
+                &chained,
             );
         }
     }
@@ -184,14 +188,14 @@ fn faulted_sharded_matches_serial_on_both_substrates() {
             AnalyticSubstrate::build(cfg, s)
         })
         .unwrap();
-        let full =
-            run_faulted_trials(&spec, &plan, policy, 12, 9, |s| Overlay::build(cfg, s)).unwrap();
+        let chained =
+            run_faulted_trials(&spec, &plan, policy, 12, 9, |s| contract(cfg, s)).unwrap();
         assert_eq!(
-            serial.base.fingerprint, full.base.fingerprint,
+            serial.base.fingerprint, chained.base.fingerprint,
             "{kind}: substrate parity must survive fault injection"
         );
         assert_eq!(
-            serial.fault_fingerprint, full.fault_fingerprint,
+            serial.fault_fingerprint, chained.fault_fingerprint,
             "{kind}: the fault schedule is substrate-independent"
         );
         for shards in SHARD_COUNTS {

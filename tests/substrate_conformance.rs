@@ -1,22 +1,19 @@
 //! A reusable, trait-level conformance suite for [`HolderSubstrate`]
-//! backends, run against all three substrates (overlay, analytic,
-//! contract).
+//! backends, run against both substrates (analytic, contract).
 //!
 //! Every check goes through the **trait**, not the concrete type — in
 //! particular the *default* exposure methods (`any_malicious_exposure`,
 //! `first_malicious_exposure`, `exposures_during`), which concrete
 //! substrates may override: the suite cross-checks each against the
 //! `population` free functions on the same generation timeline, so an
-//! override can never drift from the default semantics. A fourth backend
+//! override can never drift from the default semantics. A third backend
 //! (e.g. the planned async/network substrate) gets its conformance test
 //! by adding one `#[test]` calling [`suite::run`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
-use self_emerging_data::core::substrate::{
-    AnalyticSubstrate, HolderSubstrate, Overlay, OverlayConfig,
-};
+use self_emerging_data::core::substrate::{AnalyticSubstrate, HolderSubstrate, OverlayConfig};
 use self_emerging_data::dht::id::NodeId;
 use self_emerging_data::dht::population;
 use self_emerging_data::sim::time::{SimDuration, SimTime};
@@ -37,7 +34,6 @@ mod suite {
                 malicious_fraction: 0.3,
                 mean_lifetime: Some(4_000),
                 horizon: 80_000,
-                ..OverlayConfig::default()
             },
         ]
     }
@@ -255,11 +251,6 @@ mod suite {
             "{label}: sampling stream deterministic"
         );
     }
-}
-
-#[test]
-fn overlay_conforms() {
-    suite::run("overlay", Overlay::build);
 }
 
 #[test]

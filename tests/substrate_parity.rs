@@ -1,10 +1,11 @@
-//! Substrate parity: the fully simulated `Overlay` and the routing-free
-//! `AnalyticSubstrate` must be indistinguishable to the key-routing
-//! schemes. For equal `(OverlayConfig, seed)` pairs the two substrates
-//! carry identical populations and resolve holder addresses identically,
-//! so every path plan, protocol report and end-to-end emergence outcome
-//! must match bit for bit across all four schemes — this is what licenses
-//! using the fast substrate for the paper-scale Monte-Carlo sweeps.
+//! Substrate parity: the `AnalyticSubstrate` DHT world and the
+//! `ContractSubstrate` layered on it must be indistinguishable to the
+//! key-routing schemes. For equal `(OverlayConfig, seed)` pairs the
+//! contract layer delegates population, churn and holder resolution to
+//! the analytic world, so every path plan, protocol report and end-to-end
+//! emergence outcome must match bit for bit across all four schemes —
+//! the chain's block clock and storage bonds never perturb what the
+//! schemes observe.
 
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
 use self_emerging_data::core::emergence::{SelfEmergingSystem, SendRequest};
@@ -17,7 +18,7 @@ use self_emerging_data::core::protocol::{
     execute_central, execute_keyed, execute_share, AttackMode, RunConfig, RunReport,
 };
 use self_emerging_data::core::substrate::{
-    AnalyticSubstrate, HolderSubstrate, Overlay, OverlayConfig,
+    AnalyticSubstrate, ContractConfig, ContractSubstrate, HolderSubstrate, OverlayConfig,
 };
 use self_emerging_data::crypto::keys::SymmetricKey;
 use self_emerging_data::sim::time::{SimDuration, SimTime};
@@ -34,7 +35,6 @@ fn churny_config(n: usize, p: f64) -> OverlayConfig {
         malicious_fraction: p,
         mean_lifetime: Some(10_000),
         horizon: 100_000,
-        ..OverlayConfig::default()
     }
 }
 
@@ -88,12 +88,12 @@ fn holder_sequences_are_identical_across_substrates() {
         let params = params_for(kind);
         for seed in 0..6u64 {
             let config = churny_config(200, 0.25);
-            let overlay = Overlay::build(config, seed);
+            let contract = ContractSubstrate::build(ContractConfig::over(config), seed);
             let analytic = AnalyticSubstrate::build(config, seed);
             let sender_seed = SymmetricKey::from_bytes([seed as u8 + 1; 32]);
-            let full = construct_paths(&overlay, &params, &sender_seed).expect("overlay plan");
+            let chained = construct_paths(&contract, &params, &sender_seed).expect("contract plan");
             let fast = construct_paths(&analytic, &params, &sender_seed).expect("analytic plan");
-            assert_eq!(full, fast, "{kind} plan diverged at seed {seed}");
+            assert_eq!(chained, fast, "{kind} plan diverged at seed {seed}");
         }
     }
 }
@@ -105,13 +105,13 @@ fn protocol_reports_are_identical_across_substrates() {
         for attack in ATTACKS {
             for seed in 0..4u64 {
                 let config = churny_config(150, 0.3);
-                let mut overlay = Overlay::build(config, seed);
+                let mut contract = ContractSubstrate::build(ContractConfig::over(config), seed);
                 let mut analytic = AnalyticSubstrate::build(config, seed);
                 let sender_seed = SymmetricKey::from_bytes([seed as u8 + 9; 32]);
-                let full = run_protocol(&mut overlay, &params, &sender_seed, attack);
+                let chained = run_protocol(&mut contract, &params, &sender_seed, attack);
                 let fast = run_protocol(&mut analytic, &params, &sender_seed, attack);
                 assert_eq!(
-                    full, fast,
+                    chained, fast,
                     "{kind} under {attack:?} diverged at seed {seed}"
                 );
             }
@@ -132,19 +132,22 @@ fn end_to_end_emergence_is_identical_across_substrates() {
             expected_malicious_rate: 0.1,
         };
 
-        let mut full = SelfEmergingSystem::new(config, seed);
-        let mut handle_full = full.send(request()).expect("overlay send");
-        full.run_to_release(&mut handle_full);
+        let mut chained = SelfEmergingSystem::with_substrate(
+            ContractSubstrate::build(ContractConfig::over(config), seed),
+            seed,
+        );
+        let mut handle_chained = chained.send(request()).expect("contract send");
+        chained.run_to_release(&mut handle_chained);
 
-        let mut fast = SelfEmergingSystem::new_analytic(config, seed);
+        let mut fast = SelfEmergingSystem::new(config, seed);
         let mut handle_fast = fast.send(request()).expect("analytic send");
         fast.run_to_release(&mut handle_fast);
 
-        assert_eq!(handle_full.params, handle_fast.params, "{kind} params");
-        assert_eq!(handle_full.plan, handle_fast.plan, "{kind} plan");
-        assert_eq!(handle_full.report, handle_fast.report, "{kind} report");
+        assert_eq!(handle_chained.params, handle_fast.params, "{kind} params");
+        assert_eq!(handle_chained.plan, handle_fast.plan, "{kind} plan");
+        assert_eq!(handle_chained.report, handle_fast.report, "{kind} report");
         assert_eq!(
-            full.receive(&handle_full).ok(),
+            chained.receive(&handle_chained).ok(),
             fast.receive(&handle_fast).ok(),
             "{kind} received message"
         );
@@ -160,23 +163,25 @@ fn montecarlo_fingerprints_agree_for_all_schemes() {
             attack: AttackMode::ReleaseAhead,
         };
         let config = churny_config(120, 0.35);
-        let full = run_protocol_trials(&spec, 10, 77, |s| Overlay::build(config, s))
-            .expect("overlay trials");
+        let chained = run_protocol_trials(&spec, 10, 77, |s| {
+            ContractSubstrate::build(ContractConfig::over(config), s)
+        })
+        .expect("contract trials");
         let fast = run_protocol_trials(&spec, 10, 77, |s| AnalyticSubstrate::build(config, s))
             .expect("analytic trials");
-        assert_eq!(full.fingerprint, fast.fingerprint, "{kind} fingerprint");
+        assert_eq!(chained.fingerprint, fast.fingerprint, "{kind} fingerprint");
         assert_eq!(
-            full.clean.successes(),
+            chained.clean.successes(),
             fast.clean.successes(),
             "{kind} clean"
         );
         assert_eq!(
-            full.released.successes(),
+            chained.released.successes(),
             fast.released.successes(),
             "{kind} released"
         );
         assert_eq!(
-            full.reconstructed_early.successes(),
+            chained.reconstructed_early.successes(),
             fast.reconstructed_early.successes(),
             "{kind} reconstructed"
         );
@@ -186,9 +191,9 @@ fn montecarlo_fingerprints_agree_for_all_schemes() {
 #[test]
 fn sharded_montecarlo_preserves_cross_substrate_parity() {
     // Sharding must compose with substrate parity: analytic shards merged
-    // together agree bit for bit with a serial overlay run (and with
-    // overlay shards), so mixing sharded fast runs and serial reference
-    // runs across the evaluation pipeline stays sound.
+    // together agree bit for bit with a serial contract run, so mixing
+    // sharded runs on one substrate with serial reference runs on the
+    // other stays sound.
     for kind in SchemeKind::ALL {
         let spec = ProtocolTrialSpec {
             params: params_for(kind),
@@ -196,19 +201,21 @@ fn sharded_montecarlo_preserves_cross_substrate_parity() {
             attack: AttackMode::ReleaseAhead,
         };
         let config = churny_config(120, 0.35);
-        let full_serial = run_protocol_trials(&spec, 10, 77, |s| Overlay::build(config, s))
-            .expect("overlay trials");
+        let chained_serial = run_protocol_trials(&spec, 10, 77, |s| {
+            ContractSubstrate::build(ContractConfig::over(config), s)
+        })
+        .expect("contract trials");
         for shards in [2usize, 7] {
             let fast_sharded = run_protocol_trials_sharded(&spec, 10, 77, shards, |s| {
                 AnalyticSubstrate::build(config, s)
             })
             .expect("analytic sharded trials");
             assert_eq!(
-                full_serial.fingerprint, fast_sharded.fingerprint,
+                chained_serial.fingerprint, fast_sharded.fingerprint,
                 "{kind} diverged with {shards} analytic shards"
             );
             assert_eq!(
-                full_serial.clean.successes(),
+                chained_serial.clean.successes(),
                 fast_sharded.clean.successes(),
                 "{kind} clean with {shards} shards"
             );
@@ -219,18 +226,18 @@ fn sharded_montecarlo_preserves_cross_substrate_parity() {
 #[test]
 fn resolution_parity_over_random_targets() {
     let config = churny_config(500, 0.2);
-    let overlay = Overlay::build(config, 123);
+    let contract = ContractSubstrate::build(ContractConfig::over(config), 123);
     let analytic = AnalyticSubstrate::build(config, 123);
     for i in 0..200 {
         let target =
             self_emerging_data::dht::id::NodeId::from_name(format!("target-{i}").as_bytes());
         assert_eq!(
-            HolderSubstrate::resolve_holder(&overlay, &target),
+            HolderSubstrate::resolve_holder(&contract, &target),
             HolderSubstrate::resolve_holder(&analytic, &target),
             "holder resolution diverged for target {i}"
         );
         assert_eq!(
-            HolderSubstrate::closest_slots(&overlay, &target, 7),
+            HolderSubstrate::closest_slots(&contract, &target, 7),
             HolderSubstrate::closest_slots(&analytic, &target, 7),
             "closest slots diverged for target {i}"
         );

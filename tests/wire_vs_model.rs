@@ -1,8 +1,8 @@
 //! Cross-fidelity agreement: the wire-level protocol (real onions, real
-//! shares, real AEAD on the DHT overlay) must agree with the combinatorial
+//! shares, real AEAD on the DHT world) must agree with the combinatorial
 //! model on when attacks succeed.
 //!
-//! Strategy: build many small overlay worlds with different seeds and
+//! Strategy: build many small DHT worlds with different seeds and
 //! malicious fractions, run the wire protocol under each attack, and
 //! check outcome-by-outcome consistency with the predicate evaluated on
 //! the same worlds' ground truth.
@@ -12,13 +12,13 @@ use self_emerging_data::core::package::{build_keyed_packages, build_share_packag
 use self_emerging_data::core::path::construct_paths;
 use self_emerging_data::core::protocol::{execute_keyed, execute_share, AttackMode, RunConfig};
 use self_emerging_data::crypto::keys::SymmetricKey;
-use self_emerging_data::dht::overlay::{Overlay, OverlayConfig};
+use self_emerging_data::dht::{AnalyticSubstrate, OverlayConfig};
 use self_emerging_data::sim::time::{SimDuration, SimTime};
 
 const SECRET: &[u8] = b"cross-fidelity secret";
 
-fn world(n: usize, p: f64, seed: u64) -> Overlay {
-    Overlay::build(
+fn world(n: usize, p: f64, seed: u64) -> AnalyticSubstrate {
+    AnalyticSubstrate::build(
         OverlayConfig {
             n_nodes: n,
             malicious_fraction: p,
@@ -36,10 +36,10 @@ fn config(attack: AttackMode) -> RunConfig {
     }
 }
 
-/// Evaluates, from the overlay's ground truth, whether the paper's keyed
+/// Evaluates, from the world's ground truth, whether the paper's keyed
 /// release predicate (full chain) holds for a given plan.
 fn keyed_release_predicate(
-    overlay: &Overlay,
+    overlay: &AnalyticSubstrate,
     plan: &self_emerging_data::core::path::PathPlan,
 ) -> bool {
     (0..plan.cols)
@@ -48,7 +48,7 @@ fn keyed_release_predicate(
 
 /// Whether the joint drop predicate (a fully malicious column) holds.
 fn joint_drop_predicate(
-    overlay: &Overlay,
+    overlay: &AnalyticSubstrate,
     plan: &self_emerging_data::core::path::PathPlan,
 ) -> bool {
     (0..plan.cols)
@@ -57,7 +57,7 @@ fn joint_drop_predicate(
 
 /// Whether the disjoint drop predicate (every row cut) holds.
 fn disjoint_drop_predicate(
-    overlay: &Overlay,
+    overlay: &AnalyticSubstrate,
     plan: &self_emerging_data::core::path::PathPlan,
 ) -> bool {
     (0..plan.rows)
