@@ -2,20 +2,22 @@
 //! package generation, full protocol runs, and Monte-Carlo throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use emerge_bench::mc::run_protocol_trials_threaded;
 use emerge_bench::parallel::mc_threads;
 use emerge_contract::economy::HolderStrategy;
 use emerge_contract::mc::run_bonded_trials;
 use emerge_contract::release::BondedSpec;
 use emerge_contract::substrate::{ContractConfig, ContractSubstrate};
 use emerge_core::config::SchemeParams;
-use emerge_core::montecarlo::{run_trials, ProtocolTrialSpec, TrialSpec};
+use emerge_core::montecarlo::{
+    run_protocol_trial_range, run_protocol_trials, run_trials, ProtocolTrialSpec, TrialSpec,
+};
 use emerge_core::package::{build_keyed_packages, build_share_packages, KeySchedule};
 use emerge_core::path::construct_paths;
 use emerge_core::protocol::{execute_keyed, execute_share, AttackMode, RunConfig};
 use emerge_crypto::keys::SymmetricKey;
 use emerge_dht::analytic::AnalyticSubstrate;
 use emerge_dht::overlay::OverlayConfig;
+use emerge_sim::shard::run_sharded;
 use emerge_sim::time::{SimDuration, SimTime};
 
 fn overlay(n: usize) -> AnalyticSubstrate {
@@ -238,8 +240,10 @@ fn bench_protocol_montecarlo_sharded(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    run_protocol_trials_threaded(black_box(&spec), 20, 42, threads, |s| {
-                        AnalyticSubstrate::build(world, s)
+                    run_sharded(20, threads, |first, count| {
+                        run_protocol_trial_range(black_box(&spec), first, count, 42, |s| {
+                            AnalyticSubstrate::build(world, s)
+                        })
                     })
                     .unwrap()
                 });
@@ -269,7 +273,7 @@ fn bench_contract_substrate(c: &mut Criterion) {
     };
     group.bench_function("joint_4x8_wire", |b| {
         b.iter(|| {
-            run_protocol_trials_threaded(black_box(&spec), 20, 42, 1, |s| {
+            run_protocol_trials(black_box(&spec), 20, 42, |s| {
                 ContractSubstrate::build(ContractConfig::over(world), s)
             })
             .unwrap()

@@ -8,12 +8,13 @@
 //! non-flag CLI arg overrides the path).
 //! Later PRs diff against the committed numbers.
 //!
-//! Trials run through the profiled sharded engine
-//! (`emerge_bench::mc::run_protocol_trials_profiled` and friends):
-//! contiguous trial ranges spread over `EMERGE_MC_THREADS` worker
-//! threads (default: the machine's available parallelism), each under a
-//! per-worker `emerge-obs` collector. Results are bit-identical to a
-//! serial run for any thread count; threads only change the wall clock.
+//! Trials run through the one Monte-Carlo driver,
+//! `emerge_sim::shard::run_sharded`: contiguous trial ranges spread over
+//! `EMERGE_MC_THREADS` worker threads (default: the machine's available
+//! parallelism), each range call wrapped in `emerge_bench::profile::profiled`
+//! so it runs under a per-worker `emerge-obs` collector. Results are
+//! bit-identical to a serial run for any thread count; threads only
+//! change the wall clock.
 //!
 //! Before measuring, a fingerprint cross-check on a small shared cell
 //! proves both substrates still produce identical outcomes.
@@ -77,25 +78,26 @@
 //! Environment: `EMERGE_BASELINE_TRIALS` (default 1000) and
 //! `EMERGE_MC_THREADS`.
 
-use emerge_bench::mc::{
-    run_bonded_faulted_trials_profiled, run_bonded_trials_profiled, run_faulted_trials_profiled,
-    run_protocol_trials_pooled_profiled, run_protocol_trials_profiled,
-    run_protocol_trials_threaded,
-};
 use emerge_bench::parallel::mc_threads;
-use emerge_bench::profile::phase_stats;
+use emerge_bench::profile::{phase_stats, profiled};
 use emerge_bench::report::{render_montecarlo_report, validate_json, McMeasurement};
 use emerge_contract::economy::HolderStrategy;
+use emerge_contract::mc::{run_bonded_trial_range, run_bonded_trial_range_faulted};
 use emerge_contract::release::BondedSpec;
 use emerge_contract::substrate::{ContractConfig, ContractSubstrate};
 use emerge_core::config::SchemeParams;
-use emerge_core::montecarlo::ProtocolTrialSpec;
+use emerge_core::faults::run_faulted_trial_range;
+use emerge_core::montecarlo::{
+    run_protocol_trial_range, run_protocol_trial_range_pooled, run_protocol_trials,
+    ProtocolTrialSpec, TrialWorkspace,
+};
 use emerge_core::protocol::AttackMode;
 use emerge_dht::analytic::AnalyticSubstrate;
 use emerge_dht::overlay::OverlayConfig;
-use emerge_faults::{RecoveryPolicy, Scenario};
+use emerge_faults::{FaultyResults, RecoveryPolicy, Scenario};
 use emerge_obs::alloccount::CountingAllocator;
-use emerge_obs::{MetricsSnapshot, Stopwatch};
+use emerge_obs::Stopwatch;
+use emerge_sim::shard::{run_sharded, Merge};
 use emerge_sim::time::SimDuration;
 
 /// Counting delegate around the system allocator, so the `--profile`
@@ -327,27 +329,30 @@ impl Args {
     }
 }
 
+/// Runs and records one cell: `trials` through the one Monte-Carlo driver
+/// on `threads` workers, each shard's `range(first_trial, count)` call
+/// profiled. The recorded and the executed trials/threads cannot drift.
 fn measure<R, E, F>(
     cell: &str,
     substrate: &'static str,
     threads: usize,
     trials: usize,
     profile: bool,
-    run: F,
+    range: F,
 ) -> Result<McMeasurement, String>
 where
-    F: FnOnce(usize, usize) -> Result<(R, MetricsSnapshot), E>,
-    R: CellRates,
-    E: std::fmt::Display,
+    F: Fn(usize, usize) -> Result<R, E> + Sync,
+    R: CellRates + Merge + Default + Send,
+    E: std::fmt::Display + Send,
 {
     eprintln!(
         "measuring {cell} on {substrate} ({trials} trials at N={POPULATION}, {threads} threads)..."
     );
     let watch = Stopwatch::start();
-    // The recorded trials/threads and the executed ones cannot drift: the
-    // closure receives exactly what the report will claim.
-    let (results, telemetry) =
-        run(trials, threads).map_err(|e| format!("{cell} on {substrate}: {e}"))?;
+    let (results, telemetry) = run_sharded(trials, threads, |first_trial, count| {
+        profiled(|| range(first_trial, count))
+    })
+    .map_err(|e| format!("{cell} on {substrate}: {e}"))?;
     let seconds = watch.elapsed_secs();
     let m = McMeasurement {
         cell: cell.into(),
@@ -421,24 +426,12 @@ impl CellRates for emerge_contract::mc::BondedMcResults {
     }
 }
 
-impl CellRates for emerge_core::faults::FaultyMcResults {
+impl<B: CellRates> CellRates for FaultyResults<B> {
     fn clean_rate(&self) -> f64 {
-        self.base.clean.value()
+        self.base.clean_rate()
     }
     fn released_rate(&self) -> f64 {
-        self.base.released.value()
-    }
-    fn degraded_rate(&self) -> Option<f64> {
-        Some(self.degraded.value())
-    }
-}
-
-impl CellRates for emerge_contract::mc::FaultyBondedMcResults {
-    fn clean_rate(&self) -> f64 {
-        self.base.clean.value()
-    }
-    fn released_rate(&self) -> f64 {
-        self.base.released.value()
+        self.base.released_rate()
     }
     fn degraded_rate(&self) -> Option<f64> {
         Some(self.degraded.value())
@@ -502,14 +495,14 @@ fn fault_frontier(
                 threads,
                 trials,
                 profile,
-                |trials, threads| {
-                    run_faulted_trials_profiled(
+                |first, count| {
+                    run_faulted_trial_range(
                         &spec,
                         &plan,
                         RecoveryPolicy::default(),
-                        trials,
+                        first,
+                        count,
                         SEED,
-                        threads,
                         |s| AnalyticSubstrate::build(*config, s),
                     )
                 },
@@ -527,15 +520,10 @@ fn fault_frontier(
                 threads,
                 trials,
                 profile,
-                |trials, threads| {
-                    run_bonded_faulted_trials_profiled(
-                        &bonded_spec,
-                        &plan,
-                        trials,
-                        SEED,
-                        threads,
-                        |s| ContractSubstrate::build(ContractConfig::over(*config), s),
-                    )
+                |first, count| {
+                    run_bonded_trial_range_faulted(&bonded_spec, &plan, first, count, SEED, |s| {
+                        ContractSubstrate::build(ContractConfig::over(*config), s)
+                    })
                 },
             )?);
         }
@@ -571,12 +559,14 @@ fn run() -> Result<(), String> {
     } else if !args.filtered() {
         let check_spec = &cells()[0].1;
         let check_cfg = world_config(500);
-        let fast = run_protocol_trials_threaded(check_spec, 10, SEED, 1, |s| {
+        let fast = run_protocol_trials(check_spec, 10, SEED, |s| {
             AnalyticSubstrate::build(check_cfg, s)
         })
         .map_err(|e| format!("analytic parity check: {e}"))?;
-        let chained = run_protocol_trials_threaded(check_spec, 10, SEED, threads, |s| {
-            ContractSubstrate::build(ContractConfig::over(check_cfg), s)
+        let chained = run_sharded(10, threads, |first, count| {
+            run_protocol_trial_range(check_spec, first, count, SEED, |s| {
+                ContractSubstrate::build(ContractConfig::over(check_cfg), s)
+            })
         })
         .map_err(|e| format!("contract parity check: {e}"))?;
         if fast.fingerprint != chained.fingerprint {
@@ -616,8 +606,8 @@ fn run() -> Result<(), String> {
             // Share cells run the pooled (zero-allocation) pipeline:
             // per-shard substrate rebuilt in place plus a recycled
             // TrialWorkspace. Bit-identical fingerprints to the
-            // allocating driver (pinned by the emerge-bench test suite),
-            // so the parity gate above still covers it.
+            // allocating loop (pinned by the emerge-core and sharded
+            // telemetry tests), so the parity gate above still covers it.
             let pooled = matches!(spec.params, SchemeParams::Share { .. });
             measurements.push(measure(
                 cell,
@@ -625,18 +615,20 @@ fn run() -> Result<(), String> {
                 threads,
                 analytic_trials,
                 args.profile,
-                |trials, threads| {
+                |first, count| {
                     if pooled {
-                        run_protocol_trials_pooled_profiled(
+                        let mut substrate = AnalyticSubstrate::build(config, 0);
+                        run_protocol_trial_range_pooled(
                             &spec,
-                            trials,
+                            first,
+                            count,
                             SEED,
-                            threads,
-                            || AnalyticSubstrate::build(config, 0),
+                            &mut substrate,
                             |s, ws| s.rebuild(ws),
+                            &mut TrialWorkspace::new(),
                         )
                     } else {
-                        run_protocol_trials_profiled(&spec, trials, SEED, threads, |ws| {
+                        run_protocol_trial_range(&spec, first, count, SEED, |ws| {
                             AnalyticSubstrate::build(config, ws)
                         })
                     }
@@ -650,8 +642,8 @@ fn run() -> Result<(), String> {
                 threads,
                 analytic_trials,
                 args.profile,
-                |trials, threads| {
-                    run_protocol_trials_profiled(&spec, trials, SEED, threads, |ws| {
+                |first, count| {
+                    run_protocol_trial_range(&spec, first, count, SEED, |ws| {
                         ContractSubstrate::build(ContractConfig::over(config), ws)
                     })
                 },
@@ -666,8 +658,8 @@ fn run() -> Result<(), String> {
             threads,
             analytic_trials,
             args.profile,
-            |trials, threads| {
-                run_bonded_trials_profiled(&bonded_spec, trials, SEED, threads, |ws| {
+            |first, count| {
+                run_bonded_trial_range(&bonded_spec, first, count, SEED, |ws| {
                     ContractSubstrate::build(ContractConfig::over(config), ws)
                 })
             },

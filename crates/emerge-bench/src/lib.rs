@@ -16,12 +16,15 @@
 //! and `EMERGE_P_STEP` (default 0.02) trade accuracy for speed;
 //! `EMERGE_MC_THREADS` caps the sharded Monte-Carlo worker threads (see
 //! [`parallel::mc_threads`]).
+//!
+//! Batches run through the one Monte-Carlo driver,
+//! [`emerge_sim::shard::run_sharded`]; wrap the range call in
+//! [`profile::profiled`] for per-phase telemetry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod mc;
 pub mod parallel;
 pub mod profile;
 pub mod report;

@@ -1,19 +1,21 @@
-//! A tiny work-stealing `parallel_map` over OS threads.
+//! A tiny work-stealing `parallel_map` over OS threads, and the worker
+//! count of the sharded Monte-Carlo binaries.
 //!
 //! The figure sweeps are embarrassingly parallel across `p` values; this
-//! helper spreads them over the available cores with nothing beyond the
-//! standard library (scoped threads + an atomic work index).
+//! helper spreads them over the available cores with
+//! [`parallel_map_workers`], the same scoped-thread pool that
+//! [`emerge_sim::shard::run_sharded`] runs trial ranges on.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use emerge_sim::shard::parallel_map_workers;
 
 /// Worker-thread count for Monte-Carlo sharding: `EMERGE_MC_THREADS` if
 /// set to a positive integer, otherwise the machine's available
 /// parallelism (1 if unknown).
 ///
-/// The thread count only affects wall-clock time, never results: the
-/// sharded Monte-Carlo engine is bit-identical across thread counts (CI
-/// runs the suites with `EMERGE_MC_THREADS=1` and unset to guard this).
+/// The thread count only affects wall-clock time, never results:
+/// [`emerge_sim::shard::run_sharded`] is bit-identical across thread
+/// counts (CI runs the suites with `EMERGE_MC_THREADS=1` and unset to
+/// guard this).
 pub fn mc_threads() -> usize {
     std::env::var("EMERGE_MC_THREADS")
         .ok()
@@ -39,54 +41,6 @@ where
     parallel_map_workers(items, workers, f)
 }
 
-/// [`parallel_map`] with an explicit worker-thread count (clamped to
-/// `[1, items.len()]`). `workers == 1` runs inline on the caller's
-/// thread, which keeps single-threaded runs (`EMERGE_MC_THREADS=1`)
-/// trivially deterministic in scheduling as well as results.
-pub fn parallel_map_workers<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                // LINT-WAIVER(panic): a poisoned slot means a worker panicked, and that panic propagates via join first
-                *results[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                // LINT-WAIVER(panic): a poisoned slot means a worker panicked, and that panic propagates via join first
-                .expect("result slot poisoned")
-                // LINT-WAIVER(panic): the worker loop fills every slot before the threads are joined
-                .expect("every slot filled")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,33 +61,6 @@ mod tests {
     #[test]
     fn single_item() {
         assert_eq!(parallel_map(&[7], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn explicit_worker_counts_agree() {
-        let items: Vec<u64> = (0..50).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for workers in [1usize, 2, 7, 64] {
-            assert_eq!(parallel_map_workers(&items, workers, |x| x * x), expect);
-        }
-        assert_eq!(parallel_map_workers(&items, 0, |x| x * x), expect);
-    }
-
-    #[test]
-    fn worker_panics_propagate_to_the_caller() {
-        let items: Vec<u64> = (0..32).collect();
-        for workers in [1usize, 4] {
-            let caught = std::panic::catch_unwind(|| {
-                parallel_map_workers(&items, workers, |&x| {
-                    assert!(x != 17, "poisoned item");
-                    x
-                })
-            });
-            assert!(
-                caught.is_err(),
-                "a panic in f must not be swallowed (workers = {workers})"
-            );
-        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! [`MetricsSnapshot`] into a per-phase breakdown. Both the
 //! `montecarlo_baseline --profile` report and the `phase_profile` example
 //! go through it, so the two can never disagree about what a phase costs.
+//! A range call wrapped in [`profiled`] hands the one Monte-Carlo driver
+//! its telemetry next to its results.
 
 use emerge_obs::collector::{install, take};
 use emerge_obs::{Collector, MetricsSnapshot};
@@ -70,6 +72,18 @@ pub fn collected<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
         install(prev);
     }
     (result, snapshot)
+}
+
+/// [`collected`] over a fallible range call, in the `(results, snapshot)`
+/// shape that [`emerge_sim::shard::run_sharded`] merges half by half, so
+/// every worker shard runs under its own fresh collector.
+///
+/// # Errors
+///
+/// The range call's error; its telemetry is dropped.
+pub fn profiled<R, E>(range: impl FnOnce() -> Result<R, E>) -> Result<(R, MetricsSnapshot), E> {
+    let (results, snapshot) = collected(range);
+    results.map(|results| (results, snapshot))
 }
 
 /// Renders a human-readable per-phase table. `wall_secs` is the

@@ -25,12 +25,13 @@
 //! * [`release`] — the contract-native emergence mode: bonded `(m, n)`
 //!   share release with the withheld-quorum and early-reveal-leak
 //!   failure predicates
-//! * [`mc`] — sharded, mergeable Monte-Carlo evaluation of the bonded
-//!   mode (bit-identical across shard counts)
+//! * [`mc`] — mergeable Monte-Carlo range calls for the bonded mode
+//!   (bit-identical across thread counts of
+//!   `emerge_sim::shard::run_sharded`)
 //!
 //! The `HolderSubstrate` implementation itself lives in
-//! `emerge_core::substrate`, next to the overlay's and the analytic
-//! substrate's — this crate stays independent of the scheme layer.
+//! `emerge_core::substrate`, next to the analytic substrate's — this
+//! crate stays independent of the scheme layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

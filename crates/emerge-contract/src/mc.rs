@@ -5,18 +5,19 @@
 //! keyed by the **global** trial index, results carry exact-merging
 //! counters plus a trial-index-keyed fingerprint combined by wrapping
 //! addition, and a contiguous range run is therefore bit-identical to the
-//! same trials inside a serial batch. Shard workers run disjoint ranges
-//! and [`BondedMcResults::merge`] the partials — the sharded Monte-Carlo
-//! guarantee extends to the contract-native emergence mode unchanged.
+//! same trials inside a serial batch. [`emerge_sim::shard::run_sharded`]
+//! runs disjoint ranges on worker threads and merges the partials — the
+//! sharded Monte-Carlo guarantee extends to the contract-native emergence
+//! mode unchanged.
 
 use crate::error::ContractError;
 use crate::release::{run_bonded_release, run_bonded_release_faulted, BondedReport, BondedSpec};
 use crate::substrate::ContractSubstrate;
-use emerge_faults::{FaultPlan, FaultStats};
+use emerge_faults::{FaultPlan, FaultyResults};
 use emerge_obs::trace::{span, SpanId};
 use emerge_sim::metrics::{Rate, Summary};
 use emerge_sim::rng::SeedSource;
-use emerge_sim::shard::{shard_ranges, TrialDigest};
+use emerge_sim::shard::{Merge, TrialDigest};
 use rand::RngCore;
 
 /// Span over the per-trial substrate world build.
@@ -59,6 +60,12 @@ impl BondedMcResults {
         self.withheld_quorum.merge(&other.withheld_quorum);
         self.slashed.merge(&other.slashed);
         self.fingerprint = self.fingerprint.wrapping_add(other.fingerprint);
+    }
+}
+
+impl Merge for BondedMcResults {
+    fn merge(&mut self, other: &Self) {
+        BondedMcResults::merge(self, other);
     }
 }
 
@@ -119,69 +126,14 @@ where
     run_bonded_trial_range(spec, 0, trials, seed, substrate_factory)
 }
 
-/// Runs `trials` bonded trials split over `shards` contiguous ranges and
-/// merges the partials — bit-identical to the serial run on every
-/// counter-valued field and the fingerprint, for any shard count.
-///
-/// # Errors
-///
-/// Propagates the first shard failure in shard order.
-pub fn run_bonded_trials_sharded<F>(
-    spec: &BondedSpec,
-    trials: usize,
-    seed: u64,
-    shards: usize,
-    mut substrate_factory: F,
-) -> Result<BondedMcResults, ContractError>
-where
-    F: FnMut(u64) -> ContractSubstrate,
-{
-    let mut results = BondedMcResults::default();
-    for (first_trial, count) in shard_ranges(trials, shards) {
-        let shard = run_bonded_trial_range(spec, first_trial, count, seed, &mut substrate_factory)?;
-        results.merge(&shard);
-    }
-    Ok(results)
-}
-
-/// Aggregated outcomes of a fault-plane bonded-release batch: the plain
-/// bonded results as measured under the plan, plus the degraded/clean
-/// fault-outcome taxonomy (mirrors `emerge-core`'s `FaultyMcResults`).
-#[derive(Debug, Clone, Default)]
-pub struct FaultyBondedMcResults {
-    /// The underlying bonded results, measured under the fault plan.
-    pub base: BondedMcResults,
-    /// Trials that released despite at least one injected disruption.
-    pub degraded: Rate,
-    /// Trials that released having seen no disruption at all.
-    pub clean_of_faults: Rate,
-    /// Trials that saw at least one injected disruption.
-    pub disrupted: Rate,
-    /// Per-trial injected-disruption counts.
-    pub disruptions: Summary,
-    /// Index-keyed digest over every trial's fault statistics
-    /// ([`FaultStats::digest`]); merges by wrapping addition.
-    pub fault_fingerprint: u64,
-}
-
-impl FaultyBondedMcResults {
-    /// Merges a disjoint batch; counter-valued fields and both
-    /// fingerprints merge exactly.
-    pub fn merge(&mut self, other: &FaultyBondedMcResults) {
-        self.base.merge(&other.base);
-        self.degraded.merge(&other.degraded);
-        self.clean_of_faults.merge(&other.clean_of_faults);
-        self.disrupted.merge(&other.disrupted);
-        self.disruptions.merge(&other.disruptions);
-        self.fault_fingerprint = self.fault_fingerprint.wrapping_add(other.fault_fingerprint);
-    }
-}
-
 /// Runs the contiguous trial range `[first_trial, first_trial + count)`
 /// of a bonded-release batch under `plan`. Each trial arms the plan
 /// against its own world seed — the same per-index stream as
 /// [`run_bonded_trial_range`] — so an empty plan reproduces the plain
 /// runner bit for bit and sharded runs merge exactly to serial ones.
+/// Outcomes land in the shared fault taxonomy ([`FaultyResults`]):
+/// crashes become slashing withholds, block-clock skew can push reveals
+/// out of their window.
 ///
 /// # Errors
 ///
@@ -193,12 +145,12 @@ pub fn run_bonded_trial_range_faulted<F>(
     count: usize,
     seed: u64,
     mut substrate_factory: F,
-) -> Result<FaultyBondedMcResults, ContractError>
+) -> Result<FaultyResults<BondedMcResults>, ContractError>
 where
     F: FnMut(u64) -> ContractSubstrate,
 {
     let seeds = SeedSource::new(seed);
-    let mut results = FaultyBondedMcResults::default();
+    let mut results = FaultyResults::<BondedMcResults>::default();
     for trial_idx in first_trial..first_trial + count {
         let mut trial_rng = seeds.stream_n("bonded-trial", trial_idx as u64);
         let world_seed = trial_rng.next_u64();
@@ -214,54 +166,13 @@ where
             let _phase = span(&SPAN_BONDED_RELEASE);
             run_bonded_release_faulted(&mut substrate, spec, &secret, &mut trial_rng, &injector)?
         };
-        let stats: FaultStats = injector.stats();
         record_bonded_trial(&mut results.base, trial_idx, &report);
-        let released = report.released.is_some();
-        let disrupted = stats.disrupted();
-        results.degraded.record(released && disrupted);
-        results.clean_of_faults.record(released && !disrupted);
-        results.disrupted.record(disrupted);
-        results.disruptions.record(stats.disruptions as f64);
-        // An empty plan leaves the fault fingerprint at zero so faultless
-        // runs are trivially distinguishable from all-quiet faulted runs.
-        if !plan.is_empty() {
-            results.fault_fingerprint = results
-                .fault_fingerprint
-                .wrapping_add(stats.digest(trial_idx as u64));
-        }
-    }
-    Ok(results)
-}
-
-/// Runs `trials` faulted bonded trials split over `shards` contiguous
-/// ranges and merges the partials — bit-identical to a serial range run
-/// on every counter-valued field and both fingerprints.
-///
-/// # Errors
-///
-/// Propagates the first shard failure in shard order.
-pub fn run_bonded_trials_faulted_sharded<F>(
-    spec: &BondedSpec,
-    plan: &FaultPlan,
-    trials: usize,
-    seed: u64,
-    shards: usize,
-    mut substrate_factory: F,
-) -> Result<FaultyBondedMcResults, ContractError>
-where
-    F: FnMut(u64) -> ContractSubstrate,
-{
-    let mut results = FaultyBondedMcResults::default();
-    for (first_trial, count) in shard_ranges(trials, shards) {
-        let shard = run_bonded_trial_range_faulted(
-            spec,
+        results.record(
+            trial_idx,
+            report.released.is_some(),
+            &injector.stats(),
             plan,
-            first_trial,
-            count,
-            seed,
-            &mut substrate_factory,
-        )?;
-        results.merge(&shard);
+        );
     }
     Ok(results)
 }
@@ -314,6 +225,7 @@ mod tests {
     use crate::economy::HolderStrategy;
     use crate::substrate::ContractConfig;
     use emerge_dht::overlay::OverlayConfig;
+    use emerge_sim::shard::run_sharded;
     use emerge_sim::time::SimDuration;
 
     fn factory(p: f64) -> impl FnMut(u64) -> ContractSubstrate {
@@ -376,23 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_serial_bit_for_bit() {
-        let spec = spec(HolderStrategy::AlwaysWithhold);
-        let serial = run_bonded_trials(&spec, 17, 9, factory(0.4)).unwrap();
-        for shards in [1usize, 2, 5, 17, 40] {
-            let sharded = run_bonded_trials_sharded(&spec, 17, 9, shards, factory(0.4)).unwrap();
-            assert_eq!(sharded.fingerprint, serial.fingerprint, "{shards} shards");
-            assert_eq!(sharded.released, serial.released);
-            assert_eq!(sharded.clean, serial.clean);
-            assert_eq!(sharded.leaked_early, serial.leaked_early);
-            assert_eq!(sharded.withheld_quorum, serial.withheld_quorum);
-            assert_eq!(sharded.slashed.count(), serial.slashed.count());
-            assert_eq!(sharded.slashed.min(), serial.slashed.min());
-            assert_eq!(sharded.slashed.max(), serial.slashed.max());
-        }
-    }
-
-    #[test]
     fn ranges_merge_commutatively_and_key_by_index() {
         let spec = spec(HolderStrategy::Compliant);
         let full = run_bonded_trials(&spec, 10, 5, factory(0.3)).unwrap();
@@ -450,22 +345,26 @@ mod tests {
         let spec = spec(HolderStrategy::Compliant);
         let plan = storm(emerge_faults::FaultKind::CrashRestart { crash_ppm: 250_000 });
         let serial = run_bonded_trial_range_faulted(&spec, &plan, 0, 15, 13, factory(0.2)).unwrap();
-        for shards in [1usize, 2, 7] {
-            let sharded =
-                run_bonded_trials_faulted_sharded(&spec, &plan, 15, 13, shards, factory(0.2))
-                    .unwrap();
+        for threads in [1usize, 2, 7] {
+            let sharded = run_sharded(15, threads, |first, count| {
+                run_bonded_trial_range_faulted(&spec, &plan, first, count, 13, factory(0.2))
+            })
+            .unwrap();
             assert_eq!(
                 sharded.base.fingerprint, serial.base.fingerprint,
-                "{shards} shards"
+                "{threads} threads"
             );
             assert_eq!(
                 sharded.fault_fingerprint, serial.fault_fingerprint,
-                "{shards} shards fault fingerprint"
+                "{threads} threads fault fingerprint"
             );
+            assert_eq!(sharded.base.released, serial.base.released);
+            assert_eq!(sharded.base.slashed.count(), serial.base.slashed.count());
             assert_eq!(sharded.degraded, serial.degraded);
             assert_eq!(sharded.clean_of_faults, serial.clean_of_faults);
             assert_eq!(sharded.disrupted, serial.disrupted);
             assert_eq!(sharded.disruptions.count(), serial.disruptions.count());
+            assert_eq!(sharded.retries.count(), serial.retries.count());
         }
         assert!(
             serial.disrupted.successes() > 0,

@@ -90,8 +90,7 @@ pub struct ContractSubstrate {
 
 impl ContractSubstrate {
     /// Builds the substrate deterministically from `seed`. The population
-    /// is identical to `AnalyticSubstrate::build(config.overlay, seed)`'s
-    /// (and therefore to the full overlay's).
+    /// is identical to `AnalyticSubstrate::build(config.overlay, seed)`'s.
     ///
     /// # Panics
     ///

@@ -13,19 +13,9 @@
 //! [`crate::montecarlo::run_protocol_trial_range`]: each trial arms the
 //! plan against its own world seed (a pure function of the global trial
 //! index), so sharded runs merge bit-identically to serial runs **under
-//! faults** — the property `tests/sharded_montecarlo.rs` pins.
-//!
-//! ## Outcome taxonomy
-//!
-//! * **clean success** — the key emerged and the trial saw *zero*
-//!   injected disruptions;
-//! * **degraded success** — the key emerged despite at least one
-//!   disruption (recovered via retry, hedging or m-of-n share slack);
-//! * **failure** — the key never emerged.
-//!
-//! `degraded` is reported separately from `clean_of_faults` precisely so
-//! resilience claims can distinguish "nothing went wrong" from "things
-//! went wrong and the protocol absorbed them".
+//! faults** — the property `tests/sharded_montecarlo.rs` pins. Outcomes
+//! land in [`FaultyMcResults`], the protocol instance of the shared
+//! clean/degraded/failed taxonomy ([`emerge_faults::outcome`]).
 
 use crate::error::EmergeError;
 use crate::montecarlo::{
@@ -35,12 +25,10 @@ use crate::montecarlo::{
 use crate::substrate::HolderSubstrate;
 use emerge_dht::id::NodeId;
 use emerge_dht::population::NodeInfo;
-use emerge_faults::injector::DEGRADED_SUCCESS;
-use emerge_faults::{FaultInjector, FaultPlan, FaultStats, RecoveryPolicy};
+use emerge_faults::{FaultInjector, FaultPlan, FaultStats, FaultyResults, RecoveryPolicy};
 use emerge_obs::trace::span;
-use emerge_sim::metrics::{Rate, Summary};
 use emerge_sim::rng::SeedSource;
-use emerge_sim::shard::{shard_ranges, TrialDigest};
+use emerge_sim::shard::TrialDigest;
 use emerge_sim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -180,7 +168,7 @@ impl<S: HolderSubstrate> HolderSubstrate for FaultySubstrate<S> {
     }
 
     // The exposure predicates delegate to the *inner* substrate (which may
-    // override the trait defaults, e.g. the overlay) rather than rerouting
+    // override the trait defaults, e.g. the analytic world) rather than rerouting
     // through faulted `generation_at`: injected loss models availability,
     // not confidentiality, so it must never grant or revoke an adversary
     // exposure.
@@ -295,45 +283,10 @@ fn hash_key(key: &NodeId) -> u64 {
     d.finish()
 }
 
-/// Aggregated outcomes of a fault-plane Monte-Carlo batch: the plain
-/// protocol results plus the fault-outcome taxonomy.
-#[derive(Debug, Clone, Default)]
-pub struct FaultyMcResults {
-    /// The underlying protocol results (release/clean/early rates,
-    /// messages, fingerprint) as measured *under* the fault plan.
-    pub base: ProtocolMcResults,
-    /// Fraction of trials that released despite at least one injected
-    /// disruption — recovered via retry, hedging or m-of-n slack.
-    pub degraded: Rate,
-    /// Fraction of trials that released having seen no disruption at all.
-    pub clean_of_faults: Rate,
-    /// Fraction of trials that saw at least one injected disruption.
-    pub disrupted: Rate,
-    /// Per-trial injected-disruption counts.
-    pub disruptions: Summary,
-    /// Per-trial lookup retries.
-    pub retries: Summary,
-    /// Index-keyed digest over every trial's fault statistics; merges by
-    /// wrapping addition exactly like the protocol fingerprint, so
-    /// sharded fault streams are checked bit for bit, not just in
-    /// aggregate.
-    pub fault_fingerprint: u64,
-}
-
-impl FaultyMcResults {
-    /// Merges a disjoint batch. Counter-valued fields and both
-    /// fingerprints merge exactly; the floating-point summary moments use
-    /// the parallel Welford update.
-    pub fn merge(&mut self, other: &FaultyMcResults) {
-        self.base.merge(&other.base);
-        self.degraded.merge(&other.degraded);
-        self.clean_of_faults.merge(&other.clean_of_faults);
-        self.disrupted.merge(&other.disrupted);
-        self.disruptions.merge(&other.disruptions);
-        self.retries.merge(&other.retries);
-        self.fault_fingerprint = self.fault_fingerprint.wrapping_add(other.fault_fingerprint);
-    }
-}
+/// Aggregated outcomes of a fault-plane wire-protocol batch: the plain
+/// protocol results as measured under the plan, plus the fault-outcome
+/// taxonomy.
+pub type FaultyMcResults = FaultyResults<ProtocolMcResults>;
 
 /// Runs `trials` wire-protocol trials under `plan`, deterministically
 /// from `seed`. Equivalent to [`run_faulted_trial_range`] over
@@ -403,60 +356,7 @@ where
         let stats = substrate.fault_stats();
 
         record_protocol_trial(&mut results.base, trial_idx, &run);
-        let released = run.report.released.is_some();
-        let disrupted = stats.disrupted();
-        if released && disrupted {
-            DEGRADED_SUCCESS.incr();
-        }
-        results.degraded.record(released && disrupted);
-        results.clean_of_faults.record(released && !disrupted);
-        results.disrupted.record(disrupted);
-        results.disruptions.record(stats.disruptions as f64);
-        results.retries.record(stats.retries as f64);
-        // An empty plan leaves the fault fingerprint at zero so faultless
-        // runs are trivially distinguishable from all-quiet faulted runs.
-        if !plan.is_empty() {
-            results.fault_fingerprint = results
-                .fault_fingerprint
-                .wrapping_add(stats.digest(trial_idx as u64));
-        }
-    }
-    Ok(results)
-}
-
-/// Runs `trials` faulted trials split over `shards` contiguous ranges and
-/// merges the partial results — bit-identical to the serial
-/// [`run_faulted_trials`] on every counter-valued field and both
-/// fingerprints, for any shard count.
-///
-/// # Errors
-///
-/// Propagates the first shard failure.
-pub fn run_faulted_trials_sharded<S, F>(
-    spec: &ProtocolTrialSpec,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    trials: usize,
-    seed: u64,
-    shards: usize,
-    mut substrate_factory: F,
-) -> Result<FaultyMcResults, EmergeError>
-where
-    S: HolderSubstrate,
-    F: FnMut(u64) -> S,
-{
-    let mut results = FaultyMcResults::default();
-    for (first_trial, count) in shard_ranges(trials, shards) {
-        let shard = run_faulted_trial_range(
-            spec,
-            plan,
-            policy,
-            first_trial,
-            count,
-            seed,
-            &mut substrate_factory,
-        )?;
-        results.merge(&shard);
+        results.record(trial_idx, run.report.released.is_some(), &stats, plan);
     }
     Ok(results)
 }
@@ -531,31 +431,6 @@ mod tests {
         assert_eq!(a.base.fingerprint, b.base.fingerprint);
         assert_eq!(a.fault_fingerprint, b.fault_fingerprint);
         assert_eq!(a.degraded, b.degraded);
-    }
-
-    #[test]
-    fn sharded_faulted_runs_merge_to_serial() {
-        let spec = share_spec();
-        let plan = Scenario::LossBurst.plan(120_000, 4_000, 0xB0);
-        let factory = |s| AnalyticSubstrate::build(world(150, 0.3), s);
-        let serial =
-            run_faulted_trials(&spec, &plan, RecoveryPolicy::default(), 11, 3, factory).unwrap();
-        for shards in [1usize, 2, 7] {
-            let sharded = run_faulted_trials_sharded(
-                &spec,
-                &plan,
-                RecoveryPolicy::default(),
-                11,
-                3,
-                shards,
-                factory,
-            )
-            .unwrap();
-            assert_eq!(serial.base.fingerprint, sharded.base.fingerprint);
-            assert_eq!(serial.fault_fingerprint, sharded.fault_fingerprint);
-            assert_eq!(serial.degraded, sharded.degraded);
-            assert_eq!(serial.disrupted, sharded.disrupted);
-        }
     }
 
     #[test]

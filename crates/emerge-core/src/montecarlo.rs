@@ -33,6 +33,7 @@ use emerge_crypto::keys::SymmetricKey;
 use emerge_obs::trace::{span, SpanId};
 use emerge_sim::metrics::{Rate, Summary};
 use emerge_sim::rng::SeedSource;
+use emerge_sim::shard::{Merge, TrialDigest};
 use emerge_sim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
@@ -268,10 +269,10 @@ fn run_one_trial(spec: &TrialSpec, rng: &mut StdRng) -> TrialOutcome {
 /// predicates on sampled holder timelines, a protocol cell runs the *real*
 /// protocol — path construction, onion/share packaging, hop-by-hop
 /// execution with genuine cryptography — on a fresh
-/// [`HolderSubstrate`] world per trial. Running the same spec on the full
-/// overlay and on the analytic substrate must produce identical results
-/// (see [`ProtocolMcResults::fingerprint`]); the analytic substrate just
-/// gets there dramatically faster.
+/// [`HolderSubstrate`] world per trial. Running the same spec on the
+/// analytic and on the contract substrate must produce identical results
+/// (see [`ProtocolMcResults::fingerprint`]): the contract layer never
+/// perturbs what the schemes observe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolTrialSpec {
     /// Scheme parameters to instantiate each trial.
@@ -296,7 +297,7 @@ pub struct ProtocolMcResults {
     /// Messages pushed through the substrate per trial.
     pub messages: Summary,
     /// Digest of every trial's holder slots and report. Each trial
-    /// contributes a `trial_digest` keyed by its *global* trial index,
+    /// contributes a `protocol_trial_digest` keyed by its *global* trial index,
     /// and contributions combine by wrapping addition — an associative,
     /// commutative operation — so merging shard digests over disjoint
     /// contiguous trial ranges reproduces the serial digest bit for bit.
@@ -321,6 +322,12 @@ impl ProtocolMcResults {
         self.reconstructed_early.merge(&other.reconstructed_early);
         self.messages.merge(&other.messages);
         self.fingerprint = self.fingerprint.wrapping_add(other.fingerprint);
+    }
+}
+
+impl Merge for ProtocolMcResults {
+    fn merge(&mut self, other: &Self) {
+        ProtocolMcResults::merge(self, other);
     }
 }
 
@@ -355,8 +362,8 @@ where
 /// `SeedSource::stream_n("protocol-trial", trial_idx)` stream keyed by
 /// the *global* trial index, so a range run is bit-identical to the same
 /// trials inside a serial [`run_protocol_trials`] batch — no stream
-/// replay, no cross-trial coupling. Shard workers each run one range and
-/// [`ProtocolMcResults::merge`] the partial results.
+/// replay, no cross-trial coupling. [`emerge_sim::shard::run_sharded`]
+/// runs one range per worker and merges the partial results.
 ///
 /// # Errors
 ///
@@ -463,10 +470,20 @@ pub(crate) fn record_protocol_trial(
         .reconstructed_early
         .record(run.report.adversary_reconstruction.is_some());
     results.messages.record(run.report.messages_sent as f64);
-    results.fingerprint = results.fingerprint.wrapping_add(trial_digest(
+    let report = &run.report;
+    results.fingerprint = results.fingerprint.wrapping_add(protocol_trial_digest(
         trial_idx as u64,
         &run.plan.slots,
-        &run.report,
+        report
+            .released
+            .as_ref()
+            .map(|(at, secret)| (*at, &secret[..])),
+        report
+            .adversary_reconstruction
+            .as_ref()
+            .map(|(at, secret)| (*at, &secret[..])),
+        report.failure.as_deref(),
+        report.messages_sent,
     ));
 }
 
@@ -599,10 +616,18 @@ where
             .reconstructed_early
             .record(ws.report.adversary_at.is_some());
         results.messages.record(ws.report.messages_sent as f64);
-        results.fingerprint = results.fingerprint.wrapping_add(pooled_trial_digest(
+        let report = &ws.report;
+        results.fingerprint = results.fingerprint.wrapping_add(protocol_trial_digest(
             trial_idx as u64,
             &ws.plan.slots,
-            &ws.report,
+            report
+                .released_at
+                .map(|at| (at, &report.released_secret[..])),
+            report
+                .adversary_at
+                .map(|at| (at, &report.adversary_secret[..])),
+            report.failure,
+            report.messages_sent,
         ));
     }
     Ok(results)
@@ -610,106 +635,42 @@ where
 
 pub use emerge_sim::shard::shard_ranges;
 
-/// Runs `trials` wire-protocol trials split over `shards` contiguous
-/// ranges ([`shard_ranges`]) and merges the partial results.
-///
-/// The merged [`ProtocolMcResults`] is bit-identical to a serial
-/// [`run_protocol_trials`] run on the counter-valued fields and the
-/// fingerprint, for *any* shard count — the property the sharded
-/// Monte-Carlo test suite pins down. This driver executes the shards
-/// sequentially; `emerge-bench`'s `mc::run_protocol_trials_parallel`
-/// spreads the same ranges over OS threads.
-///
-/// # Errors
-///
-/// Propagates the first shard failure, e.g.
-/// [`EmergeError::InsufficientNodes`] when the structure does not fit the
-/// factory's worlds.
-pub fn run_protocol_trials_sharded<S, F>(
-    spec: &ProtocolTrialSpec,
-    trials: usize,
-    seed: u64,
-    shards: usize,
-    mut substrate_factory: F,
-) -> Result<ProtocolMcResults, EmergeError>
-where
-    S: HolderSubstrate,
-    F: FnMut(u64) -> S,
-{
-    let mut results = ProtocolMcResults::default();
-    for (first_trial, count) in shard_ranges(trials, shards) {
-        let shard =
-            run_protocol_trial_range(spec, first_trial, count, seed, &mut substrate_factory)?;
-        results.merge(&shard);
-    }
-    Ok(results)
-}
-
-/// Digest of one trial, keyed by its global trial index: FNV-1a
-/// ([`emerge_sim::shard::TrialDigest`]) over the index, the plan's holder
-/// slots and the run report. Keying by the trial index makes the digest
-/// sensitive to *which* trial produced an outcome even though the
-/// combination is commutative.
-fn trial_digest(trial_idx: u64, slots: &[usize], report: &RunReport) -> u64 {
-    let mut d = emerge_sim::shard::TrialDigest::new();
+/// Digest of one wire-protocol trial, keyed by its global trial index:
+/// FNV-1a ([`TrialDigest`]) over the index, the plan's holder slots and
+/// the report fields the allocating [`RunReport`] and the pooled
+/// [`PooledRunReport`] share — the legitimate release and the adversary's
+/// reconstruction (instant and bytes), the failure reason and the message
+/// count. Both trial loops digest through it, so pooled and allocating
+/// runs of the same trials share one fingerprint. Keying by the trial
+/// index makes the digest sensitive to *which* trial produced an outcome
+/// even though the combination is commutative.
+fn protocol_trial_digest(
+    trial_idx: u64,
+    slots: &[usize],
+    released: Option<(SimTime, &[u8])>,
+    reconstructed: Option<(SimTime, &[u8])>,
+    failure: Option<&str>,
+    messages_sent: u64,
+) -> u64 {
+    let mut d = TrialDigest::new();
     d.eat(&trial_idx.to_le_bytes());
     for &slot in slots {
         d.eat(&(slot as u64).to_le_bytes());
     }
-    match &report.released {
-        Some((at, secret)) => {
-            d.eat(&[1]);
-            d.eat(&at.ticks().to_le_bytes());
-            d.eat(secret);
+    for outcome in [released, reconstructed] {
+        match outcome {
+            Some((at, secret)) => {
+                d.eat(&[1]);
+                d.eat(&at.ticks().to_le_bytes());
+                d.eat(secret);
+            }
+            None => d.eat(&[0]),
         }
-        None => d.eat(&[0]),
     }
-    match &report.adversary_reconstruction {
-        Some((at, secret)) => {
-            d.eat(&[1]);
-            d.eat(&at.ticks().to_le_bytes());
-            d.eat(secret);
-        }
-        None => d.eat(&[0]),
-    }
-    if let Some(reason) = &report.failure {
+    if let Some(reason) = failure {
         d.eat(reason.as_bytes());
     }
-    d.eat(&report.messages_sent.to_le_bytes());
-    d.finish()
-}
-
-/// [`trial_digest`] over a [`PooledRunReport`]: identical byte stream
-/// (the pooled report's secret buffers and `&'static str` failure reasons
-/// serialize to the same bytes as the allocating report's owned copies),
-/// so pooled and allocating runs of the same trials share one
-/// fingerprint.
-fn pooled_trial_digest(trial_idx: u64, slots: &[usize], report: &PooledRunReport) -> u64 {
-    let mut d = emerge_sim::shard::TrialDigest::new();
-    d.eat(&trial_idx.to_le_bytes());
-    for &slot in slots {
-        d.eat(&(slot as u64).to_le_bytes());
-    }
-    match report.released_at {
-        Some(at) => {
-            d.eat(&[1]);
-            d.eat(&at.ticks().to_le_bytes());
-            d.eat(&report.released_secret);
-        }
-        None => d.eat(&[0]),
-    }
-    match report.adversary_at {
-        Some(at) => {
-            d.eat(&[1]);
-            d.eat(&at.ticks().to_le_bytes());
-            d.eat(&report.adversary_secret);
-        }
-        None => d.eat(&[0]),
-    }
-    if let Some(reason) = report.failure {
-        d.eat(reason.as_bytes());
-    }
-    d.eat(&report.messages_sent.to_le_bytes());
+    d.eat(&messages_sent.to_le_bytes());
     d.finish()
 }
 
@@ -1115,29 +1076,6 @@ mod tests {
         a_bc.merge(&bc);
         assert_results_identical(&ab_c, &a_bc);
         assert_eq!(ab_c.messages.count(), a_bc.messages.count());
-    }
-
-    #[test]
-    fn sharded_protocol_trials_match_serial() {
-        for params in [
-            SchemeParams::Central,
-            SchemeParams::Joint { k: 2, l: 3 },
-            SchemeParams::Disjoint { k: 2, l: 3 },
-            SchemeParams::Share {
-                k: 2,
-                l: 3,
-                n: 5,
-                m: vec![3, 3],
-            },
-        ] {
-            let spec = protocol_spec(params, AttackMode::ReleaseAhead);
-            let factory = |s| AnalyticSubstrate::build(world_config(120, 0.3), s);
-            let serial = run_protocol_trials(&spec, 14, 21, factory).unwrap();
-            for shards in [1usize, 2, 7] {
-                let sharded = run_protocol_trials_sharded(&spec, 14, 21, shards, factory).unwrap();
-                assert_results_identical(&serial, &sharded);
-            }
-        }
     }
 
     #[test]

@@ -21,17 +21,20 @@
 //! * [`plan`] — fault event kinds, windows and the seeded [`plan::FaultPlan`]
 //! * [`scenario`] — the named scenario catalog behind `--faults <scenario>`
 //! * [`injector`] — per-world armed decisions plus fault statistics
+//! * [`outcome`] — the clean/degraded/failed taxonomy of a faulted batch
 //! * [`recovery`] — retry/backoff, timeout and hedging policies
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod injector;
+pub mod outcome;
 pub mod plan;
 pub mod recovery;
 pub mod scenario;
 
 pub use injector::{FaultInjector, FaultStats};
+pub use outcome::FaultyResults;
 pub use plan::{FaultEvent, FaultKind, FaultPlan, PPM_SCALE};
 pub use recovery::{HedgePolicy, RecoveryPolicy, RetryPolicy, TimeoutPolicy};
 pub use scenario::Scenario;

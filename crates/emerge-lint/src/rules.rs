@@ -34,12 +34,15 @@ impl RuleCtx<'_> {
 /// Hot-path functions beyond the `*_into` / `*_pooled` naming convention:
 /// the pooled trial pipeline's steady-state entry points whose allocation
 /// freedom the PR 6 counting-allocator test asserts at runtime.
+///
+/// Entries match bare `fn` names, so each must name a function that
+/// exists (`tests/lint_cli.rs` checks this against the real workspace).
 pub const HOT_PATH_FNS: &[&str] = &[
     "rebuild",
     "resample",
     "reset",
     "open_segment",
-    "pooled_trial_digest",
+    "protocol_trial_digest",
 ];
 
 /// Identifier substrings treated as secret material by the constant-time

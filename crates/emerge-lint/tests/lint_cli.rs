@@ -67,3 +67,34 @@ fn real_workspace_is_clean() {
     );
     assert!(report.waivers_honored >= 100, "waiver count collapsed");
 }
+
+/// Every `HOT_PATH_FNS` entry must name at least one non-test `fn` in the
+/// real workspace: the list matches bare names, so an entry left behind
+/// by a rename or deletion checks nothing while the lint stays green.
+#[test]
+fn every_hot_path_entry_names_a_workspace_fn() {
+    use emerge_lint::analyze::FileModel;
+    use emerge_lint::rules::HOT_PATH_FNS;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut defined = std::collections::BTreeSet::new();
+    for path in emerge_lint::engine::collect_files(&root).expect("workspace scan") {
+        let src = std::fs::read_to_string(&path).expect("readable source");
+        let lexed = emerge_lint::lexer::lex(&src);
+        let model = FileModel::build(&lexed);
+        for f in &model.fns {
+            if f.body.is_some_and(|(start, _)| !model.is_test(start)) {
+                defined.insert(f.name.clone());
+            }
+        }
+    }
+    let dead: Vec<&str> = HOT_PATH_FNS
+        .iter()
+        .copied()
+        .filter(|name| !defined.contains(*name))
+        .collect();
+    assert!(
+        dead.is_empty(),
+        "HOT_PATH_FNS entries naming no fn: {dead:?}"
+    );
+}

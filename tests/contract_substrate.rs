@@ -6,30 +6,30 @@
 //!    layer never perturbs the DHT semantics).
 //! 2. **Sharded == serial** — the sharded Monte-Carlo guarantee extends
 //!    to the new substrate and to the contract-native bonded-release
-//!    mode, for every shard and thread count (what CI's
-//!    `EMERGE_MC_THREADS` matrix guards).
+//!    mode, for every thread count of `emerge_sim::shard::run_sharded`
+//!    (what CI's `EMERGE_MC_THREADS` matrix guards).
 //! 3. **Economics invariants** — escrow conservation, no double-claim,
 //!    and slash-only-on-misbehaviour, property-tested across seeds,
 //!    malicious rates and adversary strategies.
 
-use emerge_bench::mc::{run_bonded_trials_threaded, run_protocol_trials_threaded};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use self_emerging_data::contract::contract::HolderPhase;
 use self_emerging_data::contract::economy::{EconomyParams, HolderStrategy};
 use self_emerging_data::contract::mc::{
-    run_bonded_trials, run_bonded_trials_sharded, BondedMcResults,
+    run_bonded_trial_range, run_bonded_trials, BondedMcResults,
 };
 use self_emerging_data::contract::release::{run_bonded_release, BondedSpec};
 use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
 use self_emerging_data::contract::ContractError;
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
 use self_emerging_data::core::montecarlo::{
-    run_protocol_trials, run_protocol_trials_sharded, ProtocolTrialSpec,
+    run_protocol_trial_range, run_protocol_trials, ProtocolMcResults, ProtocolTrialSpec,
 };
 use self_emerging_data::core::protocol::AttackMode;
 use self_emerging_data::core::substrate::{AnalyticSubstrate, OverlayConfig};
+use self_emerging_data::sim::shard::run_sharded;
 use self_emerging_data::sim::time::SimDuration;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -61,6 +61,21 @@ fn contract_factory(cfg: OverlayConfig) -> impl Fn(u64) -> ContractSubstrate + S
     move |seed| ContractSubstrate::build(ContractConfig::over(cfg), seed)
 }
 
+/// `trials` wire-protocol trials on contract worlds through the one
+/// driver on `threads` workers.
+fn sharded_on_contract(
+    spec: &ProtocolTrialSpec,
+    trials: usize,
+    seed: u64,
+    threads: usize,
+    cfg: OverlayConfig,
+) -> ProtocolMcResults {
+    run_sharded(trials, threads, |first, count| {
+        run_protocol_trial_range(spec, first, count, seed, contract_factory(cfg))
+    })
+    .unwrap()
+}
+
 #[test]
 fn all_four_schemes_agree_with_the_other_substrates() {
     for kind in SchemeKind::ALL {
@@ -90,12 +105,11 @@ fn sharded_matches_serial_for_all_schemes_on_the_contract_substrate() {
         };
         let cfg = world(150, 0.25);
         let serial = run_protocol_trials(&spec, 12, 17, contract_factory(cfg)).unwrap();
-        for shards in SHARD_COUNTS {
-            let sharded =
-                run_protocol_trials_sharded(&spec, 12, 17, shards, contract_factory(cfg)).unwrap();
+        for threads in SHARD_COUNTS {
+            let sharded = sharded_on_contract(&spec, 12, 17, threads, cfg);
             assert_eq!(
                 sharded.fingerprint, serial.fingerprint,
-                "{kind}/{shards} shards: fingerprint"
+                "{kind}/{threads} threads: fingerprint"
             );
             assert_eq!(sharded.released, serial.released, "{kind}: released");
             assert_eq!(sharded.clean, serial.clean, "{kind}: clean");
@@ -104,13 +118,6 @@ fn sharded_matches_serial_for_all_schemes_on_the_contract_substrate() {
                 "{kind}: early"
             );
             assert_eq!(sharded.messages.count(), serial.messages.count());
-
-            let threaded =
-                run_protocol_trials_threaded(&spec, 12, 17, shards, contract_factory(cfg)).unwrap();
-            assert_eq!(
-                threaded.fingerprint, serial.fingerprint,
-                "{kind}/{shards} threads: fingerprint"
-            );
         }
     }
 }
@@ -154,16 +161,15 @@ fn bonded_release_sharded_matches_serial() {
         let spec = bonded_spec(strategy);
         let cfg = world(150, 0.3);
         let serial = run_bonded_trials(&spec, 13, 11, contract_factory(cfg)).unwrap();
-        for shards in SHARD_COUNTS {
-            let sharded =
-                run_bonded_trials_sharded(&spec, 13, 11, shards, contract_factory(cfg)).unwrap();
-            assert_bonded_identical(&format!("{strategy:?}/{shards} shards"), &serial, &sharded);
-            let threaded =
-                run_bonded_trials_threaded(&spec, 13, 11, shards, contract_factory(cfg)).unwrap();
+        for threads in SHARD_COUNTS {
+            let sharded = run_sharded(13, threads, |first, count| {
+                run_bonded_trial_range(&spec, first, count, 11, contract_factory(cfg))
+            })
+            .unwrap();
             assert_bonded_identical(
-                &format!("{strategy:?}/{shards} threads"),
+                &format!("{strategy:?}/{threads} threads"),
                 &serial,
-                &threaded,
+                &sharded,
             );
         }
     }
@@ -305,12 +311,10 @@ proptest! {
                 attack: AttackMode::ReleaseAhead,
             };
             let serial = run_protocol_trials(&spec, trials, seed, contract_factory(cfg)).unwrap();
-            for shards in SHARD_COUNTS {
-                let sharded =
-                    run_protocol_trials_sharded(&spec, trials, seed, shards, contract_factory(cfg))
-                        .unwrap();
+            for threads in SHARD_COUNTS {
+                let sharded = sharded_on_contract(&spec, trials, seed, threads, cfg);
                 prop_assert_eq!(serial.fingerprint, sharded.fingerprint,
-                    "{} with {} shards, {} trials", kind, shards, trials);
+                    "{} with {} threads, {} trials", kind, threads, trials);
                 prop_assert_eq!(serial.released, sharded.released);
                 prop_assert_eq!(serial.clean, sharded.clean);
             }

@@ -1,26 +1,34 @@
-//! The sharded Monte-Carlo guarantee, extended to telemetry: the
-//! profiled drivers install one `emerge-obs` collector per worker shard
-//! and merge the snapshots in shard order, and every counter-valued
-//! metric (span call counts, DHT resolves, AEAD seal volume, contract
-//! transition events) must come out identical to the single-threaded
-//! run for any thread count — the same invariant
-//! `tests/sharded_montecarlo.rs` pins for trial outcomes, checked here
-//! with `emerge_sim::shard::metrics_digest` over the counter section.
+//! The sharded Monte-Carlo guarantee, extended to telemetry: wrapping a
+//! range call in `emerge_bench::profile::profiled` gives every worker
+//! shard of `emerge_sim::shard::run_sharded` its own `emerge-obs`
+//! collector, and the driver merges results and snapshots in shard
+//! order. Every counter-valued metric (span call counts, DHT resolves,
+//! AEAD seal volume, contract transition events, degraded successes)
+//! must come out identical to the single-threaded run for any thread
+//! count — the same invariant `tests/sharded_montecarlo.rs` pins for
+//! trial outcomes, checked here with `emerge_sim::shard::metrics_digest`
+//! over the counter section.
 //!
 //! (Timing histograms are exempt: they hold wall-clock nanoseconds,
 //! which no two runs reproduce. Their *counts* still merge exactly and
 //! are compared.)
 
-use emerge_bench::mc::{
-    run_bonded_trials_profiled, run_protocol_trials_pooled_profiled, run_protocol_trials_profiled,
-};
+use emerge_bench::profile::profiled;
 use proptest::prelude::*;
+use self_emerging_data::contract::mc::{run_bonded_trial_range, run_bonded_trial_range_faulted};
+use self_emerging_data::contract::release::BondedSpec;
+use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
-use self_emerging_data::core::montecarlo::{run_protocol_trials, ProtocolTrialSpec};
+use self_emerging_data::core::faults::run_faulted_trial_range;
+use self_emerging_data::core::montecarlo::{
+    run_protocol_trial_range, run_protocol_trial_range_pooled, run_protocol_trials,
+    ProtocolMcResults, ProtocolTrialSpec, TrialWorkspace,
+};
 use self_emerging_data::core::protocol::AttackMode;
 use self_emerging_data::core::substrate::{AnalyticSubstrate, OverlayConfig};
+use self_emerging_data::faults::{RecoveryPolicy, Scenario};
 use self_emerging_data::obs::MetricsSnapshot;
-use self_emerging_data::sim::shard::metrics_digest;
+use self_emerging_data::sim::shard::{metrics_digest, run_sharded, Merge};
 use self_emerging_data::sim::time::SimDuration;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -47,6 +55,54 @@ fn world(p: f64) -> OverlayConfig {
     }
 }
 
+/// `trials` through the one driver on `threads` workers, each shard's
+/// `range(first_trial, count)` call under its own collector.
+fn profiled_run<R, E>(
+    trials: usize,
+    threads: usize,
+    range: impl Fn(usize, usize) -> Result<R, E> + Sync,
+) -> (R, MetricsSnapshot)
+where
+    R: Merge + Default + Send,
+    E: std::fmt::Debug + Send,
+{
+    run_sharded(trials, threads, |first, count| {
+        profiled(|| range(first, count))
+    })
+    .unwrap()
+}
+
+/// The pooled share pipeline, profiled: each shard builds one substrate
+/// and one workspace.
+fn pooled_profiled(
+    spec: &ProtocolTrialSpec,
+    trials: usize,
+    seed: u64,
+    threads: usize,
+) -> (ProtocolMcResults, MetricsSnapshot) {
+    profiled_run(trials, threads, |first, count| {
+        let mut substrate = AnalyticSubstrate::build(world(0.3), 0);
+        run_protocol_trial_range_pooled(
+            spec,
+            first,
+            count,
+            seed,
+            &mut substrate,
+            |s, world_seed| s.rebuild(world_seed),
+            &mut TrialWorkspace::new(),
+        )
+    })
+}
+
+fn contract(n_nodes: usize, malicious_fraction: f64, seed: u64) -> ContractSubstrate {
+    let cfg = OverlayConfig {
+        n_nodes,
+        malicious_fraction,
+        ..OverlayConfig::default()
+    };
+    ContractSubstrate::build(ContractConfig::over(cfg), seed)
+}
+
 /// Counters and histogram counts must match exactly; histogram sums
 /// (wall-clock time) are exempt.
 fn assert_telemetry_identical(label: &str, serial: &MetricsSnapshot, sharded: &MetricsSnapshot) {
@@ -70,20 +126,13 @@ fn assert_telemetry_identical(label: &str, serial: &MetricsSnapshot, sharded: &M
 #[test]
 fn pooled_profiled_telemetry_is_thread_count_invariant() {
     let spec = share_spec();
-    let cfg = world(0.3);
     let trials = 12;
-    let outcome_reference =
-        run_protocol_trials(&spec, trials, 9, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
-
-    let (serial_results, serial_telemetry) = run_protocol_trials_pooled_profiled(
-        &spec,
-        trials,
-        9,
-        1,
-        || AnalyticSubstrate::build(cfg, 0),
-        |s, seed| s.rebuild(seed),
-    )
+    let outcome_reference = run_protocol_trials(&spec, trials, 9, |s| {
+        AnalyticSubstrate::build(world(0.3), s)
+    })
     .unwrap();
+
+    let (serial_results, serial_telemetry) = pooled_profiled(&spec, trials, 9, 1);
     assert_eq!(serial_results.fingerprint, outcome_reference.fingerprint);
 
     // The expected per-trial counters actually landed.
@@ -100,7 +149,12 @@ fn pooled_profiled_telemetry_is_thread_count_invariant() {
             "{phase}: one span per trial"
         );
     }
-    assert!(serial_telemetry.counter("package.seal.bytes").unwrap_or(0) > 0);
+    // The tracked seal-volume counter attributes to the build phase.
+    let sealed = serial_telemetry
+        .counter("trial.package_build.sealed_bytes")
+        .unwrap_or(0);
+    assert!(sealed > 0, "package build seals AEAD bytes");
+    assert_eq!(serial_telemetry.counter("package.seal.bytes"), Some(sealed));
     assert!(
         serial_telemetry
             .counter("dht.analytic.resolves")
@@ -109,15 +163,7 @@ fn pooled_profiled_telemetry_is_thread_count_invariant() {
     );
 
     for threads in THREAD_COUNTS {
-        let (results, telemetry) = run_protocol_trials_pooled_profiled(
-            &spec,
-            trials,
-            9,
-            threads,
-            || AnalyticSubstrate::build(cfg, 0),
-            |s, seed| s.rebuild(seed),
-        )
-        .unwrap();
+        let (results, telemetry) = pooled_profiled(&spec, trials, 9, threads);
         assert_eq!(
             results.fingerprint, serial_results.fingerprint,
             "{threads} threads: fingerprint"
@@ -149,20 +195,21 @@ fn allocating_profiled_telemetry_matches_across_schemes_and_threads() {
             emerging_period: SimDuration::from_ticks(6_000),
             attack: AttackMode::Drop,
         };
-        let cfg = world(0.25);
-        let (serial_results, serial_telemetry) =
-            run_protocol_trials_profiled(&spec, 10, 17, 1, |s| AnalyticSubstrate::build(cfg, s))
-                .unwrap();
+        let allocating_profiled = |threads| {
+            profiled_run(10, threads, |first, count| {
+                run_protocol_trial_range(&spec, first, count, 17, |s| {
+                    AnalyticSubstrate::build(world(0.25), s)
+                })
+            })
+        };
+        let (serial_results, serial_telemetry) = allocating_profiled(1);
         assert_eq!(
             serial_telemetry.counter("trial.execute.calls"),
             Some(10),
             "{kind}: execute span per trial"
         );
         for threads in THREAD_COUNTS {
-            let (results, telemetry) = run_protocol_trials_profiled(&spec, 10, 17, threads, |s| {
-                AnalyticSubstrate::build(cfg, s)
-            })
-            .unwrap();
+            let (results, telemetry) = allocating_profiled(threads);
             assert_eq!(results.fingerprint, serial_results.fingerprint);
             assert_telemetry_identical(
                 &format!("{kind}/{threads} threads"),
@@ -175,22 +222,13 @@ fn allocating_profiled_telemetry_matches_across_schemes_and_threads() {
 
 #[test]
 fn bonded_profiled_telemetry_is_thread_count_invariant() {
-    use self_emerging_data::contract::release::BondedSpec;
-    use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
-
     let spec = BondedSpec::new(6, 4, SimDuration::from_ticks(1_000));
-    let factory = |s| {
-        ContractSubstrate::build(
-            ContractConfig::over(OverlayConfig {
-                n_nodes: 100,
-                malicious_fraction: 0.4,
-                ..OverlayConfig::default()
-            }),
-            s,
-        )
+    let bonded_profiled = |threads| {
+        profiled_run(11, threads, |first, count| {
+            run_bonded_trial_range(&spec, first, count, 3, |s| contract(100, 0.4, s))
+        })
     };
-    let (serial_results, serial_telemetry) =
-        run_bonded_trials_profiled(&spec, 11, 3, 1, factory).unwrap();
+    let (serial_results, serial_telemetry) = bonded_profiled(1);
     assert_eq!(
         serial_telemetry.counter("trial.bonded_release.calls"),
         Some(11)
@@ -199,13 +237,53 @@ fn bonded_profiled_telemetry_is_thread_count_invariant() {
     assert_eq!(serial_telemetry.counter("contract.open"), Some(11));
     assert_eq!(serial_telemetry.counter("contract.commit"), Some(11 * 6));
     for threads in THREAD_COUNTS {
-        let (results, telemetry) =
-            run_bonded_trials_profiled(&spec, 11, 3, threads, factory).unwrap();
+        let (results, telemetry) = bonded_profiled(threads);
         assert_eq!(results.fingerprint, serial_results.fingerprint);
         assert_telemetry_identical(
             &format!("bonded/{threads} threads"),
             &serial_telemetry,
             &telemetry,
+        );
+    }
+}
+
+#[test]
+fn degraded_success_counter_matches_the_degraded_rate_on_both_engines() {
+    // Every release despite an injected disruption must land on the
+    // `faults.degraded_success` counter, whichever engine ran the trial,
+    // and the counter must merge across shards like the rate does.
+    const COUNTER: &str = "faults.degraded_success";
+    let storm = Scenario::CrashStorm.plan(200_000, 7_000, 7);
+    let bonded_spec = BondedSpec::new(6, 4, SimDuration::from_ticks(1_000));
+    for threads in [1usize, 2] {
+        let (protocol, telemetry) = profiled_run(40, threads, |first, count| {
+            run_faulted_trial_range(
+                &share_spec(),
+                &storm,
+                RecoveryPolicy::default(),
+                first,
+                count,
+                5,
+                |s| AnalyticSubstrate::build(world(0.3), s),
+            )
+        });
+        assert!(protocol.degraded.successes() > 0, "the storm must degrade");
+        assert_eq!(
+            telemetry.counter(COUNTER),
+            Some(protocol.degraded.successes()),
+            "protocol engine, {threads} threads"
+        );
+
+        let (bonded, telemetry) = profiled_run(40, threads, |first, count| {
+            run_bonded_trial_range_faulted(&bonded_spec, &storm, first, count, 31, |s| {
+                contract(80, 0.0, s)
+            })
+        });
+        assert!(bonded.degraded.successes() > 0, "the crashes must degrade");
+        assert_eq!(
+            telemetry.counter(COUNTER),
+            Some(bonded.degraded.successes()),
+            "bonded engine, {threads} threads"
         );
     }
 }
@@ -221,18 +299,9 @@ proptest! {
         trials in 1usize..16,
     ) {
         let spec = share_spec();
-        let cfg = world(0.3);
-        let (serial_results, serial_telemetry) = run_protocol_trials_pooled_profiled(
-            &spec, trials, seed, 1,
-            || AnalyticSubstrate::build(cfg, 0),
-            |s, w| s.rebuild(w),
-        ).unwrap();
+        let (serial_results, serial_telemetry) = pooled_profiled(&spec, trials, seed, 1);
         for threads in THREAD_COUNTS {
-            let (results, telemetry) = run_protocol_trials_pooled_profiled(
-                &spec, trials, seed, threads,
-                || AnalyticSubstrate::build(cfg, 0),
-                |s, w| s.rebuild(w),
-            ).unwrap();
+            let (results, telemetry) = pooled_profiled(&spec, trials, seed, threads);
             prop_assert_eq!(results.fingerprint, serial_results.fingerprint);
             prop_assert_eq!(&telemetry.counters, &serial_telemetry.counters);
             prop_assert_eq!(metrics_digest(&telemetry), metrics_digest(&serial_telemetry));

@@ -1,27 +1,29 @@
 //! The sharded Monte-Carlo engine's core guarantee: partitioning a trial
-//! batch into contiguous ranges — sequentially via
-//! `run_protocol_trials_sharded` or over OS threads via the
-//! `emerge-bench` driver — produces a `ProtocolMcResults` identical to
-//! the serial run, fingerprint included, for every scheme, substrate and
-//! shard count. Sharding and threading change wall-clock time only.
+//! batch into contiguous ranges and running them on worker threads
+//! through the one driver, `emerge_sim::shard::run_sharded`, produces a
+//! `ProtocolMcResults` identical to the serial run, fingerprint included,
+//! for every scheme, substrate and thread count — under injected faults
+//! too. Sharding and threading change wall-clock time only.
 //!
 //! This is what licenses recording multi-threaded numbers in
 //! `BENCH_montecarlo.json` against single-threaded baselines, and it is
 //! the invariant CI's `EMERGE_MC_THREADS` matrix guards.
 
-use emerge_bench::mc::{run_protocol_trials_parallel, run_protocol_trials_threaded};
 use emerge_bench::parallel::mc_threads;
 use proptest::prelude::*;
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
-use self_emerging_data::core::faults::{run_faulted_trials, run_faulted_trials_sharded};
+use self_emerging_data::core::faults::{
+    run_faulted_trial_range, run_faulted_trials, FaultyMcResults,
+};
 use self_emerging_data::core::montecarlo::{
-    run_protocol_trials, run_protocol_trials_sharded, ProtocolMcResults, ProtocolTrialSpec,
+    run_protocol_trial_range, run_protocol_trials, ProtocolMcResults, ProtocolTrialSpec,
 };
 use self_emerging_data::core::protocol::AttackMode;
 use self_emerging_data::core::substrate::{
-    AnalyticSubstrate, ContractConfig, ContractSubstrate, OverlayConfig,
+    AnalyticSubstrate, ContractConfig, ContractSubstrate, HolderSubstrate, OverlayConfig,
 };
 use self_emerging_data::faults::{FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
+use self_emerging_data::sim::shard::run_sharded;
 use self_emerging_data::sim::time::{SimDuration, SimTime};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -59,6 +61,43 @@ fn world(n: usize, p: f64) -> OverlayConfig {
 
 fn contract(cfg: OverlayConfig, seed: u64) -> ContractSubstrate {
     ContractSubstrate::build(ContractConfig::over(cfg), seed)
+}
+
+/// `trials` of `spec` through the one driver on `threads` workers.
+fn run_threaded<S: HolderSubstrate>(
+    spec: &ProtocolTrialSpec,
+    trials: usize,
+    seed: u64,
+    threads: usize,
+    factory: impl Fn(u64) -> S + Sync,
+) -> ProtocolMcResults {
+    run_sharded(trials, threads, |first, count| {
+        run_protocol_trial_range(spec, first, count, seed, &factory)
+    })
+    .unwrap()
+}
+
+/// Faulted form of [`run_threaded`] on the analytic substrate.
+fn run_faulted_threaded(
+    spec: &ProtocolTrialSpec,
+    plan: &FaultPlan,
+    trials: usize,
+    seed: u64,
+    threads: usize,
+    cfg: OverlayConfig,
+) -> FaultyMcResults {
+    run_sharded(trials, threads, |first, count| {
+        run_faulted_trial_range(
+            spec,
+            plan,
+            RecoveryPolicy::default(),
+            first,
+            count,
+            seed,
+            |s| AnalyticSubstrate::build(cfg, s),
+        )
+    })
+    .unwrap()
 }
 
 /// Exact equality on the fingerprint and every counter-valued field; the
@@ -110,48 +149,23 @@ fn sharded_matches_serial_for_all_schemes_on_both_substrates() {
             "{kind}: substrate parity of the serial baseline"
         );
 
-        for shards in SHARD_COUNTS {
-            let fast = run_protocol_trials_sharded(&spec, 12, 9, shards, |s| {
-                AnalyticSubstrate::build(cfg, s)
-            })
-            .unwrap();
+        // The deployment thread count (EMERGE_MC_THREADS or the
+        // available parallelism) must agree too, whatever it is.
+        for threads in SHARD_COUNTS.into_iter().chain([mc_threads()]) {
+            let fast = run_threaded(&spec, 12, 9, threads, |s| AnalyticSubstrate::build(cfg, s));
             assert_identical(
-                &format!("{kind}/analytic/{shards} shards"),
+                &format!("{kind}/analytic/{threads} threads"),
                 &serial_fast,
                 &fast,
             );
 
-            let chained =
-                run_protocol_trials_sharded(&spec, 12, 9, shards, |s| contract(cfg, s)).unwrap();
+            let chained = run_threaded(&spec, 12, 9, threads, |s| contract(cfg, s));
             assert_identical(
-                &format!("{kind}/contract/{shards} shards"),
+                &format!("{kind}/contract/{threads} threads"),
                 &serial_chained,
                 &chained,
             );
         }
-    }
-}
-
-#[test]
-fn threaded_driver_matches_serial_for_all_schemes() {
-    for kind in SchemeKind::ALL {
-        let spec = spec_for(kind, AttackMode::Drop);
-        let cfg = world(150, 0.25);
-        let serial =
-            run_protocol_trials(&spec, 10, 17, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
-        for threads in SHARD_COUNTS {
-            let threaded = run_protocol_trials_threaded(&spec, 10, 17, threads, |s| {
-                AnalyticSubstrate::build(cfg, s)
-            })
-            .unwrap();
-            assert_identical(&format!("{kind}/{threads} threads"), &serial, &threaded);
-        }
-        // The env-driven entry point (EMERGE_MC_THREADS or available
-        // parallelism) must agree too, whatever the environment says.
-        let auto =
-            run_protocol_trials_parallel(&spec, 10, 17, |s| AnalyticSubstrate::build(cfg, s))
-                .unwrap();
-        assert_identical(&format!("{kind}/auto ({})", mc_threads()), &serial, &auto);
     }
 }
 
@@ -198,19 +212,16 @@ fn faulted_sharded_matches_serial_on_both_substrates() {
             serial.fault_fingerprint, chained.fault_fingerprint,
             "{kind}: the fault schedule is substrate-independent"
         );
-        for shards in SHARD_COUNTS {
-            let sharded = run_faulted_trials_sharded(&spec, &plan, policy, 12, 9, shards, |s| {
-                AnalyticSubstrate::build(cfg, s)
-            })
-            .unwrap();
+        for threads in SHARD_COUNTS {
+            let sharded = run_faulted_threaded(&spec, &plan, 12, 9, threads, cfg);
             assert_identical(
-                &format!("{kind}/faulted/{shards} shards"),
+                &format!("{kind}/faulted/{threads} threads"),
                 &serial.base,
                 &sharded.base,
             );
             assert_eq!(
                 serial.fault_fingerprint, sharded.fault_fingerprint,
-                "{kind}/faulted/{shards} shards: fault fingerprint"
+                "{kind}/faulted/{threads} threads: fault fingerprint"
             );
             assert_eq!(serial.degraded, sharded.degraded);
             assert_eq!(serial.clean_of_faults, sharded.clean_of_faults);
@@ -229,7 +240,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Property form over seeds, trial counts, attacks and malicious
-    /// rates: sharded == serial for every scheme and shard count, on the
+    /// rates: sharded == serial for every scheme and thread count, on the
     /// fast substrate.
     #[test]
     fn sharded_equals_serial_property(
@@ -246,13 +257,12 @@ proptest! {
                 AnalyticSubstrate::build(cfg, s)
             })
             .unwrap();
-            for shards in SHARD_COUNTS {
-                let sharded = run_protocol_trials_sharded(&spec, trials, seed, shards, |s| {
+            for threads in SHARD_COUNTS {
+                let sharded = run_threaded(&spec, trials, seed, threads, |s| {
                     AnalyticSubstrate::build(cfg, s)
-                })
-                .unwrap();
+                });
                 prop_assert_eq!(serial.fingerprint, sharded.fingerprint,
-                    "{} with {} shards, {} trials", kind, shards, trials);
+                    "{} with {} threads, {} trials", kind, threads, trials);
                 prop_assert_eq!(serial.released, sharded.released);
                 prop_assert_eq!(serial.clean, sharded.clean);
                 prop_assert_eq!(serial.reconstructed_early, sharded.reconstructed_early);
@@ -277,14 +287,10 @@ proptest! {
             AnalyticSubstrate::build(cfg, s)
         })
         .unwrap();
-        for shards in SHARD_COUNTS {
-            let sharded = run_faulted_trials_sharded(
-                &spec, &plan, policy, trials, mc_seed, shards,
-                |s| AnalyticSubstrate::build(cfg, s),
-            )
-            .unwrap();
+        for threads in SHARD_COUNTS {
+            let sharded = run_faulted_threaded(&spec, &plan, trials, mc_seed, threads, cfg);
             prop_assert_eq!(serial.base.fingerprint, sharded.base.fingerprint,
-                "plan seed {} with {} shards, {} trials", plan_seed, shards, trials);
+                "plan seed {} with {} threads, {} trials", plan_seed, threads, trials);
             prop_assert_eq!(serial.fault_fingerprint, sharded.fault_fingerprint);
             prop_assert_eq!(serial.degraded, sharded.degraded);
             prop_assert_eq!(serial.clean_of_faults, sharded.clean_of_faults);

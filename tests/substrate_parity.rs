@@ -9,9 +9,7 @@
 
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
 use self_emerging_data::core::emergence::{SelfEmergingSystem, SendRequest};
-use self_emerging_data::core::montecarlo::{
-    run_protocol_trials, run_protocol_trials_sharded, ProtocolTrialSpec,
-};
+use self_emerging_data::core::montecarlo::{run_protocol_trials, ProtocolTrialSpec};
 use self_emerging_data::core::package::{build_keyed_packages, build_share_packages, KeySchedule};
 use self_emerging_data::core::path::construct_paths;
 use self_emerging_data::core::protocol::{
@@ -185,41 +183,6 @@ fn montecarlo_fingerprints_agree_for_all_schemes() {
             fast.reconstructed_early.successes(),
             "{kind} reconstructed"
         );
-    }
-}
-
-#[test]
-fn sharded_montecarlo_preserves_cross_substrate_parity() {
-    // Sharding must compose with substrate parity: analytic shards merged
-    // together agree bit for bit with a serial contract run, so mixing
-    // sharded runs on one substrate with serial reference runs on the
-    // other stays sound.
-    for kind in SchemeKind::ALL {
-        let spec = ProtocolTrialSpec {
-            params: params_for(kind),
-            emerging_period: SimDuration::from_ticks(5_000),
-            attack: AttackMode::ReleaseAhead,
-        };
-        let config = churny_config(120, 0.35);
-        let chained_serial = run_protocol_trials(&spec, 10, 77, |s| {
-            ContractSubstrate::build(ContractConfig::over(config), s)
-        })
-        .expect("contract trials");
-        for shards in [2usize, 7] {
-            let fast_sharded = run_protocol_trials_sharded(&spec, 10, 77, shards, |s| {
-                AnalyticSubstrate::build(config, s)
-            })
-            .expect("analytic sharded trials");
-            assert_eq!(
-                chained_serial.fingerprint, fast_sharded.fingerprint,
-                "{kind} diverged with {shards} analytic shards"
-            );
-            assert_eq!(
-                chained_serial.clean.successes(),
-                fast_sharded.clean.successes(),
-                "{kind} clean with {shards} shards"
-            );
-        }
     }
 }
 
