@@ -69,19 +69,6 @@ fn bench_package_generation(c: &mut Criterion) {
     group.bench_function("share_15x5", |b| {
         b.iter(|| build_share_packages(&plan, &share, &schedule, black_box(b"secret")).unwrap());
     });
-    // Flat v2 vs the nested v1 oracle on the same plan: the before/after
-    // pair for the O(l²·n) → O(l·n) seal-volume flattening.
-    group.bench_function("share_15x5_nested_v1", |b| {
-        b.iter(|| {
-            emerge_core::package::legacy::build_share_packages_v1(
-                &plan,
-                &share,
-                &schedule,
-                black_box(b"secret"),
-            )
-            .unwrap()
-        });
-    });
 
     // Deep chain (l = 12): the shape the flat format unlocked.
     let deep = SchemeParams::Share {
@@ -93,17 +80,6 @@ fn bench_package_generation(c: &mut Criterion) {
     let plan = construct_paths(&ov, &deep, &seed).unwrap();
     group.bench_function("share_16x12_deep", |b| {
         b.iter(|| build_share_packages(&plan, &deep, &schedule, black_box(b"secret")).unwrap());
-    });
-    group.bench_function("share_16x12_deep_nested_v1", |b| {
-        b.iter(|| {
-            emerge_core::package::legacy::build_share_packages_v1(
-                &plan,
-                &deep,
-                &schedule,
-                black_box(b"secret"),
-            )
-            .unwrap()
-        });
     });
     group.finish();
 }

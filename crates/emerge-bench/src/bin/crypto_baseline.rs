@@ -4,11 +4,11 @@
 //! Measures the batched hot-path kernels the Monte-Carlo share cell leans
 //! on — slice-wise GF(256), slab Shamir split/combine, block-wise
 //! ChaCha20, AEAD seal/open at header and bundle sizes, the memoized
-//! key schedule, and the whole share-package build (flat format v2 vs
-//! the nested v1 oracle, with `share_package_seal_bytes_*` recording the
-//! AEAD seal volume per build) — each alongside its pre-refactor shape
-//! where one still exists, so the before/after ratio stays visible in
-//! the recorded numbers. Later PRs diff against the committed file the
+//! key schedule, and the whole share-package build (with
+//! `share_package_seal_bytes_v2_40x5` recording the AEAD seal volume per
+//! build) — each alongside its pre-refactor shape where one still
+//! exists, so the before/after ratio stays visible in the recorded
+//! numbers. Later PRs diff against the committed file the
 //! same way they diff `BENCH_montecarlo.json`.
 //!
 //! Environment: `EMERGE_CRYPTO_SAMPLE_MS` (default 300) sets the minimum
@@ -16,7 +16,7 @@
 
 use emerge_bench::report::{render_crypto_report, validate_json, CryptoMeasurement};
 use emerge_core::config::SchemeParams;
-use emerge_core::package::{build_share_packages, legacy, take_sealed_byte_count, KeySchedule};
+use emerge_core::package::{build_share_packages, take_sealed_byte_count, KeySchedule};
 use emerge_core::path::construct_paths;
 use emerge_crypto::chacha20::ChaCha20;
 use emerge_crypto::gf256;
@@ -158,10 +158,10 @@ fn main() {
     }
 
     // Share packaging at the Monte-Carlo cell's shape (40 rows × 5
-    // columns): total AEAD plaintext bytes sealed per build call, flat
-    // format v2 vs the nested v1 oracle. `bytes_per_iter` is the measured
-    // seal volume — the quantity the flattening reduced from O(l²·n) to
-    // O(l·n) — and the op throughput doubles as a build benchmark.
+    // columns): total AEAD plaintext bytes sealed per build call.
+    // `bytes_per_iter` is the measured seal volume — the quantity the flat
+    // format v2 reduced from O(l²·n) to O(l·n) — and the op throughput
+    // doubles as a build benchmark.
     {
         let world = AnalyticSubstrate::build(
             OverlayConfig {
@@ -197,29 +197,8 @@ fn main() {
                 );
             },
         );
-
         let _ = take_sealed_byte_count();
-        legacy::build_share_packages_v1(&plan, &params, &KeySchedule::new(sender.clone()), b"s")
-            // LINT-WAIVER(panic): packages built from the valid hardcoded plan above cannot fail
-            .expect("v1 build");
-        let v1_bytes = take_sealed_byte_count() as usize;
-        measure(
-            &mut ms,
-            "share_package_seal_bytes_v1_40x5",
-            v1_bytes,
-            || {
-                let schedule = KeySchedule::new(sender.clone());
-                std::hint::black_box(
-                    // LINT-WAIVER(panic): packages built from the valid hardcoded plan above cannot fail
-                    legacy::build_share_packages_v1(&plan, &params, &schedule, b"s").unwrap(),
-                );
-            },
-        );
-        let _ = take_sealed_byte_count();
-        eprintln!(
-            "  seal volume per build: v2 {v2_bytes} bytes vs v1 {v1_bytes} bytes ({:.2}x)",
-            v1_bytes as f64 / v2_bytes as f64
-        );
+        eprintln!("  seal volume per build: {v2_bytes} bytes");
     }
 
     // Key schedule: first-request derivation vs the memoized steady state.

@@ -39,11 +39,9 @@
 use crate::analysis;
 use crate::config::{SchemeKind, SchemeParams};
 use crate::error::EmergeError;
-use crate::package::{build_keyed_packages, build_share_packages, KeySchedule};
+use crate::montecarlo::TrialWorkspace;
 use crate::path::{construct_paths, PathPlan};
-use crate::protocol::{
-    execute_central, execute_keyed, execute_share, AttackMode, RunConfig, RunReport,
-};
+use crate::protocol::{AttackMode, RunConfig, RunReport};
 use crate::substrate::{AnalyticSubstrate, HolderSubstrate, OverlayConfig};
 use emerge_cloud::{AccessToken, BlobId, BlobStore};
 use emerge_crypto::aead;
@@ -232,39 +230,17 @@ impl<S: HolderSubstrate> SelfEmergingSystem<S> {
             emerging_period,
             attack: handle.attack,
         };
-        let schedule = KeySchedule::new(handle.sender_seed.clone());
-        let secret = secret_for(handle);
-        let report = match &handle.params {
-            SchemeParams::Central => {
-                execute_central(&mut self.substrate, &handle.plan, &secret, &config)
-            }
-            SchemeParams::Disjoint { .. } | SchemeParams::Joint { .. } => {
-                let pkgs = build_keyed_packages(&handle.plan, &handle.params, &schedule, &secret)
-                    // LINT-WAIVER(panic): the plan was validated at construction, so the package build cannot fail
-                    .expect("planned parameters build packages");
-                execute_keyed(
-                    &mut self.substrate,
-                    &handle.plan,
-                    &handle.params,
-                    &pkgs,
-                    &config,
-                )
-            }
-            SchemeParams::Share { .. } => {
-                let pkgs = build_share_packages(&handle.plan, &handle.params, &schedule, &secret)
-                    // LINT-WAIVER(panic): the plan was validated at construction, so the package build cannot fail
-                    .expect("planned parameters build packages");
-                execute_share(
-                    &mut self.substrate,
-                    &handle.plan,
-                    &handle.params,
-                    &pkgs,
-                    &config,
-                )
-            }
-        }
-        // LINT-WAIVER(panic): protocol execution over packages built in this function is infallible
-        .expect("protocol execution is infallible for valid packages");
+        let report = TrialWorkspace::new()
+            .send_along(
+                &mut self.substrate,
+                &handle.plan,
+                &handle.params,
+                handle.sender_seed.clone(),
+                &config,
+            )
+            // LINT-WAIVER(panic): the plan was built from these parameters, so packaging and execution cannot fail
+            .expect("protocol execution is infallible for planned parameters")
+            .to_report();
         handle.report = Some(report);
         self.substrate.advance_to(handle.release_time);
     }
@@ -312,16 +288,6 @@ impl<S: HolderSubstrate> SelfEmergingSystem<S> {
         let plain = aead::open(&key, &handle.nonce, &ciphertext, b"self-emerging-v1")?;
         Ok(plain)
     }
-}
-
-/// The 32-byte secret key protecting the cloud ciphertext, derived from
-/// the sender seed (so the protocol run and the receiver agree).
-fn secret_for(handle: &SendHandle) -> Vec<u8> {
-    handle
-        .sender_seed
-        .derive(b"message-secret-key")
-        .as_bytes()
-        .to_vec()
 }
 
 #[cfg(test)]

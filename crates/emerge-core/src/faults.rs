@@ -9,7 +9,7 @@
 //! bare substrate (pinned by test), so the golden fingerprints, the
 //! zero-allocation gate and the perf floor are untouched.
 //!
-//! The fault-aware Monte-Carlo runners mirror
+//! The fault-aware Monte-Carlo runner runs the same per-trial body as
 //! [`crate::montecarlo::run_protocol_trial_range`]: each trial arms the
 //! plan against its own world seed (a pure function of the global trial
 //! index), so sharded runs merge bit-identically to serial runs **under
@@ -19,8 +19,7 @@
 
 use crate::error::EmergeError;
 use crate::montecarlo::{
-    record_protocol_trial, run_protocol_trial, ProtocolMcResults, ProtocolTrialSpec,
-    SPAN_WORLD_REBUILD,
+    run_trial, ProtocolMcResults, ProtocolTrialSpec, TrialWorkspace, SPAN_WORLD_REBUILD,
 };
 use crate::substrate::HolderSubstrate;
 use emerge_dht::id::NodeId;
@@ -343,6 +342,7 @@ where
 {
     spec.params.validate()?;
     let seeds = SeedSource::new(seed);
+    let mut ws = TrialWorkspace::new();
     let mut results = FaultyMcResults::default();
     for trial_idx in first_trial..first_trial + count {
         let mut trial_rng = seeds.stream_n("protocol-trial", trial_idx as u64);
@@ -352,11 +352,16 @@ where
             substrate_factory(world_seed)
         };
         let mut substrate = FaultySubstrate::new(inner, plan.arm(world_seed), policy);
-        let run = run_protocol_trial(spec, &mut substrate, &mut trial_rng)?;
-        let stats = substrate.fault_stats();
-
-        record_protocol_trial(&mut results.base, trial_idx, &run);
-        results.record(trial_idx, run.report.released.is_some(), &stats, plan);
+        run_trial(
+            spec,
+            &mut substrate,
+            &mut trial_rng,
+            trial_idx,
+            &mut ws,
+            &mut results.base,
+        )?;
+        let released = ws.report.released_at.is_some();
+        results.record(trial_idx, released, &substrate.fault_stats(), plan);
     }
     Ok(results)
 }

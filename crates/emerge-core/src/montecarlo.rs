@@ -20,13 +20,12 @@ use crate::adversary::{CentralTrial, HolderTimeline, KeyedTrial, ShareTrial};
 use crate::config::SchemeParams;
 use crate::error::EmergeError;
 use crate::package::{
-    build_keyed_packages, build_share_packages, build_share_packages_into, KeySchedule,
-    PackageScratch, SharePackages,
+    build_keyed_packages, build_share_packages_into, KeySchedule, PackageScratch, SharePackages,
 };
-use crate::path::{construct_paths, construct_paths_into, PathPlan};
+use crate::path::{construct_paths_into, PathPlan};
 use crate::protocol::{
-    execute_central, execute_keyed, execute_share, execute_share_pooled, AttackMode,
-    PooledRunReport, RunConfig, RunReport, ShareExecScratch,
+    execute_share_pooled, run_central, run_keyed, AttackMode, PooledRunReport, RunConfig,
+    ShareExecScratch,
 };
 use crate::substrate::HolderSubstrate;
 use emerge_crypto::keys::SymmetricKey;
@@ -39,8 +38,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 /// Span over the per-trial substrate (re)build — `substrate_factory` in
-/// the allocating loop, `reseed` (e.g. `AnalyticSubstrate::rebuild`) in
-/// the pooled one.
+/// the factory loop, `reseed` (e.g. `AnalyticSubstrate::rebuild`) in the
+/// in-place one.
 pub static SPAN_WORLD_REBUILD: SpanId = SpanId::new("trial.world_rebuild");
 /// Span over holder-path construction.
 pub static SPAN_PATHS: SpanId = SpanId::new("trial.paths");
@@ -356,7 +355,9 @@ where
 }
 
 /// Runs the contiguous trial range `[first_trial, first_trial + count)`
-/// of a wire-protocol Monte-Carlo batch.
+/// of a wire-protocol Monte-Carlo batch, building a fresh substrate world
+/// per trial via `substrate_factory` (which receives the trial's world
+/// seed).
 ///
 /// Every trial draws its randomness from its own
 /// `SeedSource::stream_n("protocol-trial", trial_idx)` stream keyed by
@@ -383,6 +384,7 @@ where
 {
     spec.params.validate()?;
     let seeds = SeedSource::new(seed);
+    let mut ws = TrialWorkspace::new();
     let mut results = ProtocolMcResults::default();
     for trial_idx in first_trial..first_trial + count {
         let mut trial_rng = seeds.stream_n("protocol-trial", trial_idx as u64);
@@ -391,109 +393,24 @@ where
             let _phase = span(&SPAN_WORLD_REBUILD);
             substrate_factory(world_seed)
         };
-        let run = run_protocol_trial(spec, &mut substrate, &mut trial_rng)?;
-        record_protocol_trial(&mut results, trial_idx, &run);
+        run_trial(
+            spec,
+            &mut substrate,
+            &mut trial_rng,
+            trial_idx,
+            &mut ws,
+            &mut results,
+        )?;
     }
     Ok(results)
 }
 
-/// One completed wire-protocol trial: the path plan it ran on, the run
-/// report and the nominal release time `tr`.
-pub(crate) struct TrialRun {
-    pub(crate) plan: PathPlan,
-    pub(crate) report: RunReport,
-    pub(crate) tr: SimTime,
-}
-
-/// Runs one wire-protocol trial on an already-built substrate, drawing
-/// sender randomness from `trial_rng`. Shared verbatim by the plain trial
-/// loop and the fault-plane runner (`crate::faults`) so the two agree bit
-/// for bit whenever the fault plan is empty.
-pub(crate) fn run_protocol_trial<S: HolderSubstrate>(
-    spec: &ProtocolTrialSpec,
-    substrate: &mut S,
-    trial_rng: &mut StdRng,
-) -> Result<TrialRun, EmergeError> {
-    let sender_seed = SymmetricKey::generate(trial_rng);
-    let secret = sender_seed
-        .derive(b"message-secret-key")
-        .as_bytes()
-        .to_vec();
-
-    let plan = {
-        let _phase = span(&SPAN_PATHS);
-        construct_paths(substrate, &spec.params, &sender_seed)?
-    };
-    let config = RunConfig {
-        ts: substrate.now(),
-        emerging_period: spec.emerging_period,
-        attack: spec.attack,
-    };
-    let schedule = KeySchedule::new(sender_seed);
-    let report = match &spec.params {
-        SchemeParams::Central => {
-            let _phase = span(&SPAN_EXECUTE);
-            execute_central(substrate, &plan, &secret, &config)?
-        }
-        SchemeParams::Disjoint { .. } | SchemeParams::Joint { .. } => {
-            let pkgs = {
-                let _phase = span(&SPAN_PACKAGE_BUILD);
-                build_keyed_packages(&plan, &spec.params, &schedule, &secret)?
-            };
-            let _phase = span(&SPAN_EXECUTE);
-            execute_keyed(substrate, &plan, &spec.params, &pkgs, &config)?
-        }
-        SchemeParams::Share { .. } => {
-            let pkgs = {
-                let _phase = span(&SPAN_PACKAGE_BUILD);
-                build_share_packages(&plan, &spec.params, &schedule, &secret)?
-            };
-            let _phase = span(&SPAN_EXECUTE);
-            execute_share(substrate, &plan, &spec.params, &pkgs, &config)?
-        }
-    };
-
-    let tr = config.ts + config.emerging_period;
-    Ok(TrialRun { plan, report, tr })
-}
-
-/// Folds one completed trial into a result batch (rates, message summary
-/// and the index-keyed fingerprint contribution).
-pub(crate) fn record_protocol_trial(
-    results: &mut ProtocolMcResults,
-    trial_idx: usize,
-    run: &TrialRun,
-) {
-    results.released.record(run.report.released.is_some());
-    results.clean.record(run.report.clean_emergence(run.tr));
-    results
-        .reconstructed_early
-        .record(run.report.adversary_reconstruction.is_some());
-    results.messages.record(run.report.messages_sent as f64);
-    let report = &run.report;
-    results.fingerprint = results.fingerprint.wrapping_add(protocol_trial_digest(
-        trial_idx as u64,
-        &run.plan.slots,
-        report
-            .released
-            .as_ref()
-            .map(|(at, secret)| (*at, &secret[..])),
-        report
-            .adversary_reconstruction
-            .as_ref()
-            .map(|(at, secret)| (*at, &secret[..])),
-        report.failure.as_deref(),
-        report.messages_sent,
-    ));
-}
-
-/// Every reusable buffer one Monte-Carlo shard needs to run share-scheme
-/// wire-protocol trials without touching the allocator: the path plan,
-/// the key schedule, the package build output and scratch, the pooled
-/// executor scratch, the pooled report and the per-trial secret buffer.
-/// Build one per shard, reuse it across every trial of every cell; the
-/// first trial of each scheme shape warms the capacities and subsequent
-/// trials allocate nothing.
+/// Every reusable buffer a wire-protocol trial needs: the path plan, the
+/// key schedule, the share package build output and scratch, the share
+/// executor scratch, the run report and the per-trial secret buffer.
+/// Build one per shard and reuse it across every trial of every cell. For
+/// the share scheme, the first trial of each shape warms the capacities
+/// and subsequent trials allocate nothing.
 #[derive(Debug)]
 pub struct TrialWorkspace {
     plan: PathPlan,
@@ -501,7 +418,7 @@ pub struct TrialWorkspace {
     packages: SharePackages,
     pkg_scratch: PackageScratch,
     exec_scratch: ShareExecScratch,
-    report: PooledRunReport,
+    pub(crate) report: PooledRunReport,
     secret: Vec<u8>,
 }
 
@@ -519,6 +436,96 @@ impl TrialWorkspace {
             secret: Vec::new(),
         }
     }
+
+    /// Binds the key schedule and the message secret to `sender_seed`.
+    fn set_sender(&mut self, sender_seed: SymmetricKey) {
+        let message_key = sender_seed.derive(b"message-secret-key");
+        self.secret.clear();
+        self.secret.extend_from_slice(message_key.as_bytes());
+        self.schedule.reset(sender_seed);
+    }
+
+    /// Sends the secret of `sender_seed` along `plan` and runs it to the
+    /// release time: the one-shot form of a trial's stages, for
+    /// [`crate::emergence::SelfEmergingSystem::run_to_release`]. Opens no
+    /// trial phase spans: a send is not a Monte-Carlo trial.
+    pub(crate) fn send_along<S: HolderSubstrate + ?Sized>(
+        &mut self,
+        substrate: &mut S,
+        plan: &PathPlan,
+        params: &SchemeParams,
+        sender_seed: SymmetricKey,
+        config: &RunConfig,
+    ) -> Result<&PooledRunReport, EmergeError> {
+        self.set_sender(sender_seed);
+        self.plan.clone_from(plan);
+        self.package_and_execute(substrate, params, config, false)?;
+        Ok(&self.report)
+    }
+
+    /// The one scheme dispatch: builds `params`' packages over the plan
+    /// and executes them into the report. With `trial_phases` set, the
+    /// package build and the execution each run in their trial phase
+    /// span.
+    fn package_and_execute<S: HolderSubstrate + ?Sized>(
+        &mut self,
+        substrate: &mut S,
+        params: &SchemeParams,
+        config: &RunConfig,
+        trial_phases: bool,
+    ) -> Result<(), EmergeError> {
+        let phase = |id: &'static SpanId| trial_phases.then(|| span(id));
+        match params {
+            SchemeParams::Central => {
+                let _phase = phase(&SPAN_EXECUTE);
+                run_central(
+                    substrate,
+                    &self.plan,
+                    &self.secret,
+                    config,
+                    &mut self.report,
+                )
+            }
+            SchemeParams::Disjoint { .. } | SchemeParams::Joint { .. } => {
+                let packages = {
+                    let _phase = phase(&SPAN_PACKAGE_BUILD);
+                    build_keyed_packages(&self.plan, params, &self.schedule, &self.secret)?
+                };
+                let _phase = phase(&SPAN_EXECUTE);
+                run_keyed(
+                    substrate,
+                    &self.plan,
+                    params,
+                    &packages,
+                    config,
+                    &mut self.report,
+                )
+            }
+            SchemeParams::Share { .. } => {
+                {
+                    let _phase = phase(&SPAN_PACKAGE_BUILD);
+                    build_share_packages_into(
+                        &self.plan,
+                        params,
+                        &self.schedule,
+                        &self.secret,
+                        &mut self.packages,
+                        &mut self.pkg_scratch,
+                    )?;
+                }
+                let _phase = phase(&SPAN_EXECUTE);
+                execute_share_pooled(
+                    substrate,
+                    &self.plan,
+                    params,
+                    &self.packages,
+                    config,
+                    &mut self.exec_scratch,
+                    &mut self.report,
+                )
+            }
+        }
+    }
 }
 
 impl Default for TrialWorkspace {
@@ -527,21 +534,67 @@ impl Default for TrialWorkspace {
     }
 }
 
-/// Pooled form of [`run_protocol_trial_range`] for the share scheme: the
-/// caller supplies a substrate that is *re-seeded in place* per trial
-/// (e.g. `AnalyticSubstrate::rebuild`) and a [`TrialWorkspace`] of
-/// recycled buffers, and every trial runs through the pooled
-/// path/builder/executor pipeline. Results — including the fingerprint —
-/// are bit-identical to the allocating loop with a fresh
+/// One wire-protocol trial on an already (re)built substrate: sender seed
+/// from `trial_rng` → paths → packages → execute, recorded into
+/// `results` under `trial_idx`. The body of every trial loop, so the
+/// factory, in-place and fault-plane loops agree bit for bit on the same
+/// worlds.
+pub(crate) fn run_trial<S: HolderSubstrate + ?Sized>(
+    spec: &ProtocolTrialSpec,
+    substrate: &mut S,
+    trial_rng: &mut StdRng,
+    trial_idx: usize,
+    ws: &mut TrialWorkspace,
+    results: &mut ProtocolMcResults,
+) -> Result<(), EmergeError> {
+    let sender_seed = SymmetricKey::generate(trial_rng);
+    {
+        let _phase = span(&SPAN_PATHS);
+        construct_paths_into(&*substrate, &spec.params, &sender_seed, &mut ws.plan)?;
+    }
+    ws.set_sender(sender_seed);
+    let config = RunConfig {
+        ts: substrate.now(),
+        emerging_period: spec.emerging_period,
+        attack: spec.attack,
+    };
+    ws.package_and_execute(substrate, &spec.params, &config, true)?;
+
+    let tr = config.ts + config.emerging_period;
+    let report = &ws.report;
+    results.released.record(report.released_at.is_some());
+    results.clean.record(report.clean_emergence(tr));
+    results
+        .reconstructed_early
+        .record(report.adversary_at.is_some());
+    results.messages.record(report.messages_sent as f64);
+    results.fingerprint = results.fingerprint.wrapping_add(protocol_trial_digest(
+        trial_idx as u64,
+        &ws.plan.slots,
+        report
+            .released_at
+            .map(|at| (at, &report.released_secret[..])),
+        report
+            .adversary_at
+            .map(|at| (at, &report.adversary_secret[..])),
+        report.failure,
+        report.messages_sent,
+    ));
+    Ok(())
+}
+
+/// [`run_protocol_trial_range`] over one substrate that is *re-seeded in
+/// place* per trial (e.g. `AnalyticSubstrate::rebuild`) and a
+/// [`TrialWorkspace`] of recycled buffers. Results — including the
+/// fingerprint — are bit-identical to the factory loop with a fresh
 /// `build(config, world_seed)` substrate per trial (pinned by test and by
-/// the recorded baseline fingerprints); after the first trial of a scheme
-/// shape, a trial performs zero heap allocations.
+/// the recorded baseline fingerprints). For the share scheme, after the
+/// first trial of a shape a trial performs zero heap allocations.
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for non-share parameters
-/// (the other schemes keep the allocating loop) and propagates
-/// construction failures such as [`EmergeError::InsufficientNodes`].
+/// Propagates construction failures such as
+/// [`EmergeError::InsufficientNodes`].
 pub fn run_protocol_trial_range_pooled<S, R>(
     spec: &ProtocolTrialSpec,
     first_trial: usize,
@@ -556,11 +609,6 @@ where
     R: FnMut(&mut S, u64),
 {
     spec.params.validate()?;
-    if !matches!(spec.params, SchemeParams::Share { .. }) {
-        return Err(EmergeError::InvalidParameters(
-            "the pooled trial loop supports share parameters only".into(),
-        ));
-    }
     let seeds = SeedSource::new(seed);
     let mut results = ProtocolMcResults::default();
     for trial_idx in first_trial..first_trial + count {
@@ -570,65 +618,7 @@ where
             let _phase = span(&SPAN_WORLD_REBUILD);
             reseed(substrate, world_seed);
         }
-        let sender_seed = SymmetricKey::generate(&mut trial_rng);
-        let message_key = sender_seed.derive(b"message-secret-key");
-        ws.secret.clear();
-        ws.secret.extend_from_slice(message_key.as_bytes());
-
-        {
-            let _phase = span(&SPAN_PATHS);
-            construct_paths_into(&*substrate, &spec.params, &sender_seed, &mut ws.plan)?;
-        }
-        let config = RunConfig {
-            ts: substrate.now(),
-            emerging_period: spec.emerging_period,
-            attack: spec.attack,
-        };
-        ws.schedule.reset(sender_seed);
-        {
-            let _phase = span(&SPAN_PACKAGE_BUILD);
-            build_share_packages_into(
-                &ws.plan,
-                &spec.params,
-                &ws.schedule,
-                &ws.secret,
-                &mut ws.packages,
-                &mut ws.pkg_scratch,
-            )?;
-        }
-        {
-            let _phase = span(&SPAN_EXECUTE);
-            execute_share_pooled(
-                substrate,
-                &ws.plan,
-                &spec.params,
-                &ws.packages,
-                &config,
-                &mut ws.exec_scratch,
-                &mut ws.report,
-            )?;
-        }
-
-        let tr = config.ts + config.emerging_period;
-        results.released.record(ws.report.released_at.is_some());
-        results.clean.record(ws.report.clean_emergence(tr));
-        results
-            .reconstructed_early
-            .record(ws.report.adversary_at.is_some());
-        results.messages.record(ws.report.messages_sent as f64);
-        let report = &ws.report;
-        results.fingerprint = results.fingerprint.wrapping_add(protocol_trial_digest(
-            trial_idx as u64,
-            &ws.plan.slots,
-            report
-                .released_at
-                .map(|at| (at, &report.released_secret[..])),
-            report
-                .adversary_at
-                .map(|at| (at, &report.adversary_secret[..])),
-            report.failure,
-            report.messages_sent,
-        ));
+        run_trial(spec, substrate, &mut trial_rng, trial_idx, ws, &mut results)?;
     }
     Ok(results)
 }
@@ -637,13 +627,10 @@ pub use emerge_sim::shard::shard_ranges;
 
 /// Digest of one wire-protocol trial, keyed by its global trial index:
 /// FNV-1a ([`TrialDigest`]) over the index, the plan's holder slots and
-/// the report fields the allocating [`RunReport`] and the pooled
-/// [`PooledRunReport`] share — the legitimate release and the adversary's
+/// the report — the legitimate release and the adversary's
 /// reconstruction (instant and bytes), the failure reason and the message
-/// count. Both trial loops digest through it, so pooled and allocating
-/// runs of the same trials share one fingerprint. Keying by the trial
-/// index makes the digest sensitive to *which* trial produced an outcome
-/// even though the combination is commutative.
+/// count. Keying by the trial index makes the digest sensitive to *which*
+/// trial produced an outcome even though the combination is commutative.
 fn protocol_trial_digest(
     trial_idx: u64,
     slots: &[usize],
@@ -811,12 +798,34 @@ mod tests {
         assert!((a.messages.variance() - b.messages.variance()).abs() < 1e-6);
     }
 
+    /// The reference side of the reuse tests: every trial on a freshly
+    /// built world *and* a fresh workspace (each one-trial range call
+    /// creates its own), so no buffer state crosses a trial boundary.
+    fn fresh_per_trial(
+        spec: &ProtocolTrialSpec,
+        trials: usize,
+        seed: u64,
+        cfg: OverlayConfig,
+    ) -> ProtocolMcResults {
+        let mut results = ProtocolMcResults::default();
+        for trial in 0..trials {
+            let one = run_protocol_trial_range(spec, trial, 1, seed, |s| {
+                AnalyticSubstrate::build(cfg, s)
+            })
+            .unwrap();
+            results.merge(&one);
+        }
+        results
+    }
+
     #[test]
     fn pooled_trial_loop_matches_allocating_loop() {
         // One workspace and one rebuilt substrate reused across every
         // shape, attack and trial — the exact steady-state reuse pattern
-        // of a bench shard — must reproduce the allocating loop's results
-        // (fingerprint included) bit for bit.
+        // of a bench shard — must reproduce trials run on a fresh world
+        // and a fresh workspace each, bit for bit (fingerprint included).
+        // So must the factory loop, which carries one workspace across
+        // its range.
         let mut ws = TrialWorkspace::new();
         for (params, attack) in [
             (
@@ -857,9 +866,11 @@ mod tests {
                 },
             ] {
                 let spec = protocol_spec(params.clone(), attack);
-                let serial =
+                let serial = fresh_per_trial(&spec, 10, 5, cfg);
+                let factory =
                     run_protocol_trials(&spec, 10, 5, |s| AnalyticSubstrate::build(cfg, s))
                         .unwrap();
+                assert_results_identical(&serial, &factory);
                 let mut substrate = AnalyticSubstrate::build(cfg, 0);
                 let pooled = run_protocol_trial_range_pooled(
                     &spec,
@@ -904,8 +915,8 @@ mod tests {
     fn workspace_reuse_across_100_trials_matches_fresh_runs() {
         // One workspace and one in-place-rebuilt substrate carried across
         // 100 trials (run as several ranges, like a long-lived bench
-        // shard) must be indistinguishable from 100 fresh allocating
-        // runs.
+        // shard) must be indistinguishable from 100 trials that each get
+        // a freshly built world and a fresh workspace.
         let spec = protocol_spec(
             SchemeParams::Share {
                 k: 2,
@@ -921,8 +932,7 @@ mod tests {
             mean_lifetime: Some(40_000),
             horizon: 200_000,
         };
-        let fresh =
-            run_protocol_trials(&spec, 100, 0xB45E, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
+        let fresh = fresh_per_trial(&spec, 100, 0xB45E, cfg);
         let mut substrate = AnalyticSubstrate::build(cfg, 0);
         let mut ws = TrialWorkspace::new();
         let mut reused = ProtocolMcResults::default();
@@ -950,9 +960,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             /// Any small share shape, attack mode and trial batch: the
-            /// pooled loop (reused workspace, rebuilt substrate) and the
-            /// allocating loop (fresh everything per trial) agree bit for
-            /// bit.
+            /// in-place loop (reused workspace, rebuilt substrate) and
+            /// trials on a fresh world and a fresh workspace each agree
+            /// bit for bit.
             #[test]
             fn pooled_loop_matches_allocating_loop_for_any_shape(
                 k in 1usize..=3,
@@ -978,10 +988,7 @@ mod tests {
                     mean_lifetime: Some(3_000),
                     horizon: 100_000,
                 };
-                let fresh = run_protocol_trials(&spec, trials, 7, |s| {
-                    AnalyticSubstrate::build(cfg, s)
-                })
-                .unwrap();
+                let fresh = fresh_per_trial(&spec, trials, 7, cfg);
                 let mut substrate = AnalyticSubstrate::build(cfg, 0);
                 let mut ws = TrialWorkspace::new();
                 let pooled = run_protocol_trial_range_pooled(
@@ -1002,20 +1009,41 @@ mod tests {
     }
 
     #[test]
-    fn pooled_trial_loop_rejects_non_share_schemes() {
-        let spec = protocol_spec(SchemeParams::Joint { k: 2, l: 3 }, AttackMode::Passive);
-        let mut substrate = AnalyticSubstrate::build(world_config(100, 0.0), 0);
-        let err = run_protocol_trial_range_pooled(
-            &spec,
-            0,
-            1,
-            1,
-            &mut substrate,
-            |s, seed| s.rebuild(seed),
-            &mut TrialWorkspace::new(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, EmergeError::InvalidParameters(_)));
+    fn in_place_loop_matches_factory_loop_for_keyed_and_central() {
+        // The in-place loop runs every scheme: one dirty workspace and one
+        // rebuilt substrate carried across central, disjoint and joint
+        // cells must reproduce trials on a fresh world and a fresh
+        // workspace each, and the factory loop, bit for bit.
+        let mut ws = TrialWorkspace::new();
+        let cfg = OverlayConfig {
+            n_nodes: 150,
+            malicious_fraction: 0.3,
+            mean_lifetime: Some(2_500),
+            horizon: 100_000,
+        };
+        for (params, attack) in [
+            (SchemeParams::Central, AttackMode::ReleaseAhead),
+            (SchemeParams::Disjoint { k: 2, l: 3 }, AttackMode::Drop),
+            (SchemeParams::Joint { k: 3, l: 4 }, AttackMode::ReleaseAhead),
+        ] {
+            let spec = protocol_spec(params, attack);
+            let fresh = fresh_per_trial(&spec, 10, 5, cfg);
+            let factory =
+                run_protocol_trials(&spec, 10, 5, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
+            assert_results_identical(&fresh, &factory);
+            let mut substrate = AnalyticSubstrate::build(cfg, 0);
+            let in_place = run_protocol_trial_range_pooled(
+                &spec,
+                0,
+                10,
+                5,
+                &mut substrate,
+                |s, seed| s.rebuild(seed),
+                &mut ws,
+            )
+            .unwrap();
+            assert_results_identical(&fresh, &in_place);
+        }
     }
 
     #[test]

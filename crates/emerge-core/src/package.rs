@@ -30,11 +30,11 @@
 //!     core-key share, and the bundle key C_j that opens segment j+1.
 //! ```
 //!
-//! The predecessor format (v1, kept as the `legacy` test/bench oracle)
-//! nested the columns: column `j`'s bundle contained the *sealed* bundle
-//! of column `j+1`, so sealing the package re-encrypted every deeper
-//! column's bytes once per enclosing column — `O(l²·n)` AEAD byte volume
-//! for an `O(l·n)` payload. Flatness fixes the volume without weakening
+//! The predecessor format (v1, since retired) nested the columns:
+//! column `j`'s bundle contained the *sealed* bundle of column `j+1`, so
+//! sealing the package re-encrypted every deeper column's bytes once per
+//! enclosing column — `O(l²·n)` AEAD byte volume for an `O(l·n)`
+//! payload. Flatness fixes the volume without weakening
 //! the scheme, because the nesting never carried the security argument:
 //! what stops a column-`j` holder from reading ahead is that segment
 //! `j+1` is sealed under `C_j`, and `C_j` only reaches the holder inside
@@ -49,10 +49,9 @@
 //!
 //! All keys derive from the sender's seed via HKDF labels, so package
 //! generation is deterministic given the seed. Decrypted header payloads,
-//! Shamir share values and key schedules are bit-identical between v1
-//! and v2 — only the sealing topology changed — which is what the
-//! cross-format oracle tests in this module and in
-//! [`crate::protocol`] pin down.
+//! Shamir share values and key schedules were bit-identical between v1
+//! and v2 — only the sealing topology changed — and the frozen-digest
+//! tests in this module and in [`crate::protocol`] keep them pinned.
 
 use crate::config::SchemeParams;
 use crate::error::EmergeError;
@@ -71,16 +70,16 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Instrumented seal hook: total AEAD plaintext bytes sealed by the
-/// share-packaging code (headers, segments, legacy nested bundles),
-/// recorded into the thread's `emerge-obs` collector. Drives the
-/// seal-volume regression test (v2 must be `Θ(l·n)`), the
+/// share-packaging code (headers and segments), recorded into the
+/// thread's `emerge-obs` collector. Drives the seal-volume regression
+/// test (the package must be `Θ(l·n)`), the
 /// `share_package_seal_bytes` measurement in `crypto_baseline`, and the
 /// per-phase `trial.package_build.sealed_bytes` attribution of
 /// `montecarlo_baseline --profile`.
 pub static SEALED_BYTES: CounterId = CounterId::new("package.seal.bytes");
 
-/// Every AEAD seal in this module (headers, segments, legacy nested
-/// bundles) reports its plaintext length here.
+/// Every AEAD seal in this module (headers and segments) reports its
+/// plaintext length here.
 fn record_sealed(plaintext_len: usize) {
     SEALED_BYTES.add(plaintext_len as u64);
 }
@@ -322,7 +321,8 @@ pub struct KeyedPackages {
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for non-keyed `params`.
+/// Returns [`EmergeError::InvalidParameters`] for non-keyed `params` or a
+/// `plan` whose shape does not match them.
 pub fn build_keyed_packages(
     plan: &PathPlan,
     params: &SchemeParams,
@@ -338,6 +338,7 @@ pub fn build_keyed_packages(
             ))
         }
     };
+    plan.check_shape(params)?;
     let (rows, cols) = (plan.rows, plan.cols);
     let column_keys: Vec<SymmetricKey> = (0..cols).map(|c| schedule.column_key(c)).collect();
 
@@ -507,39 +508,6 @@ fn encode_terminal_payload(w: &mut Writer) {
     w.put_u8(0); // no bundle key
 }
 
-/// Writes the wire form of a non-terminal header payload straight from
-/// the builder's share matrix — the hot-loop twin of
-/// [`ShareLayerPayload::encode_into`] that borrows everything instead of
-/// cloning `n` key shares per header. Byte-identical output (pinned by
-/// test).
-///
-/// `row_shares[target_row][row]` is sender-row `row`'s share of the
-/// next-column key of `target_row`.
-fn encode_payload_borrowed(
-    w: &mut Writer,
-    next_hops: &[NodeId],
-    row_shares: &[Vec<KeyShare>],
-    row: usize,
-    core_share: &KeyShare,
-    bundle_key: &SymmetricKey,
-) {
-    // LINT-WAIVER(wire): hop counts are bounded by MAX_SHARES = 255, far below u16::MAX
-    w.put_u16(next_hops.len() as u16);
-    for id in next_hops {
-        w.put_raw(id.as_bytes());
-    }
-    // LINT-WAIVER(wire): share counts are bounded by MAX_SHARES = 255, far below u16::MAX
-    w.put_u16(row_shares.len() as u16);
-    for per_target in row_shares {
-        let s = &per_target[row];
-        w.put_u8(s.index);
-        w.put_bytes(&s.data);
-    }
-    w.put_u8(1).put_u8(core_share.index);
-    w.put_bytes(&core_share.data);
-    w.put_u8(1).put_raw(bundle_key.as_bytes());
-}
-
 /// The flat share package (format v2): `l` column segments, delivered in
 /// full to every first-column holder at `ts`.
 ///
@@ -646,14 +614,9 @@ const HEADER_NONCE: [u8; 12] = *b"emerge-hdr-2";
 /// likewise single-use: each seals exactly one segment).
 const SEGMENT_NONCE: [u8; 12] = *b"emerge-seg-2";
 
-/// Seals one header under a row key.
-fn seal_header(key: &SymmetricKey, payload: &[u8]) -> Vec<u8> {
-    record_sealed(payload.len());
-    emerge_crypto::aead::seal(key, &HEADER_NONCE, payload, HEADER_AAD)
-}
-
-/// Opens a header. Public so the protocol executor and tests share one
-/// code path.
+/// Opens a header and parses its full payload — the reference parser the
+/// executor's [`open_header_into`] + [`visit_executor_payload`] path is
+/// checked against.
 ///
 /// # Errors
 ///
@@ -661,83 +624,6 @@ fn seal_header(key: &SymmetricKey, payload: &[u8]) -> Vec<u8> {
 pub fn open_header(key: &SymmetricKey, header: &[u8]) -> Result<ShareLayerPayload, CryptoError> {
     let plain = emerge_crypto::aead::open(key, &HEADER_NONCE, header, HEADER_AAD)?;
     ShareLayerPayload::from_bytes(&plain)
-}
-
-/// The subset of a header payload the protocol executor consumes.
-///
-/// The executor forwards by grid position, so the payload's next-hop
-/// list (the largest field: `n` 20-byte addresses) is validated but
-/// never materialized on this path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecutorPayload {
-    /// Shares (all with this row's index) of each next-column row key,
-    /// ordered by target row. Empty at the last column.
-    pub row_key_shares: Vec<KeyShare>,
-    /// This row's share of the next column's core key.
-    pub core_key_share: Option<KeyShare>,
-    /// The bundle key `C_j` opening the next column's segment (absent at
-    /// the last column).
-    pub bundle_key: Option<SymmetricKey>,
-}
-
-/// Opens a header for the executor: same AEAD and wire format as
-/// [`open_header`], same errors on any malformed byte, but the next-hop
-/// list is length-checked and skipped instead of copied out (pinned
-/// equal to [`open_header`]'s projection by test).
-///
-/// # Errors
-///
-/// Returns a [`CryptoError`] for a wrong key, a tampered header, or a
-/// malformed payload.
-pub fn open_header_for_executor(
-    key: &SymmetricKey,
-    header: &[u8],
-) -> Result<ExecutorPayload, CryptoError> {
-    let plain = emerge_crypto::aead::open(key, &HEADER_NONCE, header, HEADER_AAD)?;
-    let mut r = Reader::new(&plain);
-    let hop_count = r.get_u16()? as usize;
-    r.get_raw(hop_count * ID_LEN)?;
-    let share_count = r.get_u16()? as usize;
-    let mut row_key_shares = Vec::with_capacity(share_count.min(r.remaining() / 5 + 1));
-    for _ in 0..share_count {
-        let index = r.get_u8()?;
-        let data = r.get_bytes()?.to_vec();
-        row_key_shares.push(KeyShare::new(index, data));
-    }
-    let core_key_share = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let index = r.get_u8()?;
-            let data = r.get_bytes()?.to_vec();
-            Some(KeyShare::new(index, data))
-        }
-        _ => return Err(CryptoError::Malformed("bad core-share flag")),
-    };
-    let bundle_key = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let raw = r.get_raw(32)?;
-            let mut kb = [0u8; 32];
-            kb.copy_from_slice(raw);
-            Some(SymmetricKey::from_bytes(kb))
-        }
-        _ => return Err(CryptoError::Malformed("bad bundle-key flag")),
-    };
-    r.expect_end()?;
-    Ok(ExecutorPayload {
-        row_key_shares,
-        core_key_share,
-        bundle_key,
-    })
-}
-
-/// Encodes a column's header table — a segment's plaintext (and the
-/// final wire form of the unsealed column-0 segment).
-fn encode_segment(headers: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = headers.iter().map(|h| 4 + h.len()).sum();
-    let mut w = Writer::with_capacity(2 + total);
-    w.put_table(headers);
-    w.into_bytes()
 }
 
 /// Decodes a column's header table (the plaintext column-0 segment, or
@@ -755,8 +641,8 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Vec<Vec<u8>>, CryptoError> {
 
 /// A decoded header table backed by its single segment buffer: headers
 /// are spans into `blob` instead of per-header copies. This is what the
-/// protocol executor holds and forwards — decoding a 40-row segment costs
-/// two allocations, not forty-two.
+/// protocol executor holds and forwards; both buffers are recycled
+/// across columns and trials.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentHeaders {
     blob: Vec<u8>,
@@ -780,44 +666,6 @@ impl SegmentHeaders {
         let &(off, len) = self.spans.get(row)?;
         Some(&self.blob[off as usize..off as usize + len as usize])
     }
-}
-
-/// Decodes a header table into spans over its backing buffer — the same
-/// wire format as [`decode_segment`], without copying each header out.
-///
-/// # Errors
-///
-/// Returns a [`CryptoError`] on truncation or trailing bytes.
-pub fn decode_segment_headers(bytes: Vec<u8>) -> Result<SegmentHeaders, CryptoError> {
-    let spans = {
-        let mut r = Reader::new(&bytes);
-        let count = r.get_u16()? as usize;
-        let mut spans = Vec::with_capacity(count.min(r.remaining() / 4 + 1));
-        for _ in 0..count {
-            let len = r.get_u32()?;
-            // LINT-WAIVER(wire): the reader position is bounded by the u32-framed package length
-            let start = r.position() as u32;
-            r.get_raw(len as usize)?;
-            spans.push((start, len));
-        }
-        r.expect_end()?;
-        spans
-    };
-    Ok(SegmentHeaders { blob: bytes, spans })
-}
-
-/// Opens a sealed column segment into a span-backed header table (the
-/// protocol executor's path; see [`open_segment`] for the copying form).
-///
-/// # Errors
-///
-/// Identical to [`open_segment`].
-pub fn open_segment_headers(
-    key: &SymmetricKey,
-    sealed: &[u8],
-) -> Result<SegmentHeaders, CryptoError> {
-    let plain = emerge_crypto::aead::open(key, &SEGMENT_NONCE, sealed, SEGMENT_AAD)?;
-    decode_segment_headers(plain)
 }
 
 /// Parses the outer segment table of a serialized [`SharePackage`] into
@@ -871,11 +719,12 @@ fn parse_header_spans(blob: &[u8], spans: &mut Vec<(u32, u32)>) -> Result<(), Cr
 }
 
 /// Decodes a plaintext header table into a reusable [`SegmentHeaders`],
-/// recycling both its blob and span buffers.
+/// recycling both its blob and span buffers — the same wire format as
+/// [`decode_segment`], without copying each header out.
 ///
 /// # Errors
 ///
-/// Identical to [`decode_segment_headers`].
+/// Returns a [`CryptoError`] on truncation or trailing bytes.
 pub fn decode_segment_headers_into(
     bytes: &[u8],
     out: &mut SegmentHeaders,
@@ -886,12 +735,12 @@ pub fn decode_segment_headers_into(
 }
 
 /// Opens a sealed column segment into a reusable [`SegmentHeaders`] —
-/// the allocation-free counterpart of [`open_segment_headers`].
+/// the allocation-free counterpart of [`open_segment`].
 ///
 /// # Errors
 ///
-/// Identical to [`open_segment_headers`]. On error `out` is left with an
-/// empty span table.
+/// Identical to [`open_segment`]. On error `out` is left with an empty
+/// span table.
 pub fn open_segment_headers_into(
     key: &SymmetricKey,
     sealed: &[u8],
@@ -904,9 +753,9 @@ pub fn open_segment_headers_into(
     parse_header_spans(&out.blob, &mut out.spans)
 }
 
-/// Opens a sealed header into a reusable plaintext buffer (the pooled
-/// counterpart of the decrypt step inside [`open_header_for_executor`]);
-/// parse the result with [`visit_executor_payload`].
+/// Opens a sealed header into a reusable plaintext buffer (the decrypt
+/// step of [`open_header`]); parse the result with
+/// [`visit_executor_payload`].
 ///
 /// # Errors
 ///
@@ -928,12 +777,14 @@ pub type ExecutorPayloadTail<'a> = (Option<(u8, &'a [u8])>, Option<SymmetricKey>
 /// Walks an opened executor payload without copying: `on_share` is called
 /// once per next-column row-key share, in target-row order, with
 /// `(target_row, share_index, share_bytes)`. Returns the core-key share
-/// and the bundle key, mirroring [`open_header_for_executor`]'s
-/// projection field for field.
+/// and the bundle key. The next-hop list is length-checked and skipped:
+/// the executor forwards by grid position. Pinned equal to the matching
+/// fields of [`ShareLayerPayload::from_bytes`] by test.
 ///
 /// # Errors
 ///
-/// Identical to the parse step of [`open_header_for_executor`].
+/// Returns a [`CryptoError`] on a malformed payload, exactly where
+/// [`ShareLayerPayload::from_bytes`] does.
 pub fn visit_executor_payload<'a>(
     plain: &'a [u8],
     mut on_share: impl FnMut(usize, u8, &'a [u8]),
@@ -970,13 +821,6 @@ pub fn visit_executor_payload<'a>(
     Ok((core_key_share, bundle_key))
 }
 
-/// Seals a column's header table under its bundle key.
-fn seal_segment(key: &SymmetricKey, headers: &[Vec<u8>]) -> Vec<u8> {
-    let plain = encode_segment(headers);
-    record_sealed(plain.len());
-    emerge_crypto::aead::seal(key, &SEGMENT_NONCE, &plain, SEGMENT_AAD)
-}
-
 /// Opens a sealed column segment into its header table.
 ///
 /// # Errors
@@ -989,149 +833,34 @@ pub fn open_segment(key: &SymmetricKey, sealed: &[u8]) -> Result<Vec<Vec<u8>>, C
 }
 
 /// Builds the share-scheme packages per Section III-D, in the flat
-/// format v2.
-///
-/// The secret travels in a core onion sealed with per-column core keys;
-/// routing metadata and the just-in-time key shares travel in the flat
-/// [`SharePackage`] segment table, one independently sealed segment per
-/// column, each segment holding that column's row-key-sealed headers.
-/// Both the core keys and the row keys of column `j ≥ 1` are
-/// `(m_j, n)`-shared and delivered one hop ahead of use.
-///
-/// Total AEAD seal volume is `Θ(l·n)` — each column's bytes are sealed
-/// exactly once — versus the nested v1 format's `O(l²·n)`
-/// (see `legacy::build_share_packages_v1`, the retained oracle).
-/// Decrypted header payloads, share values and the key schedule are
-/// bit-identical to v1's.
+/// format v2: fresh output and scratch buffers filled by
+/// [`build_share_packages_into`].
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for non-share `params` or
-/// `n` beyond GF(256) sharing, and propagates [`EmergeError::Crypto`]
-/// from the Shamir layer.
+/// Identical to [`build_share_packages_into`].
 pub fn build_share_packages(
     plan: &PathPlan,
     params: &SchemeParams,
     schedule: &KeySchedule,
     secret: &[u8],
 ) -> Result<SharePackages, EmergeError> {
-    let (_k, l, n, m) = match params {
-        SchemeParams::Share { k, l, n, m } => (*k, *l, *n, m),
-        _ => {
-            return Err(EmergeError::InvalidParameters(
-                "share packages require the share scheme".into(),
-            ))
-        }
-    };
-    if n > shamir::MAX_SHARES {
-        return Err(EmergeError::InvalidParameters(format!(
-            "wire-level GF(256) sharing supports at most {} rows, got {n} \
-             (the analysis/Monte-Carlo engines have no such limit)",
-            shamir::MAX_SHARES
-        )));
-    }
-    debug_assert_eq!(plan.rows, n);
-    debug_assert_eq!(plan.cols, l);
-
-    let mut rng = schedule.shamir_rng();
-
-    // Shares of every column's keys (columns 1..l): row_key_shares[col-1]
-    // holds, for each target row r', the n shares of K_{r',col}; and
-    // core_key_shares[col-1] the n shares of the core key of `col`.
-    let mut row_key_shares: Vec<Vec<Vec<KeyShare>>> = Vec::with_capacity(l - 1);
-    let mut core_key_shares: Vec<Vec<KeyShare>> = Vec::with_capacity(l - 1);
-    for col in 1..l {
-        let threshold = m[col - 1];
-        // One slab split per column: all `n` row keys at once. Identical
-        // shares and RNG stream to per-key splits (`split_many`'s pinned
-        // contract), but the GF(256) kernels run over kilobyte slabs
-        // instead of 32-byte keys.
-        let keys: Vec<SymmetricKey> = (0..n).map(|r| schedule.row_key(r, col)).collect();
-        let views: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes().as_slice()).collect();
-        row_key_shares.push(shamir::split_many(&views, threshold, n, &mut rng)?);
-        let core = schedule.core_key(col);
-        core_key_shares.push(shamir::split(core.as_bytes(), threshold, n, &mut rng)?);
-    }
-
-    // Build the flat segment table, one independently sealed segment per
-    // column. Forward order (the nesting that forced innermost-first
-    // construction is gone); no serialized column is ever re-sealed.
-    //
-    // One scratch buffer serves every header payload serialization,
-    // pre-sized to the non-terminal payload length: n next-hop IDs, n
-    // 32-byte row-key shares, one core share, one bundle key. Payloads
-    // are written straight from the share matrix (no per-header
-    // `ShareLayerPayload` with its `n` cloned shares); the borrowed
-    // encoder is pinned byte-identical to the struct encoder by test.
-    let mut scratch = Writer::with_capacity(2 + n * ID_LEN + 2 + n * 37 + 38 + 33);
-    let mut segments = Vec::with_capacity(l);
-    for col in 0..l {
-        let last = col + 1 == l;
-        // Hoisted out of the row loop: one cache lookup per column
-        // instead of one per header, and one next-hop list per column
-        // instead of one per row.
-        let bundle_key = (!last).then(|| schedule.bundle_key(col));
-        let next_hops: Vec<NodeId> = if last {
-            Vec::new()
-        } else {
-            (0..n).map(|r| plan.targets[r * l + col + 1]).collect()
-        };
-        let mut headers = Vec::with_capacity(n);
-        if let Some(bk) = &bundle_key {
-            for (row, core_share) in core_key_shares[col].iter().enumerate() {
-                scratch.clear();
-                encode_payload_borrowed(
-                    &mut scratch,
-                    &next_hops,
-                    &row_key_shares[col],
-                    row,
-                    core_share,
-                    bk,
-                );
-                headers.push(seal_header(&schedule.row_key(row, col), scratch.as_slice()));
-            }
-        } else {
-            for row in 0..n {
-                scratch.clear();
-                encode_terminal_payload(&mut scratch);
-                headers.push(seal_header(&schedule.row_key(row, col), scratch.as_slice()));
-            }
-        }
-        if col == 0 {
-            // Column 0 travels unsealed: its row keys are delivered
-            // directly at `ts`.
-            segments.push(encode_segment(&headers));
-        } else {
-            // Sealed once, under the key the previous column's headers
-            // release one hop ahead.
-            segments.push(seal_segment(&schedule.bundle_key(col - 1), &headers));
-        }
-    }
-    let package = SharePackage { segments };
-
-    // Core onion: sealed with the per-column core keys; payloads empty.
-    let core_keys: Vec<SymmetricKey> = (0..l).map(|c| schedule.core_key(c)).collect();
-    let empty: Vec<Vec<u8>> = vec![Vec::new(); l];
-    let core_layers: Vec<(&SymmetricKey, &[u8])> = core_keys
-        .iter()
-        .zip(empty.iter())
-        .map(|(k, p)| (k, p.as_slice()))
-        .collect();
-    let core_onion = build_onion(&core_layers, secret);
-
-    Ok(SharePackages {
-        package: package.to_bytes(),
-        core_onion,
-        col0_row_keys: (0..n).map(|r| schedule.row_key(r, 0)).collect(),
-        col0_core_key: schedule.core_key(0),
-    })
+    let mut out = SharePackages::default();
+    build_share_packages_into(
+        plan,
+        params,
+        schedule,
+        secret,
+        &mut out,
+        &mut PackageScratch::new(),
+    )?;
+    Ok(out)
 }
 
 /// Writes the wire form of a non-terminal header payload straight from a
-/// share slab — the pooled twin of [`encode_payload_borrowed`]. Share
-/// `row` of every split carries index `row + 1`, so the encoded bytes
-/// are identical to the `Vec<KeyShare>` path (pinned by the pooled
-/// builder equivalence test).
+/// share slab, without materializing a [`ShareLayerPayload`]. Share `row`
+/// of every split carries index `row + 1`. Byte-identical to the struct
+/// encoder (pinned by test).
 fn encode_payload_slab(
     w: &mut Writer,
     next_hops: &[NodeId],
@@ -1191,15 +920,23 @@ impl PackageScratch {
     }
 }
 
-/// [`build_share_packages`] into caller-owned output and scratch
-/// buffers: byte-identical packages (same key schedule, same Shamir RNG
-/// stream, same seals — pinned by test), but a warm call allocates
-/// nothing. This is the Monte-Carlo trial loop's builder; the allocating
-/// form remains the public one-shot API and the equivalence oracle.
+/// Builds the share-scheme packages per Section III-D into caller-owned
+/// output and scratch buffers; a warm call allocates nothing.
+///
+/// The secret travels in a core onion sealed with per-column core keys;
+/// routing metadata and the just-in-time key shares travel in the flat
+/// [`SharePackage`] segment table, one independently sealed segment per
+/// column, each segment holding that column's row-key-sealed headers.
+/// Both the core keys and the row keys of column `j ≥ 1` are
+/// `(m_j, n)`-shared and delivered one hop ahead of use. Total AEAD seal
+/// volume is `Θ(l·n)`: each column's bytes are sealed exactly once.
 ///
 /// # Errors
 ///
-/// Identical to [`build_share_packages`].
+/// Returns [`EmergeError::InvalidParameters`] for non-share `params`, a
+/// `plan` whose shape does not match them, or `n` beyond GF(256)
+/// sharing, and propagates [`EmergeError::Crypto`] from the Shamir
+/// layer.
 pub fn build_share_packages_into(
     plan: &PathPlan,
     params: &SchemeParams,
@@ -1224,8 +961,7 @@ pub fn build_share_packages_into(
             shamir::MAX_SHARES
         )));
     }
-    debug_assert_eq!(plan.rows, n);
-    debug_assert_eq!(plan.cols, l);
+    plan.check_shape(params)?;
 
     let mut rng = schedule.shamir_rng();
 
@@ -1250,8 +986,7 @@ pub fn build_share_packages_into(
 
     // Assemble the package wire form directly: version byte, u16 segment
     // count, then each column segment length-prefixed — identical to
-    // `SharePackage::to_bytes` over per-column `encode_segment` /
-    // `seal_segment` results.
+    // `SharePackage::to_bytes` over the column segments.
     out.package.clear();
     out.package.push(SHARE_FORMAT_VERSION);
     // LINT-WAIVER(wire): l was validated against MAX_SHARES = 255, far below u16::MAX
@@ -1336,263 +1071,13 @@ pub fn build_share_packages_into(
     Ok(())
 }
 
-/// The nested column-bundle format **v1**, retained verbatim as the
-/// cross-format oracle: tests and `crypto_baseline` build both formats
-/// from one [`KeySchedule`] to prove share values, key schedules and
-/// release outcomes are identical, and to measure the `O(l²·n)` seal
-/// volume the flat format eliminated.
-///
-/// Compiled only for tests and under the `legacy-v1` feature
-/// (`emerge-bench` enables it); nothing in the production protocol path
-/// references this module.
-#[cfg(any(test, feature = "legacy-v1"))]
-pub mod legacy {
-    use super::*;
-
-    /// One column's v1 bundle: per-row header ciphertexts (sealed under
-    /// the row keys `K_{r,j}`) plus the sealed inner bundle of the next
-    /// column — the recursive nesting that made v1 packaging `O(l²·n)`.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct ColumnBundle {
-        /// `headers[r]` opens with `K_{r,col}` and parses to a
-        /// [`ShareLayerPayload`].
-        pub headers: Vec<Vec<u8>>,
-        /// The sealed next-column bundle (absent at the last column).
-        pub inner: Option<Vec<u8>>,
-    }
-
-    impl ColumnBundle {
-        /// Serializes the bundle.
-        pub fn to_bytes(&self) -> Vec<u8> {
-            let mut w = Writer::new();
-            w.put_u16(self.headers.len() as u16);
-            for h in &self.headers {
-                w.put_bytes(h);
-            }
-            match &self.inner {
-                Some(e) => {
-                    w.put_u8(1).put_bytes(e);
-                }
-                None => {
-                    w.put_u8(0);
-                }
-            }
-            w.into_bytes()
-        }
-
-        /// Parses a bundle.
-        ///
-        /// # Errors
-        ///
-        /// Returns a [`CryptoError`] on malformed input.
-        pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-            let mut r = Reader::new(bytes);
-            let count = r.get_u16()? as usize;
-            let mut headers = Vec::with_capacity(count);
-            for _ in 0..count {
-                headers.push(r.get_bytes()?.to_vec());
-            }
-            let inner = match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_bytes()?.to_vec()),
-                _ => return Err(CryptoError::Malformed("bad inner-bundle flag")),
-            };
-            r.expect_end()?;
-            Ok(ColumnBundle { headers, inner })
-        }
-    }
-
-    /// v1 packages: the outermost nested bundle plus the (format-neutral)
-    /// core-onion material.
-    #[derive(Debug, Clone)]
-    pub struct SharePackagesV1 {
-        /// The outermost column bundle, delivered to every first-column
-        /// holder at `ts`.
-        pub bundle: Vec<u8>,
-        /// The core onion (identical bytes to the v2 build).
-        pub core_onion: Vec<u8>,
-        /// Column-0 row keys (identical to the v2 build).
-        pub col0_row_keys: Vec<SymmetricKey>,
-        /// Column-0 core key (identical to the v2 build).
-        pub col0_core_key: SymmetricKey,
-    }
-
-    /// v1 domain-separation label for bundle header seals.
-    const HEADER_AAD_V1: &[u8] = b"emerge-share-header-v1";
-    /// v1 domain-separation label for inner-bundle seals.
-    const BUNDLE_AAD_V1: &[u8] = b"emerge-share-bundle-v1";
-
-    /// Seals one v1 header under a row key.
-    fn seal_header_v1(key: &SymmetricKey, payload: &[u8]) -> Vec<u8> {
-        record_sealed(payload.len());
-        let nonce = key.derive_nonce(b"share-header");
-        emerge_crypto::aead::seal(key, &nonce, payload, HEADER_AAD_V1)
-    }
-
-    /// Opens a v1 header.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CryptoError`] for a wrong key or tampered header.
-    pub fn open_header_v1(
-        key: &SymmetricKey,
-        header: &[u8],
-    ) -> Result<ShareLayerPayload, CryptoError> {
-        let nonce = key.derive_nonce(b"share-header");
-        let plain = emerge_crypto::aead::open(key, &nonce, header, HEADER_AAD_V1)?;
-        ShareLayerPayload::from_bytes(&plain)
-    }
-
-    /// Seals the serialized next bundle under the bundle key.
-    fn seal_inner(key: &SymmetricKey, bundle: &[u8]) -> Vec<u8> {
-        record_sealed(bundle.len());
-        let nonce = key.derive_nonce(b"share-bundle");
-        emerge_crypto::aead::seal(key, &nonce, bundle, BUNDLE_AAD_V1)
-    }
-
-    /// Opens a sealed inner bundle.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CryptoError`] for a wrong key or tampered bundle.
-    pub fn open_inner(key: &SymmetricKey, sealed: &[u8]) -> Result<ColumnBundle, CryptoError> {
-        let nonce = key.derive_nonce(b"share-bundle");
-        let plain = emerge_crypto::aead::open(key, &nonce, sealed, BUNDLE_AAD_V1)?;
-        ColumnBundle::from_bytes(&plain)
-    }
-
-    /// Opens a sealed inner bundle and returns its *serialized* bytes,
-    /// validated to parse as a [`ColumnBundle`] (the v1 executor's
-    /// forward-verbatim path).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CryptoError`] for a wrong key, tampered bundle, or a
-    /// plaintext that does not parse as a bundle.
-    pub fn open_inner_bytes(key: &SymmetricKey, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let nonce = key.derive_nonce(b"share-bundle");
-        let plain = emerge_crypto::aead::open(key, &nonce, sealed, BUNDLE_AAD_V1)?;
-        ColumnBundle::from_bytes(&plain)?;
-        Ok(plain)
-    }
-
-    /// Builds the v1 (nested) share packages — the pre-flattening
-    /// `build_share_packages`, byte for byte, including its Shamir RNG
-    /// draw order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmergeError::InvalidParameters`] for non-share `params`
-    /// or `n` beyond GF(256) sharing, and propagates
-    /// [`EmergeError::Crypto`] from the Shamir layer.
-    pub fn build_share_packages_v1(
-        plan: &PathPlan,
-        params: &SchemeParams,
-        schedule: &KeySchedule,
-        secret: &[u8],
-    ) -> Result<SharePackagesV1, EmergeError> {
-        let (_k, l, n, m) = match params {
-            SchemeParams::Share { k, l, n, m } => (*k, *l, *n, m),
-            _ => {
-                return Err(EmergeError::InvalidParameters(
-                    "share packages require the share scheme".into(),
-                ))
-            }
-        };
-        if n > shamir::MAX_SHARES {
-            return Err(EmergeError::InvalidParameters(format!(
-                "wire-level GF(256) sharing supports at most {} rows, got {n}",
-                shamir::MAX_SHARES
-            )));
-        }
-        debug_assert_eq!(plan.rows, n);
-        debug_assert_eq!(plan.cols, l);
-
-        let mut rng = schedule.shamir_rng();
-        let mut row_key_shares: Vec<Vec<Vec<KeyShare>>> = Vec::with_capacity(l - 1);
-        let mut core_key_shares: Vec<Vec<KeyShare>> = Vec::with_capacity(l - 1);
-        for col in 1..l {
-            let threshold = m[col - 1];
-            let mut per_target = Vec::with_capacity(n);
-            for target_row in 0..n {
-                let key = schedule.row_key(target_row, col);
-                let shares = shamir::split(key.as_bytes(), threshold, n, &mut rng)?;
-                per_target.push(shares);
-            }
-            row_key_shares.push(per_target);
-            let core = schedule.core_key(col);
-            core_key_shares.push(shamir::split(core.as_bytes(), threshold, n, &mut rng)?);
-        }
-
-        // Build bundles innermost-first.
-        let mut inner_sealed: Option<Vec<u8>> = None;
-        let mut outermost: Option<ColumnBundle> = None;
-        for col in (0..l).rev() {
-            let last = col + 1 == l;
-            let bundle_key = schedule.bundle_key(col);
-            let mut headers = Vec::with_capacity(n);
-            for row in 0..n {
-                let payload = if last {
-                    ShareLayerPayload {
-                        next_hops: Vec::new(),
-                        row_key_shares: Vec::new(),
-                        core_key_share: None,
-                        bundle_key: None,
-                    }
-                } else {
-                    ShareLayerPayload {
-                        next_hops: (0..n).map(|r| plan.targets[r * l + col + 1]).collect(),
-                        row_key_shares: (0..n)
-                            .map(|target_row| row_key_shares[col][target_row][row].clone())
-                            .collect(),
-                        core_key_share: Some(core_key_shares[col][row].clone()),
-                        bundle_key: Some(bundle_key.clone()),
-                    }
-                };
-                headers.push(seal_header_v1(
-                    &schedule.row_key(row, col),
-                    &payload.to_bytes(),
-                ));
-            }
-            let bundle = ColumnBundle {
-                headers,
-                inner: inner_sealed.take(),
-            };
-            if col == 0 {
-                outermost = Some(bundle);
-            } else {
-                // Seal this bundle for transport inside the previous
-                // column — the quadratic re-encryption v2 removes.
-                let parent_key = schedule.bundle_key(col - 1);
-                inner_sealed = Some(seal_inner(&parent_key, &bundle.to_bytes()));
-            }
-        }
-        let bundle = outermost.expect("loop always produces the outermost bundle");
-
-        let core_keys: Vec<SymmetricKey> = (0..l).map(|c| schedule.core_key(c)).collect();
-        let empty: Vec<Vec<u8>> = vec![Vec::new(); l];
-        let core_layers: Vec<(&SymmetricKey, &[u8])> = core_keys
-            .iter()
-            .zip(empty.iter())
-            .map(|(k, p)| (k, p.as_slice()))
-            .collect();
-        let core_onion = build_onion(&core_layers, secret);
-
-        Ok(SharePackagesV1 {
-            bundle: bundle.to_bytes(),
-            core_onion,
-            col0_row_keys: (0..n).map(|r| schedule.row_key(r, 0)).collect(),
-            col0_core_key: schedule.core_key(0),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::path::construct_paths;
     use emerge_crypto::onion::{peel, peel_core, Peeled};
     use emerge_dht::{AnalyticSubstrate, OverlayConfig};
+    use emerge_sim::shard::TrialDigest;
     use rand::RngCore;
 
     fn overlay(n: usize) -> AnalyticSubstrate {
@@ -1740,23 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_column_bundle_roundtrip() {
-        let b = legacy::ColumnBundle {
-            headers: vec![vec![1, 2, 3], vec![], vec![9; 40]],
-            inner: Some(vec![5; 100]),
-        };
-        assert_eq!(legacy::ColumnBundle::from_bytes(&b.to_bytes()).unwrap(), b);
-        let last = legacy::ColumnBundle {
-            headers: vec![vec![0; 8]],
-            inner: None,
-        };
-        assert_eq!(
-            legacy::ColumnBundle::from_bytes(&last.to_bytes()).unwrap(),
-            last
-        );
-    }
-
-    #[test]
     fn joint_onion_peels_hop_by_hop() {
         let ov = overlay(100);
         let params = SchemeParams::Joint { k: 2, l: 3 };
@@ -1811,6 +1279,52 @@ mod tests {
         let err =
             build_keyed_packages(&plan, &SchemeParams::Central, &schedule(), b"s").unwrap_err();
         assert!(matches!(err, EmergeError::InvalidParameters(_)));
+    }
+
+    #[test]
+    fn keyed_builder_rejects_a_plan_of_another_shape() {
+        let ov = overlay(100);
+        let seed = SymmetricKey::from_bytes([4; 32]);
+        let plan = construct_paths(&ov, &SchemeParams::Joint { k: 3, l: 3 }, &seed).unwrap();
+        let err = build_keyed_packages(
+            &plan,
+            &SchemeParams::Joint { k: 2, l: 3 },
+            &schedule(),
+            b"s",
+        )
+        .unwrap_err();
+        assert!(matches!(err, EmergeError::InvalidParameters(_)));
+    }
+
+    #[test]
+    fn share_builder_rejects_a_plan_of_another_shape() {
+        let ov = overlay(100);
+        let seed = SymmetricKey::from_bytes([4; 32]);
+        let share = |n: usize, l: usize| SchemeParams::Share {
+            k: 2,
+            l,
+            n,
+            m: vec![3; l - 1],
+        };
+        let short_thresholds = SchemeParams::Share {
+            k: 2,
+            l: 3,
+            n: 5,
+            m: vec![3],
+        };
+        for (plan_shape, params) in [
+            (share(5, 3), share(5, 4)),
+            (share(5, 4), share(5, 3)),
+            (share(6, 3), share(5, 3)),
+            (share(5, 3), short_thresholds),
+        ] {
+            let plan = construct_paths(&ov, &plan_shape, &seed).unwrap();
+            let err = build_share_packages(&plan, &params, &schedule(), b"s").unwrap_err();
+            assert!(
+                matches!(err, EmergeError::InvalidParameters(_)),
+                "{plan_shape:?} plan, {params:?}"
+            );
+        }
     }
 
     #[test]
@@ -1930,11 +1444,14 @@ mod tests {
     }
 
     #[test]
-    fn pooled_builder_matches_allocating_builder_across_reuse() {
+    fn reused_package_scratch_matches_one_shot_builds_and_frozen_digest() {
         // One scratch and output set serves builds of different shapes
-        // and seeds; every build must be byte-identical to a fresh
-        // allocating build (packages, onion, delivered col-0 keys) and
-        // report the same sealed-byte volume.
+        // and seeds; every build must be byte-identical to a one-shot
+        // build (packages, onion, delivered col-0 keys) and report the
+        // same sealed-byte volume. The bytes digest to the value recorded
+        // against the retired allocating builder.
+        const FROZEN: u64 = 0xad5c_5055_c1f1_6322;
+        let mut digest = TrialDigest::new();
         let ov = overlay(120);
         let shapes = [
             (2usize, 3usize, 4usize, vec![2usize, 2]),
@@ -1973,7 +1490,52 @@ mod tests {
                 reference.col0_core_key.as_bytes()
             );
             assert_eq!(pooled_sealed, ref_sealed);
+            eat_packages(&mut digest, &reference);
+            digest.eat(&ref_sealed.to_le_bytes());
         }
+        assert_eq!(digest.finish(), FROZEN, "share packages drifted");
+    }
+
+    /// Folds every byte of `pkgs` into `d`, length-prefixed.
+    fn eat_packages(d: &mut TrialDigest, pkgs: &SharePackages) {
+        for bytes in [&pkgs.package, &pkgs.core_onion] {
+            d.eat(&(bytes.len() as u64).to_le_bytes());
+            d.eat(bytes);
+        }
+        for key in &pkgs.col0_row_keys {
+            d.eat(key.as_bytes());
+        }
+        d.eat(pkgs.col0_core_key.as_bytes());
+    }
+
+    #[test]
+    fn share_key_material_matches_frozen_digest() {
+        // Walk the package column by column with the full parsers and
+        // digest every decrypted header payload (next hops, Shamir share
+        // values, core shares, bundle keys) plus the delivered col-0
+        // material. The constant was recorded while the nested v1 format
+        // delivered the same payloads byte for byte.
+        const FROZEN: u64 = 0xd33e_d585_d487_6371;
+        let (params, plan, sched) = share_setup(5, 4);
+        let pkgs = build_share_packages(&plan, &params, &sched, b"SECRET").unwrap();
+        let package = SharePackage::from_bytes(&pkgs.package).unwrap();
+        assert_eq!(package.segments.len(), 4);
+        let mut digest = TrialDigest::new();
+        eat_packages(&mut digest, &pkgs);
+        for col in 0..4 {
+            let headers = if col == 0 {
+                decode_segment(&package.segments[0]).unwrap()
+            } else {
+                open_segment(&sched.bundle_key(col - 1), &package.segments[col]).unwrap()
+            };
+            assert_eq!(headers.len(), 5, "column {col}");
+            for (row, header) in headers.iter().enumerate() {
+                let payload = open_header(&sched.row_key(row, col), header).unwrap();
+                assert_eq!(payload.bundle_key.is_some(), col + 1 < 4);
+                digest.eat(&payload.to_bytes());
+            }
+        }
+        assert_eq!(digest.finish(), FROZEN, "delivered key material drifted");
     }
 
     #[test]
@@ -2054,6 +1616,8 @@ mod tests {
     #[test]
     fn executor_parse_is_a_projection_of_the_full_parse() {
         let key = SymmetricKey::from_bytes([0x66; 32]);
+        let seal = |plain: &[u8]| emerge_crypto::aead::seal(&key, &HEADER_NONCE, plain, HEADER_AAD);
+        let mut plain = Vec::new();
         for payload in [
             ShareLayerPayload {
                 next_hops: vec![NodeId::from_name(b"a"), NodeId::from_name(b"b")],
@@ -2068,21 +1632,37 @@ mod tests {
                 bundle_key: None,
             },
         ] {
-            let sealed = seal_header(&key, &payload.to_bytes());
+            let bytes = payload.to_bytes();
+            let sealed = seal(&bytes);
             let full = open_header(&key, &sealed).unwrap();
-            let lean = open_header_for_executor(&key, &sealed).unwrap();
-            assert_eq!(lean.row_key_shares, full.row_key_shares);
-            assert_eq!(lean.core_key_share, full.core_key_share);
-            assert_eq!(lean.bundle_key, full.bundle_key);
+            open_header_into(&key, &sealed, &mut plain).unwrap();
+            let mut shares = Vec::new();
+            let (core, bundle_key) = visit_executor_payload(&plain, |target, index, data| {
+                assert_eq!(target, shares.len(), "shares arrive in target-row order");
+                shares.push(KeyShare::new(index, data.to_vec()));
+            })
+            .unwrap();
+            assert_eq!(shares, full.row_key_shares);
+            assert_eq!(
+                core.map(|(index, data)| KeyShare::new(index, data.to_vec())),
+                full.core_key_share
+            );
+            assert_eq!(bundle_key, full.bundle_key);
+            // Every truncation is malformed to both parsers.
+            for end in 0..bytes.len() {
+                assert!(ShareLayerPayload::from_bytes(&bytes[..end]).is_err());
+                assert!(visit_executor_payload(&bytes[..end], |_, _, _| {}).is_err());
+            }
         }
         // Same failure on a tampered header.
-        let mut sealed = seal_header(&key, b"xx");
+        let mut sealed = seal(b"xx");
         sealed[0] ^= 1;
-        assert!(open_header_for_executor(&key, &sealed).is_err());
+        assert!(open_header(&key, &sealed).is_err());
+        assert!(open_header_into(&key, &sealed, &mut plain).is_err());
     }
 
     #[test]
-    fn borrowed_encoders_match_the_struct_encoder() {
+    fn payload_encoders_match_the_struct_encoder() {
         // Terminal payload.
         let empty = ShareLayerPayload {
             next_hops: Vec::new(),
@@ -2094,29 +1674,27 @@ mod tests {
         encode_terminal_payload(&mut w);
         assert_eq!(w.as_slice(), empty.to_bytes());
 
-        // Non-terminal payload, straight from a share matrix.
+        // Non-terminal payload, straight from a share slab: two 32-byte
+        // target-row keys split 2-of-3.
+        let keys: Vec<u8> = (0..64).collect();
+        let mut slab = shamir::ShareSlab::new();
+        slab.split_flat(&keys, 32, 2, 3, &mut StdRng::seed_from_u64(7))
+            .unwrap();
         let next_hops = vec![NodeId::from_name(b"h0"), NodeId::from_name(b"h1")];
-        let row_shares = vec![
-            vec![
-                KeyShare::new(1, vec![10; 32]),
-                KeyShare::new(2, vec![11; 32]),
-            ],
-            vec![
-                KeyShare::new(1, vec![20; 32]),
-                KeyShare::new(2, vec![21; 32]),
-            ],
-        ];
-        let core = KeyShare::new(2, vec![9; 32]);
+        let core = [9u8; 32];
         let bk = SymmetricKey::from_bytes([5; 32]);
-        for row in 0..2 {
+        for row in 0..3 {
+            let x = row as u8 + 1;
             let payload = ShareLayerPayload {
                 next_hops: next_hops.clone(),
-                row_key_shares: row_shares.iter().map(|t| t[row].clone()).collect(),
-                core_key_share: Some(core.clone()),
+                row_key_shares: (0..slab.count())
+                    .map(|target| KeyShare::new(x, slab.share(target, x).to_vec()))
+                    .collect(),
+                core_key_share: Some(KeyShare::new(x, core.to_vec())),
                 bundle_key: Some(bk.clone()),
             };
             let mut w = Writer::new();
-            encode_payload_borrowed(&mut w, &next_hops, &row_shares, row, &core, &bk);
+            encode_payload_slab(&mut w, &next_hops, &slab, row, &core, &bk);
             assert_eq!(w.as_slice(), payload.to_bytes(), "row {row}");
         }
     }
@@ -2146,87 +1724,23 @@ mod tests {
     }
 
     #[test]
-    fn v2_seal_volume_is_linear_in_l_where_v1_was_quadratic() {
+    fn seal_volume_is_linear_in_l() {
         // Doubling the chain depth at fixed n must no more than ~double
-        // v2's sealed bytes (Θ(l·n)), while v1's nested re-sealing grows
+        // the sealed bytes (Θ(l·n)); the retired nested v1 format grew
         // them ~quadratically (Σ_j j·segment ≈ l²/2).
         let n = 6;
-        let volume = |l: usize, v1: bool| {
+        let volume = |l: usize| {
             let (params, plan, sched) = share_setup(n, l);
             sealed_bytes_of(|| {
-                if v1 {
-                    legacy::build_share_packages_v1(&plan, &params, &sched, b"s").unwrap();
-                } else {
-                    build_share_packages(&plan, &params, &sched, b"s").unwrap();
-                }
+                build_share_packages(&plan, &params, &sched, b"s").unwrap();
             })
         };
-        let (v2_short, v2_long) = (volume(6, false), volume(12, false));
-        let (v1_short, v1_long) = (volume(6, true), volume(12, true));
-        let v2_ratio = v2_long as f64 / v2_short as f64;
-        let v1_ratio = v1_long as f64 / v1_short as f64;
+        let (short, long) = (volume(6), volume(12));
+        let ratio = long as f64 / short as f64;
         assert!(
-            v2_ratio < 2.4,
-            "v2 seal volume must grow linearly in l: {v2_short} -> {v2_long} ({v2_ratio:.2}x for 2x depth)"
+            ratio < 2.4,
+            "seal volume must grow linearly in l: {short} -> {long} ({ratio:.2}x for 2x depth)"
         );
-        assert!(
-            v1_ratio > 3.0,
-            "the v1 oracle should still exhibit the quadratic blow-up: \
-             {v1_short} -> {v1_long} ({v1_ratio:.2}x for 2x depth)"
-        );
-        assert!(
-            v1_long > 2 * v2_long,
-            "at l = 12 the flat format must seal far fewer bytes: v1 {v1_long} vs v2 {v2_long}"
-        );
-    }
-
-    #[test]
-    fn v1_and_v2_deliver_identical_key_material() {
-        // Same schedule, both formats: every decrypted header payload —
-        // next hops, Shamir share values, core shares, bundle keys — must
-        // match byte for byte. Only the sealing topology differs.
-        let (params, plan, sched) = share_setup(5, 4);
-        let v2 = build_share_packages(&plan, &params, &sched, b"SECRET").unwrap();
-        let v1 = legacy::build_share_packages_v1(&plan, &params, &sched, b"SECRET").unwrap();
-
-        assert_eq!(v1.core_onion, v2.core_onion);
-        assert_eq!(
-            v1.col0_row_keys
-                .iter()
-                .map(|k| *k.as_bytes())
-                .collect::<Vec<_>>(),
-            v2.col0_row_keys
-                .iter()
-                .map(|k| *k.as_bytes())
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(v1.col0_core_key.as_bytes(), v2.col0_core_key.as_bytes());
-
-        let package = SharePackage::from_bytes(&v2.package).unwrap();
-        assert_eq!(package.segments.len(), 4);
-
-        // Walk both formats column by column.
-        let mut v1_bundle = legacy::ColumnBundle::from_bytes(&v1.bundle).unwrap();
-        for col in 0..4 {
-            let v2_headers = if col == 0 {
-                decode_segment(&package.segments[0]).unwrap()
-            } else {
-                open_segment(&sched.bundle_key(col - 1), &package.segments[col]).unwrap()
-            };
-            assert_eq!(v2_headers.len(), 5, "column {col}");
-            for (row, v2_header) in v2_headers.iter().enumerate() {
-                let key = sched.row_key(row, col);
-                let p1 = legacy::open_header_v1(&key, &v1_bundle.headers[row]).unwrap();
-                let p2 = open_header(&key, v2_header).unwrap();
-                assert_eq!(p1, p2, "payload mismatch at row {row}, column {col}");
-            }
-            if col + 1 < 4 {
-                let inner = v1_bundle.inner.as_ref().expect("v1 nests the next column");
-                v1_bundle = legacy::open_inner(&sched.bundle_key(col), inner).unwrap();
-            } else {
-                assert!(v1_bundle.inner.is_none());
-            }
-        }
     }
 
     mod fuzz {
@@ -2268,8 +1782,11 @@ mod tests {
             #[test]
             fn corrupted_segments_fail_authentication(pos_seed: usize, xor in 1u8..=255) {
                 let key = SymmetricKey::from_bytes([0x77; 32]);
-                let headers = vec![vec![5u8; 40], vec![6u8; 40]];
-                let mut sealed = seal_segment(&key, &headers);
+                let mut table = Writer::new();
+                table.put_table(&[vec![5u8; 40], vec![6u8; 40]]);
+                let mut sealed =
+                    emerge_crypto::aead::seal(&key, &SEGMENT_NONCE, table.as_slice(), SEGMENT_AAD);
+                prop_assert!(open_segment(&key, &sealed).is_ok());
                 let pos = pos_seed % sealed.len();
                 sealed[pos] ^= xor;
                 prop_assert!(open_segment(&key, &sealed).is_err());

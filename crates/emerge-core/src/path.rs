@@ -14,7 +14,6 @@ use crate::substrate::HolderSubstrate;
 use emerge_crypto::hkdf::Hkdf;
 use emerge_crypto::keys::SymmetricKey;
 use emerge_dht::id::NodeId;
-use std::collections::HashSet;
 
 /// A fully resolved holder grid.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -48,6 +47,28 @@ impl PathPlan {
     /// All slots of one column.
     pub fn column(&self, col: usize) -> Vec<usize> {
         (0..self.rows).map(|r| self.slot(r, col)).collect()
+    }
+
+    /// Checks that `params` are valid and that this plan is the grid they
+    /// lay out, with one slot and one target per holder — the shape every
+    /// package builder and executor indexes by.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmergeError::InvalidParameters`] on invalid `params` or
+    /// any mismatch.
+    pub(crate) fn check_shape(&self, params: &SchemeParams) -> Result<(), EmergeError> {
+        params.validate()?;
+        let holders = self.rows * self.cols;
+        if (self.rows, self.cols) != grid_shape(params)
+            || self.slots.len() != holders
+            || self.targets.len() != holders
+        {
+            return Err(EmergeError::InvalidParameters(
+                "path plan does not match the scheme parameters".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -100,83 +121,45 @@ fn push_decimal(buf: &mut [u8; 80], at: usize, mut v: u64) -> usize {
     at + digits
 }
 
+/// The `(rows, cols)` grid `params` lays out: `k × l` for the keyed
+/// schemes, `n × l` for the share scheme, one holder for the centralized
+/// one.
+fn grid_shape(params: &SchemeParams) -> (usize, usize) {
+    match params {
+        SchemeParams::Central => (1, 1),
+        SchemeParams::Disjoint { k, l } | SchemeParams::Joint { k, l } => (*k, *l),
+        SchemeParams::Share { l, n, .. } => (*n, *l),
+    }
+}
+
 /// Constructs the holder grid for `params` on any [`HolderSubstrate`],
-/// deterministically from the sender's `seed`.
+/// deterministically from the sender's `seed`: a fresh plan filled by
+/// [`construct_paths_into`].
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InsufficientNodes`] when the structure needs more
-/// distinct holders than the substrate has nodes.
+/// Identical to [`construct_paths_into`].
 pub fn construct_paths<S: HolderSubstrate + ?Sized>(
     substrate: &S,
     params: &SchemeParams,
     seed: &SymmetricKey,
 ) -> Result<PathPlan, EmergeError> {
-    params
-        .validate()
-        .map_err(|e| EmergeError::InvalidParameters(e.to_string()))?;
-    let (rows, cols) = match params {
-        SchemeParams::Central => (1, 1),
-        SchemeParams::Disjoint { k, l } | SchemeParams::Joint { k, l } => (*k, *l),
-        SchemeParams::Share { l, n, .. } => (*n, *l),
-    };
-    let needed = rows * cols;
-    if needed > substrate.n_nodes() {
-        return Err(EmergeError::InsufficientNodes {
-            required: needed,
-            available: substrate.n_nodes(),
-        });
-    }
-
-    let hk = Hkdf::from_prk(*seed.as_bytes());
-    let mut used: HashSet<usize> = HashSet::with_capacity(needed);
-    let mut slots = Vec::with_capacity(needed);
-    let mut targets = Vec::with_capacity(needed);
-    for row in 0..rows {
-        for col in 0..cols {
-            let mut attempt = 0u32;
-            let (slot, target) = loop {
-                let target = holder_address_with(&hk, row, col, attempt);
-                let slot = substrate.resolve_holder(&target);
-                if !used.contains(&slot) {
-                    break (slot, target);
-                }
-                attempt += 1;
-                // With needed <= n distinct slots always exist; the loop
-                // terminates with overwhelming probability long before
-                // this, but guard against pathological ID distributions.
-                if attempt > 10_000 {
-                    return Err(EmergeError::InvalidParameters(
-                        "holder selection failed to find distinct nodes".into(),
-                    ));
-                }
-            };
-            used.insert(slot);
-            slots.push(slot);
-            targets.push(target);
-        }
-    }
-
-    Ok(PathPlan {
-        rows,
-        cols,
-        slots,
-        targets,
-    })
+    let mut plan = PathPlan::default();
+    construct_paths_into(substrate, params, seed, &mut plan)?;
+    Ok(plan)
 }
 
-/// Constructs the same holder grid as [`construct_paths`] into a
-/// reusable plan: `plan`'s vectors are cleared and refilled, so a warm
-/// caller allocates nothing. The distinctness set is replaced by a
-/// linear scan of the slots gathered so far — quadratic in grid size,
-/// but grids are small (hundreds) and the scan is branch-cheap, while
-/// the oracle's `HashSet` costs an allocation per trial.
-///
-/// Pinned equal to [`construct_paths`] by test.
+/// Constructs the holder grid for `params` into a reusable plan:
+/// `plan`'s vectors are cleared and refilled, so a warm caller allocates
+/// nothing. Distinctness is a linear scan of the slots gathered so far —
+/// quadratic in grid size, but grids are small (hundreds) and the scan is
+/// branch-cheap, where a set would cost an allocation per trial.
 ///
 /// # Errors
 ///
-/// Identical to [`construct_paths`].
+/// Returns [`EmergeError::InvalidParameters`] for invalid `params` and
+/// [`EmergeError::InsufficientNodes`] when the structure needs more
+/// distinct holders than the substrate has nodes.
 pub fn construct_paths_into<S: HolderSubstrate + ?Sized>(
     substrate: &S,
     params: &SchemeParams,
@@ -187,11 +170,7 @@ pub fn construct_paths_into<S: HolderSubstrate + ?Sized>(
         .validate()
         // LINT-WAIVER(alloc): validation failure is a cold error path, not the pooled hot loop
         .map_err(|e| EmergeError::InvalidParameters(e.to_string()))?;
-    let (rows, cols) = match params {
-        SchemeParams::Central => (1, 1),
-        SchemeParams::Disjoint { k, l } | SchemeParams::Joint { k, l } => (*k, *l),
-        SchemeParams::Share { l, n, .. } => (*n, *l),
-    };
+    let (rows, cols) = grid_shape(params);
     let needed = rows * cols;
     if needed > substrate.n_nodes() {
         return Err(EmergeError::InsufficientNodes {
@@ -216,6 +195,9 @@ pub fn construct_paths_into<S: HolderSubstrate + ?Sized>(
                     break (slot, target);
                 }
                 attempt += 1;
+                // With needed <= n distinct slots always exist; the loop
+                // terminates with overwhelming probability long before
+                // this, but guard against pathological ID distributions.
                 if attempt > 10_000 {
                     return Err(EmergeError::InvalidParameters(
                         "holder selection failed to find distinct nodes".into(),
@@ -233,6 +215,8 @@ pub fn construct_paths_into<S: HolderSubstrate + ?Sized>(
 mod tests {
     use super::*;
     use crate::substrate::{AnalyticSubstrate, OverlayConfig};
+    use emerge_sim::shard::TrialDigest;
+    use std::collections::HashSet;
 
     fn overlay(n: usize) -> AnalyticSubstrate {
         AnalyticSubstrate::build(
@@ -289,11 +273,14 @@ mod tests {
     }
 
     #[test]
-    fn pooled_path_construction_matches_allocating_form() {
+    fn reused_plan_matches_one_shot_plans_and_frozen_digest() {
+        // Reuse one plan across shapes (shrinking and growing) so stale
+        // contents must be fully overwritten. The plans digest to the
+        // value recorded against the retired `HashSet`-based constructor.
+        const FROZEN: u64 = 0x2ccd_e642_aeda_8afc;
+        let mut digest = TrialDigest::new();
         let ov = overlay(150);
         let mut plan = PathPlan::default();
-        // Reuse one plan across shapes (shrinking and growing) so stale
-        // contents must be fully overwritten.
         for (params, s) in [
             (
                 SchemeParams::Share {
@@ -308,10 +295,17 @@ mod tests {
             (SchemeParams::Joint { k: 4, l: 6 }, 13),
             (SchemeParams::Disjoint { k: 2, l: 3 }, 14),
         ] {
-            let oracle = construct_paths(&ov, &params, &seed(s)).unwrap();
+            let one_shot = construct_paths(&ov, &params, &seed(s)).unwrap();
             construct_paths_into(&ov, &params, &seed(s), &mut plan).unwrap();
-            assert_eq!(plan, oracle);
+            assert_eq!(plan, one_shot);
+            digest.eat(&(plan.rows as u64).to_le_bytes());
+            digest.eat(&(plan.cols as u64).to_le_bytes());
+            for (&slot, target) in plan.slots.iter().zip(&plan.targets) {
+                digest.eat(&(slot as u64).to_le_bytes());
+                digest.eat(target.as_bytes());
+            }
         }
+        assert_eq!(digest.finish(), FROZEN, "holder selection drifted");
     }
 
     #[test]

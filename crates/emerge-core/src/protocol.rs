@@ -2,9 +2,9 @@
 //! of a send operation on the simulated DHT, with real onions, real
 //! shares, churn, and optional attacks.
 //!
-//! The run is driven by hop-deadline events on the discrete-event engine:
-//! packages arrive at column `c` at `t_c = ts + c·th`, rest for one
-//! holding period, and move at `t_{c+1}`. Holders peel with keys they were
+//! A run is a loop over hop deadlines: packages arrive at column `c` at
+//! `t_c = ts + c·th`, rest for one holding period, and move at
+//! `t_{c+1}`; the terminal holders release at `tr`. Holders peel with keys they were
 //! pre-assigned (keyed schemes) or just reconstructed from shares (share
 //! scheme). Malicious holders behave according to the [`AttackMode`]:
 //! under [`AttackMode::Drop`] they withhold everything; under
@@ -15,19 +15,17 @@
 use crate::config::SchemeParams;
 use crate::error::EmergeError;
 use crate::package::{
-    decode_segment_headers, decode_segment_headers_into, open_header_for_executor,
-    open_header_into, open_segment_headers, open_segment_headers_into, parse_share_segment_spans,
-    visit_executor_payload, KeyedPackages, SegmentHeaders, SharePackage, SharePackages,
+    decode_segment_headers_into, open_header_into, open_segment_headers_into,
+    parse_share_segment_spans, visit_executor_payload, KeyedPackages, SegmentHeaders,
+    SharePackages,
 };
 use crate::path::PathPlan;
 use crate::substrate::HolderSubstrate;
-use emerge_crypto::keys::{KeyShare, SymmetricKey};
+use emerge_crypto::keys::SymmetricKey;
 use emerge_crypto::onion::{peel, peel_core, peel_in_place, LayerKind, Peeled};
 use emerge_crypto::shamir;
 use emerge_crypto::CryptoError;
-use emerge_sim::engine::Engine;
 use emerge_sim::time::{SimDuration, SimTime};
-use std::rc::Rc;
 
 /// Adversarial posture of the malicious nodes during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,20 +73,14 @@ impl RunReport {
     }
 }
 
-/// Events driving a protocol run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
-    /// Packages arrive at column `col` and are processed.
-    Arrive { col: usize },
-    /// Terminal holders release the secret to the receiver.
-    Release,
-}
-
-/// Executes a keyed-scheme (disjoint/joint) run.
+/// Executes a keyed-scheme (disjoint/joint) run: a fresh report filled
+/// by the keyed executor.
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for mismatched parameters.
+/// Returns [`EmergeError::InvalidParameters`] for non-keyed `params`, or
+/// a plan or packages whose shape does not match them, and propagates
+/// crypto failures.
 pub fn execute_keyed<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
     plan: &PathPlan,
@@ -96,6 +88,22 @@ pub fn execute_keyed<S: HolderSubstrate + ?Sized>(
     packages: &KeyedPackages,
     config: &RunConfig,
 ) -> Result<RunReport, EmergeError> {
+    let mut report = PooledRunReport::default();
+    run_keyed(substrate, plan, params, packages, config, &mut report)?;
+    Ok(report.to_report())
+}
+
+/// The keyed executor: onions arrive at column `c` at `ts + c·th`, rest
+/// for one holding period and move on; the terminal holders release at
+/// `tr`. Writes the outcome into `out`.
+pub(crate) fn run_keyed<S: HolderSubstrate + ?Sized>(
+    substrate: &mut S,
+    plan: &PathPlan,
+    params: &SchemeParams,
+    packages: &KeyedPackages,
+    config: &RunConfig,
+    out: &mut PooledRunReport,
+) -> Result<(), EmergeError> {
     let joint = match params {
         SchemeParams::Disjoint { .. } => false,
         SchemeParams::Joint { .. } => true,
@@ -105,21 +113,22 @@ pub fn execute_keyed<S: HolderSubstrate + ?Sized>(
             ))
         }
     };
+    plan.check_shape(params)?;
     let (rows, cols) = (plan.rows, plan.cols);
+    if packages.onions.len() != rows || packages.column_keys.len() != cols {
+        return Err(EmergeError::InvalidParameters(
+            "keyed packages do not match the path plan".into(),
+        ));
+    }
     let th = config.emerging_period / cols as u64;
     let ts = config.ts;
     let tr = ts + config.emerging_period;
+    out.clear();
 
-    // Onion in flight per grid position.
-    let mut onions: Vec<Option<Vec<u8>>> = vec![None; rows * cols];
-    for row in 0..rows {
-        onions[row * cols] = Some(packages.onions[row].clone());
-    }
-
+    // Onion in flight per row of the current column.
+    let mut held: Vec<Option<Vec<u8>>> = packages.onions.iter().cloned().map(Some).collect();
     let mut messages = rows as u64; // initial deliveries from the sender
-    let mut released: Option<(SimTime, Vec<u8>)> = None;
-    let mut failure: Option<String> = None;
-    let mut terminal_secrets: Vec<Vec<u8>> = Vec::new();
+    let mut terminal_count = 0u64;
 
     // Adversary ledger: earliest acquisition time of each column key, and
     // of an onion copy (with its bytes and the column it was taken at).
@@ -153,89 +162,74 @@ pub fn execute_keyed<S: HolderSubstrate + ?Sized>(
         }
     }
 
-    let mut engine: Engine<Ev> = Engine::new();
-    engine.schedule_at(ts, Ev::Arrive { col: 0 });
-
-    while let Some((now, ev)) = engine.pop() {
-        match ev {
-            Ev::Arrive { col } => {
-                let depart = now + th;
-                let mut next: Vec<Option<Vec<u8>>> = vec![None; rows];
-                for row in 0..rows {
-                    let Some(onion) = onions[row * cols + col].take() else {
-                        continue;
-                    };
-                    let slot = plan.slot(row, col);
-                    // Release-ahead adversary copies the (pre-peel) onion
-                    // on any malicious contact during the stay.
-                    if config.attack == AttackMode::ReleaseAhead {
-                        if let Some(t) = substrate.first_malicious_exposure(slot, now, depart) {
-                            adv_onions.push((t, col, onion.clone()));
-                        }
-                    }
-                    // Drop attack: any malicious tenant during the stay
-                    // destroys the copy (replication cannot resurrect what
-                    // a malicious node refuses to hand over).
-                    if config.attack == AttackMode::Drop
-                        && substrate.any_malicious_exposure(slot, now, depart)
-                    {
-                        continue;
-                    }
-                    // Peel this layer with the pre-assigned column key.
-                    match peel(&packages.column_keys[col], &onion) {
-                        Ok(Peeled::Intermediate { inner, .. }) => {
-                            if joint {
-                                // Forward to the whole next column; a single
-                                // survivor feeds every next holder.
-                                for slot_next in &mut next {
-                                    if slot_next.is_none() {
-                                        *slot_next = Some(inner.clone());
-                                    }
-                                }
-                                messages += rows as u64;
-                            } else {
-                                next[row] = Some(inner.clone());
-                                messages += 1;
+    let mut now = ts;
+    for col in 0..cols {
+        let depart = now + th;
+        let mut next: Vec<Option<Vec<u8>>> = vec![None; rows];
+        for (row, onion) in held.iter_mut().enumerate() {
+            let Some(onion) = onion.take() else {
+                continue;
+            };
+            let slot = plan.slot(row, col);
+            // Release-ahead adversary copies the (pre-peel) onion on any
+            // malicious contact during the stay.
+            if config.attack == AttackMode::ReleaseAhead {
+                if let Some(t) = substrate.first_malicious_exposure(slot, now, depart) {
+                    adv_onions.push((t, col, onion.clone()));
+                }
+            }
+            // Drop attack: any malicious tenant during the stay destroys
+            // the copy (replication cannot resurrect what a malicious node
+            // refuses to hand over).
+            if config.attack == AttackMode::Drop
+                && substrate.any_malicious_exposure(slot, now, depart)
+            {
+                continue;
+            }
+            // Peel this layer with the pre-assigned column key.
+            match peel(&packages.column_keys[col], &onion) {
+                Ok(Peeled::Intermediate { inner, .. }) => {
+                    if joint {
+                        // Forward to the whole next column; a single
+                        // survivor feeds every next holder.
+                        for slot_next in &mut next {
+                            if slot_next.is_none() {
+                                *slot_next = Some(inner.clone());
                             }
                         }
-                        Ok(Peeled::Core { .. }) => {
-                            // Terminal layer: recover via peel_core below.
-                            let (_, secret) = peel_core(&packages.column_keys[col], &onion)?;
-                            terminal_secrets.push(secret);
-                        }
-                        Err(e) => return Err(EmergeError::Crypto(e)),
+                        messages += rows as u64;
+                    } else {
+                        next[row] = Some(inner);
+                        messages += 1;
                     }
                 }
-                if col + 1 < cols {
-                    for (row, n) in next.into_iter().enumerate() {
-                        if let Some(bytes) = n {
-                            onions[row * cols + col + 1] = Some(bytes);
-                        }
+                Ok(Peeled::Core { .. }) => {
+                    // Terminal layer: recover via peel_core.
+                    let (_, secret) = peel_core(&packages.column_keys[col], &onion)?;
+                    if terminal_count == 0 {
+                        out.released_secret.extend_from_slice(&secret);
                     }
-                    engine.schedule_at(depart, Ev::Arrive { col: col + 1 });
-                } else {
-                    engine.schedule_at(tr, Ev::Release);
+                    terminal_count += 1;
                 }
-            }
-            Ev::Release => {
-                if let Some(secret) = terminal_secrets.first() {
-                    released = Some((now, secret.clone()));
-                    messages += terminal_secrets.len() as u64;
-                } else {
-                    failure = Some("no terminal holder delivered the secret".into());
-                }
+                Err(e) => return Err(EmergeError::Crypto(e)),
             }
         }
+        held = next;
+        now = depart;
     }
-    if released.is_none() && failure.is_none() {
-        failure = Some("onion lost in transit before the terminal column".into());
+
+    // Release at `tr`.
+    if terminal_count > 0 {
+        out.released_at = Some(tr);
+        messages += terminal_count;
+    } else {
+        out.failure = Some("no terminal holder delivered the secret");
     }
 
     // Adversary reconstruction: take the best onion copy and peel it with
     // the leaked column keys. Every key for columns >= the copy's column
     // must be available; the reconstruction time is the max acquisition
     // instant. Reconstruction uses the real ciphertexts.
-    let mut adversary_reconstruction: Option<(SimTime, Vec<u8>)> = None;
     if config.attack == AttackMode::ReleaseAhead {
         for (t_onion, col0, bytes) in &adv_onions {
             let mut when = *t_onion;
@@ -270,29 +264,24 @@ pub fn execute_keyed<S: HolderSubstrate + ?Sized>(
             }
             // LINT-WAIVER(panic): the peel loop above always reduces a valid keyed onion to its core
             let secret = secret.expect("keyed onion must peel to a core");
-            let better = match &adversary_reconstruction {
-                None => true,
-                Some((prev, _)) => when < *prev,
-            };
-            if better {
-                adversary_reconstruction = Some((when, secret));
+            if out.adversary_at.is_none_or(|prev| when < prev) {
+                out.adversary_at = Some(when);
+                out.adversary_secret.clear();
+                out.adversary_secret.extend_from_slice(&secret);
             }
         }
     }
 
-    Ok(RunReport {
-        released,
-        failure,
-        adversary_reconstruction,
-        messages_sent: messages,
-    })
+    out.messages_sent = messages;
+    Ok(())
 }
 
-/// Executes a key-share routing run.
+/// Executes a key-share routing run: fresh buffers and report filled by
+/// [`execute_share_pooled`].
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for mismatched parameters.
+/// Identical to [`execute_share_pooled`].
 pub fn execute_share<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
     plan: &PathPlan,
@@ -300,399 +289,79 @@ pub fn execute_share<S: HolderSubstrate + ?Sized>(
     packages: &SharePackages,
     config: &RunConfig,
 ) -> Result<RunReport, EmergeError> {
-    let (k, l, n, m) = match params {
-        SchemeParams::Share { k, l, n, m } => (*k, *l, *n, m.clone()),
-        _ => {
-            return Err(EmergeError::InvalidParameters(
-                "execute_share requires share parameters".into(),
-            ))
-        }
-    };
-    let th = config.emerging_period / l as u64;
-    let ts = config.ts;
-    let tr = ts + config.emerging_period;
-
-    // Parse the flat package once. The sealed segment table is immutable
-    // and shared by every holder; what travels hop to hop is the opened
-    // header table of the current column (plus, conceptually, the
-    // still-sealed tail of the table — identical bytes from every
-    // forwarder, so holding one `Rc` to the whole table models it
-    // exactly).
-    let package = SharePackage::from_bytes(&packages.package)?;
-    if package.segments.len() != l {
-        return Err(EmergeError::InvalidParameters(format!(
-            "share package has {} segments for an l = {l} run",
-            package.segments.len()
-        )));
-    }
-    let mut segments = package.segments;
-    let headers0: Rc<SegmentHeaders> =
-        Rc::new(decode_segment_headers(std::mem::take(&mut segments[0]))?);
-
-    /// In-flight state of one holder position.
-    #[derive(Default, Clone)]
-    struct Inbox {
-        /// This column's opened header table (same blob from every
-        /// forwarder; one kept). `Rc`-shared: every holder of a column
-        /// carries identical bytes, so pointer identity lets the
-        /// per-column hot loop open the next sealed segment once instead
-        /// of once per row. `None` means no honest upstream forwarder
-        /// delivered the package tail.
-        headers: Option<Rc<SegmentHeaders>>,
-        core_onion: Option<Vec<u8>>,
-        key_shares: Vec<KeyShare>,
-        core_shares: Vec<KeyShare>,
-        direct_row_key: Option<SymmetricKey>,
-        direct_core_key: Option<SymmetricKey>,
-    }
-
-    let mut inboxes: Vec<Inbox> = vec![Inbox::default(); n * l];
-    for row in 0..n {
-        let inbox = &mut inboxes[row * l];
-        inbox.headers = Some(headers0.clone());
-        inbox.direct_row_key = Some(packages.col0_row_keys[row].clone());
-        if row < k {
-            inbox.core_onion = Some(packages.core_onion.clone());
-            inbox.direct_core_key = Some(packages.col0_core_key.clone());
-        }
-    }
-
-    let mut messages = n as u64;
-    let mut released: Option<(SimTime, Vec<u8>)> = None;
-    let mut failure: Option<String> = None;
-    let mut terminal_secrets: Vec<Vec<u8>> = Vec::new();
-
-    // Adversary ledger: per column, the count of malicious receivers and
-    // the share material they leaked; plus leaked onion/core copies.
-    let mut adv_key_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l]; // for col c key (row 0's key as witness)
-    let mut adv_core_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l];
-    let mut adv_core_onion_col0: Option<Vec<u8>> = None;
-    let mut adv_direct_core_key: Option<SymmetricKey> = None;
-
-    let mut engine: Engine<Ev> = Engine::new();
-    engine.schedule_at(ts, Ev::Arrive { col: 0 });
-
-    // Lagrange-weight memo shared by every reconstruction of the run:
-    // within a column all holders combine shares from the same surviving
-    // rows, so the O(m²) basis computation runs ~once per column.
-    let mut weight_cache = shamir::WeightCache::default();
-
-    while let Some((now, ev)) = engine.pop() {
-        match ev {
-            Ev::Arrive { col } => {
-                let depart = now + th;
-                // Plan of what each next-column holder will receive.
-                let mut next: Vec<Inbox> = vec![Inbox::default(); n];
-                // Per-column memo: the transit redundancy hands every
-                // holder the same opened header table, so the AEAD open of
-                // the next sealed segment is computed once and reused by
-                // pointer identity (a divergent table or key still
-                // recomputes). With the flat format this is a single
-                // `O(n·header)` segment open — no parse or re-wrap of
-                // deeper columns ever happens.
-                let mut unwrap_memo: Option<(
-                    Rc<SegmentHeaders>,
-                    SymmetricKey,
-                    Rc<SegmentHeaders>,
-                )> = None;
-                for row in 0..n {
-                    let inbox = std::mem::take(&mut inboxes[row * l + col]);
-                    let slot = plan.slot(row, col);
-                    let tenant = *substrate.generation_at(slot, now);
-
-                    // Reconstruct this holder's row key.
-                    let row_key = if col == 0 {
-                        inbox.direct_row_key.clone()
-                    } else if inbox.key_shares.len() >= m[col - 1] {
-                        combine_key_cached(&inbox.key_shares, m[col - 1], &mut weight_cache)?
-                    } else {
-                        None
-                    };
-                    let Some(row_key) = row_key else {
-                        continue; // starved: cannot act this hop
-                    };
-                    let Some(headers) = inbox.headers.clone() else {
-                        continue; // no honest forwarder upstream delivered
-                    };
-                    let Some(header) = headers.get(row) else {
-                        return Err(EmergeError::InvalidParameters(
-                            "segment is missing this row's header".into(),
-                        ));
-                    };
-
-                    // Malicious receiver leaks its direct material.
-                    if config.attack == AttackMode::ReleaseAhead && tenant.malicious && col == 0 {
-                        if let Some(core) = &inbox.core_onion {
-                            adv_core_onion_col0 = Some(core.clone());
-                        }
-                        if inbox.direct_core_key.is_some() {
-                            adv_direct_core_key = inbox.direct_core_key.clone();
-                        }
-                    }
-
-                    // Drop attack: malicious tenants withhold everything.
-                    if config.attack == AttackMode::Drop && tenant.malicious {
-                        continue;
-                    }
-                    // Churn: a tenant dying mid-hold takes its *shares*
-                    // with it (key material is never re-homed), but the
-                    // opaque package/onion blobs are re-homed to the slot
-                    // replacement by DHT replication and still move.
-                    let survivor = substrate.generation_at(slot, depart).spawn == tenant.spawn;
-
-                    // Open this row's header (executor-path parse: the
-                    // next-hop list is validated but not materialized —
-                    // forwarding goes by grid position).
-                    let mut payload = open_header_for_executor(&row_key, header)?;
-
-                    // Adversary copies the payload's onward shares.
-                    if config.attack == AttackMode::ReleaseAhead && tenant.malicious && col + 1 < l
-                    {
-                        // Witness: row 0's next-column key-shares; the core
-                        // shares matter for the actual reconstruction.
-                        if let Some(s) = payload.row_key_shares.first() {
-                            adv_key_shares[col + 1].push(s.clone());
-                        }
-                        if let Some(s) = &payload.core_key_share {
-                            adv_core_shares[col + 1].push(s.clone());
-                        }
-                    }
-
-                    // Open the next column's segment for relay (once per
-                    // distinct header table and key; every row after the
-                    // first is a memo hit).
-                    let next_headers: Option<Rc<SegmentHeaders>> = match &payload.bundle_key {
-                        Some(bk) if col + 1 < l => Some(match &unwrap_memo {
-                            Some((table, key, opened))
-                                if Rc::ptr_eq(table, &headers) && key == bk =>
-                            {
-                                opened.clone()
-                            }
-                            _ => {
-                                let opened = Rc::new(open_segment_headers(bk, &segments[col + 1])?);
-                                unwrap_memo = Some((headers.clone(), bk.clone(), opened.clone()));
-                                opened
-                            }
-                        }),
-                        _ => None,
-                    };
-
-                    // Onion rows also process the core onion.
-                    let mut inner_core: Option<Vec<u8>> = None;
-                    let mut core_secret: Option<Vec<u8>> = None;
-                    if row < k {
-                        let core_key = if col == 0 {
-                            inbox.direct_core_key.clone()
-                        } else if inbox.core_shares.len() >= m[col - 1] {
-                            combine_key_cached(&inbox.core_shares, m[col - 1], &mut weight_cache)?
-                        } else {
-                            None
-                        };
-                        if let (Some(core_key), Some(core_onion)) =
-                            (core_key, inbox.core_onion.clone())
-                        {
-                            match peel(&core_key, &core_onion)? {
-                                Peeled::Intermediate { inner, .. } => {
-                                    inner_core = Some(inner);
-                                }
-                                Peeled::Core { payload } => {
-                                    core_secret = Some(payload);
-                                }
-                            }
-                        }
-                    }
-
-                    if col + 1 == l {
-                        if let Some(secret) = core_secret {
-                            terminal_secrets.push(secret);
-                        }
-                        continue;
-                    }
-
-                    // Forward. Shares travel only if the tenant survived
-                    // the hold; package/onion blobs always move (re-homed
-                    // on death). The payload is this holder's own copy,
-                    // so its shares move into the next inboxes instead of
-                    // being cloned (the dominant allocation of the loop).
-                    if survivor {
-                        for (target_row, s) in payload.row_key_shares.drain(..).enumerate() {
-                            if let Some(next_inbox) = next.get_mut(target_row) {
-                                next_inbox.key_shares.push(s);
-                                messages += 1;
-                            }
-                        }
-                        if let Some(s) = &payload.core_key_share {
-                            for next_inbox in next.iter_mut().take(k) {
-                                next_inbox.core_shares.push(s.clone());
-                            }
-                        }
-                    }
-                    if let Some(nh) = next_headers {
-                        for next_inbox in &mut next {
-                            if next_inbox.headers.is_none() {
-                                next_inbox.headers = Some(nh.clone());
-                                messages += 1;
-                            }
-                        }
-                    }
-                    if row < k {
-                        if let Some(inner) = inner_core {
-                            for next_inbox in next.iter_mut().take(k) {
-                                if next_inbox.core_onion.is_none() {
-                                    next_inbox.core_onion = Some(inner.clone());
-                                    messages += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-
-                if col + 1 < l {
-                    for (row, nb) in next.into_iter().enumerate() {
-                        inboxes[row * l + col + 1] = nb;
-                    }
-                    engine.schedule_at(depart, Ev::Arrive { col: col + 1 });
-                } else {
-                    engine.schedule_at(tr, Ev::Release);
-                }
-            }
-            Ev::Release => {
-                if let Some(secret) = terminal_secrets.first() {
-                    released = Some((now, secret.clone()));
-                    messages += terminal_secrets.len() as u64;
-                } else {
-                    failure = Some("no terminal onion row reconstructed the secret".into());
-                }
-            }
-        }
-    }
-    if released.is_none() && failure.is_none() {
-        failure = Some("share flow starved before the terminal column".into());
-    }
-
-    // Adversary reconstruction (strict quorum chain, real crypto): needs
-    // the core onion from column 0 plus enough core-key shares at every
-    // later column boundary.
-    let mut adversary_reconstruction: Option<(SimTime, Vec<u8>)> = None;
-    if config.attack == AttackMode::ReleaseAhead {
-        if let (Some(core_onion), Some(core_key0)) = (adv_core_onion_col0, adv_direct_core_key) {
-            let mut onion = core_onion;
-            let mut ok = true;
-            let mut when = ts;
-            for col in 0..l {
-                let key = if col == 0 {
-                    Some(core_key0.clone())
-                } else if adv_core_shares[col].len() >= m[col - 1] {
-                    when = when.max(ts + (config.emerging_period / l as u64) * (col as u64 - 1));
-                    combine_key(&adv_core_shares[col], m[col - 1])?
-                } else {
-                    None
-                };
-                let Some(key) = key else {
-                    ok = false;
-                    break;
-                };
-                if col + 1 == l {
-                    let (_, secret) = peel_core(&key, &onion)?;
-                    if when < tr {
-                        adversary_reconstruction = Some((when, secret));
-                    }
-                } else {
-                    match peel(&key, &onion)? {
-                        Peeled::Intermediate { inner, .. } => onion = inner,
-                        Peeled::Core { payload } => {
-                            if when < tr {
-                                adversary_reconstruction = Some((when, payload));
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-            let _ = ok;
-        }
-    }
-
-    Ok(RunReport {
-        released,
-        failure,
-        adversary_reconstruction,
-        messages_sent: messages,
-    })
+    let mut report = PooledRunReport::default();
+    execute_share_pooled(
+        substrate,
+        plan,
+        params,
+        packages,
+        config,
+        &mut ShareExecScratch::default(),
+        &mut report,
+    )?;
+    Ok(report.to_report())
 }
 
 /// Executes the centralized scheme: one holder stores the secret for the
 /// whole period.
+///
+/// # Errors
+///
+/// Returns [`EmergeError::InvalidParameters`] for a plan that is not a
+/// single holder.
 pub fn execute_central<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
     plan: &PathPlan,
     secret: &[u8],
     config: &RunConfig,
 ) -> Result<RunReport, EmergeError> {
+    let mut report = PooledRunReport::default();
+    run_central(substrate, plan, secret, config, &mut report)?;
+    Ok(report.to_report())
+}
+
+/// The centralized executor, writing its outcome into `out`.
+pub(crate) fn run_central<S: HolderSubstrate + ?Sized>(
+    substrate: &mut S,
+    plan: &PathPlan,
+    secret: &[u8],
+    config: &RunConfig,
+    out: &mut PooledRunReport,
+) -> Result<(), EmergeError> {
+    plan.check_shape(&SchemeParams::Central)?;
     let slot = plan.slot(0, 0);
     let ts = config.ts;
     let tr = ts + config.emerging_period;
 
     let exposed = substrate.any_malicious_exposure(slot, ts, tr);
-    let mut report = RunReport {
-        released: None,
-        failure: None,
-        adversary_reconstruction: None,
-        messages_sent: 2,
-    };
+    out.clear();
+    out.messages_sent = 2;
     match config.attack {
         AttackMode::Drop if exposed => {
-            report.failure = Some("central holder destroyed the key".into());
+            out.failure = Some("central holder destroyed the key");
         }
         AttackMode::ReleaseAhead if exposed => {
             let t = substrate
                 .first_malicious_exposure(slot, ts, tr)
                 // LINT-WAIVER(panic): first_malicious_exposure is Some exactly when exposure was reported
                 .expect("exposure implies a first exposure");
-            report.adversary_reconstruction = Some((t, secret.to_vec()));
-            report.released = Some((tr, secret.to_vec()));
+            out.adversary_at = Some(t);
+            out.adversary_secret.extend_from_slice(secret);
+            out.released_at = Some(tr);
+            out.released_secret.extend_from_slice(secret);
         }
         _ => {
-            report.released = Some((tr, secret.to_vec()));
+            out.released_at = Some(tr);
+            out.released_secret.extend_from_slice(secret);
         }
     }
-    Ok(report)
+    Ok(())
 }
 
-/// Combines key shares into a 32-byte symmetric key.
-///
-/// Convenience form of [`combine_key_cached`] for one-off call sites.
-fn combine_key(shares: &[KeyShare], m: usize) -> Result<Option<SymmetricKey>, EmergeError> {
-    combine_key_cached(shares, m, &mut shamir::WeightCache::default())
-}
-
-/// Combines key shares into a 32-byte symmetric key, memoizing the
-/// Lagrange weights across calls with the same share-index set — the
-/// common case in the executor's per-column reconstruction loop, where
-/// every holder's shares come from the same surviving rows.
-fn combine_key_cached(
-    shares: &[KeyShare],
-    m: usize,
-    cache: &mut shamir::WeightCache,
-) -> Result<Option<SymmetricKey>, EmergeError> {
-    match shamir::combine_cached(shares, m, cache) {
-        Ok(bytes) if bytes.len() == 32 => {
-            let mut kb = [0u8; 32];
-            kb.copy_from_slice(&bytes);
-            Ok(Some(SymmetricKey::from_bytes(kb)))
-        }
-        Ok(_) => Err(EmergeError::InvalidParameters(
-            "reconstructed key has wrong length".into(),
-        )),
-        Err(emerge_crypto::CryptoError::NotEnoughShares { .. }) => Ok(None),
-        Err(e) => Err(EmergeError::Crypto(e)),
-    }
-}
-
-/// The outcome of one pooled protocol run: the same facts as
-/// [`RunReport`], held in reusable buffers instead of per-run
-/// allocations. The secret buffers are only meaningful when the matching
-/// `_at` field is `Some`.
+/// The outcome of one protocol run in reusable buffers: the facts of a
+/// [`RunReport`] without per-run allocations, written by every executor.
+/// The secret buffers are only meaningful when the matching `_at` field
+/// is `Some`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PooledRunReport {
     /// Instant of legitimate release, if it happened.
@@ -716,8 +385,17 @@ impl PooledRunReport {
         self.released_at == Some(tr) && self.adversary_at.is_none()
     }
 
-    /// Copies out an allocating [`RunReport`] — for oracle comparisons
-    /// and cold callers.
+    /// Empties every field, keeping the buffers' capacity.
+    fn clear(&mut self) {
+        self.released_at = None;
+        self.released_secret.clear();
+        self.failure = None;
+        self.adversary_at = None;
+        self.adversary_secret.clear();
+        self.messages_sent = 0;
+    }
+
+    /// Copies out an allocating [`RunReport`], for one-shot callers.
     pub fn to_report(&self) -> RunReport {
         RunReport {
             released: self
@@ -733,8 +411,7 @@ impl PooledRunReport {
 }
 
 /// Fixed-stride slab of 32-byte key shares: `buckets` rows, each holding
-/// up to `stride` `(index, share)` pairs in arrival order. Replaces the
-/// per-inbox `Vec<KeyShare>` of the allocating executor; reset is an
+/// up to `stride` `(index, share)` pairs in arrival order; reset is an
 /// `O(buckets)` count clear, never a free.
 #[derive(Debug, Default)]
 struct ShareBank {
@@ -816,9 +493,8 @@ pub struct ShareExecScratch {
     weight_cache: shamir::WeightCache,
 }
 
-/// Combines a `ShareBank` bucket into a 32-byte symmetric key —
-/// [`combine_key_cached`] over slab storage, with identical outcome
-/// mapping.
+/// Combines a `ShareBank` bucket into a 32-byte symmetric key; too few
+/// shares is `None`, not an error.
 fn combine_key_slab(
     indices: &[u8],
     data: &[u8],
@@ -837,37 +513,27 @@ fn combine_key_slab(
     }
 }
 
-/// Executes a key-share routing run into reusable buffers.
+/// Executes a key-share routing run into reusable buffers; after a
+/// per-shape warmup run it touches none of the allocator.
 ///
-/// Semantically identical to [`execute_share`] (the retained oracle):
-/// same substrate query sequence, message accounting, adversary ledger,
-/// failure strings and secrets — pinned equal by test across substrates,
-/// attack modes and churn. The differences are purely representational:
+/// Column `c`'s holders reconstruct their row keys from the shares
+/// column `c - 1` forwarded, open their headers, fan the next column's
+/// shares out, and relay the still-sealed package tail and the core
+/// onion. A holder whose tenant dies mid-hold takes its shares with it;
+/// the opaque package and onion blobs are re-homed by replication and
+/// still move. Per-column state (header table, core onion) is held once
+/// per column: every holder of a column receives identical bytes from
+/// any forwarder, so one copy and one core-onion peel serve the column.
 ///
-/// - the package is parsed as spans over `packages.package` instead of
-///   per-segment copies;
-/// - in-flight shares live in fixed-stride `ShareBank` slabs instead
-///   of per-inbox `Vec<KeyShare>`s;
-/// - per-column state (header table, core onion) is held once per
-///   column — the allocating executor's per-row `Rc`s and option flags
-///   always carry column-uniform values, a consequence of the uniform
-///   forwarding loops — and the redundant per-row core-onion peels
-///   (identical inputs, identical outputs) collapse to one peel per
-///   column;
-/// - the trivially sequential event schedule (arrive columns `0..l`,
-///   then release at `tr`) is a plain loop instead of an [`Engine`].
-///
-/// One scope restriction: this path requires the 32-byte shares that
-/// [`crate::package::build_share_packages`] emits and rejects others
-/// with [`EmergeError::InvalidParameters`]; foreign packages with
-/// exotic share lengths must go through [`execute_share`]. (The unused
-/// witness ledger of row-0 key shares kept by the oracle is dropped —
-/// it is never read.)
+/// Key shares must be 32 bytes, as [`crate::package::build_share_packages`]
+/// emits them; a share of any other length could not rebuild a 32-byte
+/// key and is rejected.
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for mismatched parameters
-/// and propagates crypto failures exactly as [`execute_share`] does.
+/// Returns [`EmergeError::InvalidParameters`] for non-share `params`, a
+/// plan or packages whose shape does not match them, or a malformed
+/// package, and propagates crypto failures.
 pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
     plan: &PathPlan,
@@ -885,6 +551,12 @@ pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
             ))
         }
     };
+    plan.check_shape(params)?;
+    if packages.col0_row_keys.len() != n {
+        return Err(EmergeError::InvalidParameters(
+            "share packages do not match the path plan".into(),
+        ));
+    }
     let th = config.emerging_period / l as u64;
     let ts = config.ts;
     let tr = ts + config.emerging_period;
@@ -915,11 +587,7 @@ pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
     scratch.cur_core.reset(n, n);
     scratch.adv_core.reset(l, n);
 
-    out.released_at = None;
-    out.released_secret.clear();
-    out.failure = None;
-    out.adversary_at = None;
-    out.adversary_secret.clear();
+    out.clear();
 
     let mut messages = n as u64;
     let mut terminal_count: u64 = 0;
@@ -936,9 +604,9 @@ pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
         }
         let mut next_has_headers = false;
         let mut next_has_core_onion = false;
-        // Per-column memo of the opened next segment (the oracle's
-        // `unwrap_memo`: table identity is constant within a column, so
-        // the memo key reduces to the bundle key).
+        // Per-column memo of the opened next segment: every holder of a
+        // column carries the same table, so the memo key reduces to the
+        // bundle key.
         let mut opened_next_key: Option<SymmetricKey> = None;
         // Per-column memo of the core-onion peel: every acting onion row
         // reconstructs the same core key and holds the same onion bytes,
@@ -1197,6 +865,7 @@ mod tests {
     use crate::package::{build_keyed_packages, build_share_packages, KeySchedule};
     use crate::path::construct_paths;
     use crate::substrate::{AnalyticSubstrate, OverlayConfig};
+    use emerge_sim::shard::TrialDigest;
 
     const SECRET: &[u8] = b"THE SELF-EMERGING SECRET KEY 32B";
 
@@ -1381,11 +1050,43 @@ mod tests {
         assert!(drop.released.is_none());
     }
 
+    /// Folds every field of `report` into `d`. The frozen digests below
+    /// pin executor outcomes as data: each constant was recorded while a
+    /// second, independent executor (the allocating share executor, the
+    /// nested v1 format, the event-queue keyed executor) still agreed
+    /// with the surviving one on the same matrix.
+    fn eat_report(d: &mut TrialDigest, report: &RunReport) {
+        for outcome in [&report.released, &report.adversary_reconstruction] {
+            match outcome {
+                Some((at, secret)) => {
+                    d.eat(&[1]);
+                    d.eat(&at.ticks().to_le_bytes());
+                    d.eat(&(secret.len() as u64).to_le_bytes());
+                    d.eat(secret);
+                }
+                None => d.eat(&[0]),
+            }
+        }
+        match &report.failure {
+            Some(reason) => {
+                d.eat(&[1]);
+                d.eat(reason.as_bytes());
+            }
+            None => d.eat(&[0]),
+        }
+        d.eat(&report.messages_sent.to_le_bytes());
+    }
+
     #[test]
-    fn pooled_share_executor_matches_allocating_executor() {
+    fn reused_share_scratch_matches_one_shot_runs_and_frozen_digest() {
         // One scratch/report pair reused across every shape, malicious
-        // fraction, churn level and attack mode: the pooled executor must
-        // reproduce the oracle bit for bit even on dirty buffers.
+        // fraction, churn level and attack mode must reproduce the
+        // one-shot executor (fresh buffers) bit for bit, and the 72
+        // reports must digest to the value recorded against the retired
+        // allocating executor.
+        const FROZEN: u64 = 0x13ac_f177_0031_a517;
+        let mut digest = TrialDigest::new();
+        let mut runs = 0;
         let mut scratch = ShareExecScratch::default();
         let mut pooled = PooledRunReport::default();
         let shapes = [
@@ -1419,7 +1120,7 @@ mod tests {
                         AttackMode::Drop,
                     ] {
                         let config = run_config(attack);
-                        let oracle =
+                        let one_shot =
                             execute_share(&mut overlay, &plan, &params, &pkgs, &config).unwrap();
                         execute_share_pooled(
                             &mut overlay,
@@ -1433,13 +1134,115 @@ mod tests {
                         .unwrap();
                         assert_eq!(
                             pooled.to_report(),
-                            oracle,
-                            "pooled/oracle divergence: case {case} attack {attack:?}"
+                            one_shot,
+                            "reused/fresh divergence: case {case} attack {attack:?}"
                         );
+                        eat_report(&mut digest, &one_shot);
+                        runs += 1;
                     }
                 }
             }
         }
+        assert_eq!(runs, 72);
+        assert_eq!(digest.finish(), FROZEN, "share executor drifted");
+    }
+
+    #[test]
+    fn keyed_runs_match_frozen_digest() {
+        // Disjoint and joint across malicious fractions, churn and attack
+        // modes. The constant was recorded on the event-queue executor
+        // this column loop replaced.
+        const FROZEN: u64 = 0x44b8_ca7b_e875_17bb;
+        let mut digest = TrialDigest::new();
+        let mut case = 0u64;
+        for params in [
+            SchemeParams::Disjoint { k: 3, l: 4 },
+            SchemeParams::Joint { k: 3, l: 4 },
+        ] {
+            for fraction in [0.0, 0.35, 1.0] {
+                for lifetime in [None, Some(2_000u64)] {
+                    case += 1;
+                    let mut overlay = AnalyticSubstrate::build(
+                        OverlayConfig {
+                            n_nodes: 80,
+                            malicious_fraction: fraction,
+                            mean_lifetime: lifetime,
+                            horizon: 100_000,
+                        },
+                        case,
+                    );
+                    let sender_seed = SymmetricKey::from_bytes([case as u8; 32]);
+                    let plan = construct_paths(&overlay, &params, &sender_seed).unwrap();
+                    let schedule = KeySchedule::new(sender_seed);
+                    let pkgs = build_keyed_packages(&plan, &params, &schedule, SECRET).unwrap();
+                    for attack in [
+                        AttackMode::Passive,
+                        AttackMode::ReleaseAhead,
+                        AttackMode::Drop,
+                    ] {
+                        let report =
+                            execute_keyed(&mut overlay, &plan, &params, &pkgs, &run_config(attack))
+                                .unwrap();
+                        eat_report(&mut digest, &report);
+                    }
+                }
+            }
+        }
+        assert_eq!(case, 12);
+        assert_eq!(digest.finish(), FROZEN, "keyed executor drifted");
+    }
+
+    #[test]
+    fn share_runs_on_hostile_churny_worlds_match_frozen_digest() {
+        // Drops, leaks and share starvation all occur across these seeds.
+        // The constant was recorded while the nested v1 package format and
+        // its executor produced the same 24 reports.
+        const FROZEN: u64 = 0x7b97_d38d_b77c_12fd;
+        let grids = [
+            SchemeParams::Share {
+                k: 2,
+                l: 3,
+                n: 5,
+                m: vec![3, 3],
+            },
+            SchemeParams::Share {
+                k: 3,
+                l: 5,
+                n: 8,
+                m: vec![4, 4, 4, 5],
+            },
+        ];
+        let mut digest = TrialDigest::new();
+        let mut runs = 0usize;
+        for params in &grids {
+            for attack in [
+                AttackMode::Passive,
+                AttackMode::ReleaseAhead,
+                AttackMode::Drop,
+            ] {
+                for seed in 0..4u64 {
+                    let cfg = OverlayConfig {
+                        n_nodes: 150,
+                        malicious_fraction: 0.35,
+                        mean_lifetime: Some(9_000),
+                        horizon: 100_000,
+                    };
+                    let sender = SymmetricKey::from_bytes([seed as u8 + 100; 32]);
+                    let mut world = AnalyticSubstrate::build(cfg, seed);
+                    let plan = construct_paths(&world, params, &sender).unwrap();
+                    let pkgs =
+                        build_share_packages(&plan, params, &KeySchedule::new(sender), SECRET)
+                            .unwrap();
+                    let report =
+                        execute_share(&mut world, &plan, params, &pkgs, &run_config(attack))
+                            .unwrap();
+                    eat_report(&mut digest, &report);
+                    runs += 1;
+                }
+            }
+        }
+        assert_eq!(runs, 24);
+        assert_eq!(digest.finish(), FROZEN, "share reports drifted");
     }
 
     #[test]
@@ -1503,6 +1306,55 @@ mod tests {
     }
 
     #[test]
+    fn keyed_and_central_executors_reject_mismatched_shapes() {
+        let config = run_config(AttackMode::Passive);
+        let wide = SchemeParams::Joint { k: 3, l: 3 };
+        let narrow = SchemeParams::Joint { k: 2, l: 3 };
+        let (mut overlay, wide_plan, _) = keyed_setup(&wide, 0.0, 12);
+        let (_, narrow_plan, narrow_pkgs) = keyed_setup(&narrow, 0.0, 12);
+        // Two-row packages on a three-row plan.
+        let err = execute_keyed(&mut overlay, &wide_plan, &wide, &narrow_pkgs, &config);
+        assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
+        // A plan of another shape than the parameters.
+        let err = execute_keyed(&mut overlay, &narrow_plan, &wide, &narrow_pkgs, &config);
+        assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
+        // The centralized scheme needs a one-holder plan.
+        let err = execute_central(&mut overlay, &wide_plan, SECRET, &config);
+        assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
+        let err = execute_central(&mut overlay, &PathPlan::default(), SECRET, &config);
+        assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
+    }
+
+    #[test]
+    fn share_executor_rejects_mismatched_shapes() {
+        let config = run_config(AttackMode::Passive);
+        let share = |n: usize, l: usize| SchemeParams::Share {
+            k: 2,
+            l,
+            n,
+            m: vec![3; l - 1],
+        };
+        let mut overlay = overlay_with(100, 0.0, 13);
+        let sender = SymmetricKey::from_bytes([13; 32]);
+        let setup = |params: &SchemeParams| {
+            let plan = construct_paths(&overlay, params, &sender).unwrap();
+            let pkgs =
+                build_share_packages(&plan, params, &KeySchedule::new(sender.clone()), SECRET)
+                    .unwrap();
+            (plan, pkgs)
+        };
+        let (plan_6x3, _) = setup(&share(6, 3));
+        let (plan_5x4, _) = setup(&share(5, 4));
+        let (_, pkgs_5x3) = setup(&share(5, 3));
+        // Five-row packages on a six-row plan.
+        let err = execute_share(&mut overlay, &plan_6x3, &share(6, 3), &pkgs_5x3, &config);
+        assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
+        // A four-column plan run with three-column parameters.
+        let err = execute_share(&mut overlay, &plan_5x4, &share(5, 3), &pkgs_5x3, &config);
+        assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
+    }
+
+    #[test]
     fn keyed_report_counts_messages() {
         let params = SchemeParams::Joint { k: 2, l: 3 };
         let (mut overlay, plan, pkgs) = keyed_setup(&params, 0.0, 11);
@@ -1515,360 +1367,6 @@ mod tests {
         )
         .unwrap();
         assert!(report.messages_sent > 2, "hops must generate traffic");
-    }
-
-    /// Cross-format oracle: the retained v1 (nested) builder and executor
-    /// run side by side with the v2 flat format on identical worlds. The
-    /// two formats package the same key material under a different
-    /// sealing topology, so every run — across attacks, churn, and
-    /// starvation — must end in the exact same [`RunReport`].
-    mod format_oracle {
-        use super::*;
-        use crate::package::legacy::{
-            self, build_share_packages_v1, open_header_v1, ColumnBundle, SharePackagesV1,
-        };
-        use crate::substrate::AnalyticSubstrate;
-
-        /// The pre-flattening `execute_share`, retained verbatim (nested
-        /// bundle parse + inner unwrap, memoized per column) against the
-        /// legacy v1 package types.
-        fn execute_share_v1<S: HolderSubstrate + ?Sized>(
-            substrate: &mut S,
-            plan: &PathPlan,
-            params: &SchemeParams,
-            packages: &SharePackagesV1,
-            config: &RunConfig,
-        ) -> Result<RunReport, EmergeError> {
-            let (k, l, n, m) = match params {
-                SchemeParams::Share { k, l, n, m } => (*k, *l, *n, m.clone()),
-                _ => {
-                    return Err(EmergeError::InvalidParameters(
-                        "execute_share requires share parameters".into(),
-                    ))
-                }
-            };
-            let th = config.emerging_period / l as u64;
-            let ts = config.ts;
-            let tr = ts + config.emerging_period;
-
-            #[derive(Default, Clone)]
-            struct Inbox {
-                bundle: Option<Rc<Vec<u8>>>,
-                core_onion: Option<Vec<u8>>,
-                key_shares: Vec<KeyShare>,
-                core_shares: Vec<KeyShare>,
-                direct_row_key: Option<SymmetricKey>,
-                direct_core_key: Option<SymmetricKey>,
-            }
-
-            let mut inboxes: Vec<Inbox> = vec![Inbox::default(); n * l];
-            let bundle0 = Rc::new(packages.bundle.clone());
-            for row in 0..n {
-                let inbox = &mut inboxes[row * l];
-                inbox.bundle = Some(bundle0.clone());
-                inbox.direct_row_key = Some(packages.col0_row_keys[row].clone());
-                if row < k {
-                    inbox.core_onion = Some(packages.core_onion.clone());
-                    inbox.direct_core_key = Some(packages.col0_core_key.clone());
-                }
-            }
-
-            let mut messages = n as u64;
-            let mut released: Option<(SimTime, Vec<u8>)> = None;
-            let mut failure: Option<String> = None;
-            let mut terminal_secrets: Vec<Vec<u8>> = Vec::new();
-
-            let mut adv_key_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l];
-            let mut adv_core_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l];
-            let mut adv_core_onion_col0: Option<Vec<u8>> = None;
-            let mut adv_direct_core_key: Option<SymmetricKey> = None;
-
-            let mut engine: Engine<Ev> = Engine::new();
-            engine.schedule_at(ts, Ev::Arrive { col: 0 });
-
-            while let Some((now, ev)) = engine.pop() {
-                match ev {
-                    Ev::Arrive { col } => {
-                        let depart = now + th;
-                        let mut next: Vec<Inbox> = vec![Inbox::default(); n];
-                        let mut parsed_memo: Option<(Rc<Vec<u8>>, Rc<ColumnBundle>)> = None;
-                        let mut unwrap_memo: Option<(Rc<ColumnBundle>, SymmetricKey, Rc<Vec<u8>>)> =
-                            None;
-                        for row in 0..n {
-                            let inbox = std::mem::take(&mut inboxes[row * l + col]);
-                            let slot = plan.slot(row, col);
-                            let tenant = *substrate.generation_at(slot, now);
-
-                            let row_key = if col == 0 {
-                                inbox.direct_row_key.clone()
-                            } else if inbox.key_shares.len() >= m[col - 1] {
-                                combine_key(&inbox.key_shares, m[col - 1])?
-                            } else {
-                                None
-                            };
-                            let Some(row_key) = row_key else {
-                                continue;
-                            };
-                            let Some(bundle_bytes) = inbox.bundle.clone() else {
-                                continue;
-                            };
-                            let bundle: Rc<ColumnBundle> = match &parsed_memo {
-                                Some((blob, parsed)) if Rc::ptr_eq(blob, &bundle_bytes) => {
-                                    parsed.clone()
-                                }
-                                _ => {
-                                    let parsed = Rc::new(ColumnBundle::from_bytes(&bundle_bytes)?);
-                                    parsed_memo = Some((bundle_bytes.clone(), parsed.clone()));
-                                    parsed
-                                }
-                            };
-                            let Some(header) = bundle.headers.get(row) else {
-                                return Err(EmergeError::InvalidParameters(
-                                    "bundle is missing this row's header".into(),
-                                ));
-                            };
-
-                            if config.attack == AttackMode::ReleaseAhead
-                                && tenant.malicious
-                                && col == 0
-                            {
-                                if let Some(core) = &inbox.core_onion {
-                                    adv_core_onion_col0 = Some(core.clone());
-                                }
-                                if inbox.direct_core_key.is_some() {
-                                    adv_direct_core_key = inbox.direct_core_key.clone();
-                                }
-                            }
-
-                            if config.attack == AttackMode::Drop && tenant.malicious {
-                                continue;
-                            }
-                            let survivor =
-                                substrate.generation_at(slot, depart).spawn == tenant.spawn;
-
-                            let payload = open_header_v1(&row_key, header)?;
-
-                            if config.attack == AttackMode::ReleaseAhead
-                                && tenant.malicious
-                                && col + 1 < l
-                            {
-                                if let Some(s) = payload.row_key_shares.first() {
-                                    adv_key_shares[col + 1].push(s.clone());
-                                }
-                                if let Some(s) = &payload.core_key_share {
-                                    adv_core_shares[col + 1].push(s.clone());
-                                }
-                            }
-
-                            let next_bundle: Option<Rc<Vec<u8>>> =
-                                match (&payload.bundle_key, &bundle.inner) {
-                                    (Some(bk), Some(sealed)) => Some(match &unwrap_memo {
-                                        Some((parsed, key, bytes))
-                                            if Rc::ptr_eq(parsed, &bundle) && key == bk =>
-                                        {
-                                            bytes.clone()
-                                        }
-                                        _ => {
-                                            let bytes =
-                                                Rc::new(legacy::open_inner_bytes(bk, sealed)?);
-                                            unwrap_memo =
-                                                Some((bundle.clone(), bk.clone(), bytes.clone()));
-                                            bytes
-                                        }
-                                    }),
-                                    _ => None,
-                                };
-
-                            let mut inner_core: Option<Vec<u8>> = None;
-                            let mut core_secret: Option<Vec<u8>> = None;
-                            if row < k {
-                                let core_key = if col == 0 {
-                                    inbox.direct_core_key.clone()
-                                } else if inbox.core_shares.len() >= m[col - 1] {
-                                    combine_key(&inbox.core_shares, m[col - 1])?
-                                } else {
-                                    None
-                                };
-                                if let (Some(core_key), Some(core_onion)) =
-                                    (core_key, inbox.core_onion.clone())
-                                {
-                                    match peel(&core_key, &core_onion)? {
-                                        Peeled::Intermediate { inner, .. } => {
-                                            inner_core = Some(inner);
-                                        }
-                                        Peeled::Core { payload } => {
-                                            core_secret = Some(payload);
-                                        }
-                                    }
-                                }
-                            }
-
-                            if col + 1 == l {
-                                if let Some(secret) = core_secret {
-                                    terminal_secrets.push(secret);
-                                }
-                                continue;
-                            }
-
-                            if survivor {
-                                for (target_row, next_inbox) in next.iter_mut().enumerate() {
-                                    if let Some(s) = payload.row_key_shares.get(target_row) {
-                                        next_inbox.key_shares.push(s.clone());
-                                        messages += 1;
-                                    }
-                                    if target_row < k {
-                                        if let Some(s) = &payload.core_key_share {
-                                            next_inbox.core_shares.push(s.clone());
-                                        }
-                                    }
-                                }
-                            }
-                            if let Some(nb) = next_bundle {
-                                for next_inbox in &mut next {
-                                    if next_inbox.bundle.is_none() {
-                                        next_inbox.bundle = Some(nb.clone());
-                                        messages += 1;
-                                    }
-                                }
-                            }
-                            if row < k {
-                                if let Some(inner) = inner_core {
-                                    for next_inbox in next.iter_mut().take(k) {
-                                        if next_inbox.core_onion.is_none() {
-                                            next_inbox.core_onion = Some(inner.clone());
-                                            messages += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-
-                        if col + 1 < l {
-                            for (row, nb) in next.into_iter().enumerate() {
-                                inboxes[row * l + col + 1] = nb;
-                            }
-                            engine.schedule_at(depart, Ev::Arrive { col: col + 1 });
-                        } else {
-                            engine.schedule_at(tr, Ev::Release);
-                        }
-                    }
-                    Ev::Release => {
-                        if let Some(secret) = terminal_secrets.first() {
-                            released = Some((now, secret.clone()));
-                            messages += terminal_secrets.len() as u64;
-                        } else {
-                            failure = Some("no terminal onion row reconstructed the secret".into());
-                        }
-                    }
-                }
-            }
-            if released.is_none() && failure.is_none() {
-                failure = Some("share flow starved before the terminal column".into());
-            }
-
-            let mut adversary_reconstruction: Option<(SimTime, Vec<u8>)> = None;
-            if config.attack == AttackMode::ReleaseAhead {
-                if let (Some(core_onion), Some(core_key0)) =
-                    (adv_core_onion_col0, adv_direct_core_key)
-                {
-                    let mut onion = core_onion;
-                    let mut when = ts;
-                    for col in 0..l {
-                        let key = if col == 0 {
-                            Some(core_key0.clone())
-                        } else if adv_core_shares[col].len() >= m[col - 1] {
-                            when = when
-                                .max(ts + (config.emerging_period / l as u64) * (col as u64 - 1));
-                            combine_key(&adv_core_shares[col], m[col - 1])?
-                        } else {
-                            None
-                        };
-                        let Some(key) = key else {
-                            break;
-                        };
-                        if col + 1 == l {
-                            let (_, secret) = peel_core(&key, &onion)?;
-                            if when < tr {
-                                adversary_reconstruction = Some((when, secret));
-                            }
-                        } else {
-                            match peel(&key, &onion)? {
-                                Peeled::Intermediate { inner, .. } => onion = inner,
-                                Peeled::Core { payload } => {
-                                    if when < tr {
-                                        adversary_reconstruction = Some((when, payload));
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            Ok(RunReport {
-                released,
-                failure,
-                adversary_reconstruction,
-                messages_sent: messages,
-            })
-        }
-
-        #[test]
-        fn v1_and_v2_runs_produce_identical_reports() {
-            let grids = [
-                SchemeParams::Share {
-                    k: 2,
-                    l: 3,
-                    n: 5,
-                    m: vec![3, 3],
-                },
-                SchemeParams::Share {
-                    k: 3,
-                    l: 5,
-                    n: 8,
-                    m: vec![4, 4, 4, 5],
-                },
-            ];
-            let attacks = [
-                AttackMode::Passive,
-                AttackMode::ReleaseAhead,
-                AttackMode::Drop,
-            ];
-            let mut compared = 0usize;
-            for params in &grids {
-                for &attack in &attacks {
-                    for seed in 0..4u64 {
-                        // A hostile, churny world so drops, leaks and
-                        // share starvation all occur across the seeds.
-                        let cfg = OverlayConfig {
-                            n_nodes: 150,
-                            malicious_fraction: 0.35,
-                            mean_lifetime: Some(9_000),
-                            horizon: 100_000,
-                        };
-                        let sender = SymmetricKey::from_bytes([seed as u8 + 100; 32]);
-                        let mut world_a = AnalyticSubstrate::build(cfg, seed);
-                        let mut world_b = AnalyticSubstrate::build(cfg, seed);
-                        let plan = construct_paths(&world_a, params, &sender).unwrap();
-                        let schedule = KeySchedule::new(sender);
-                        let v2 = build_share_packages(&plan, params, &schedule, SECRET).unwrap();
-                        let v1 = build_share_packages_v1(&plan, params, &schedule, SECRET).unwrap();
-                        let config = run_config(attack);
-                        let report_v2 =
-                            execute_share(&mut world_a, &plan, params, &v2, &config).unwrap();
-                        let report_v1 =
-                            execute_share_v1(&mut world_b, &plan, params, &v1, &config).unwrap();
-                        assert_eq!(
-                            report_v2, report_v1,
-                            "formats diverged: {params:?}, {attack:?}, seed {seed}"
-                        );
-                        compared += 1;
-                    }
-                }
-            }
-            assert_eq!(compared, 24);
-        }
     }
 
     mod properties {

@@ -43,6 +43,8 @@ pub const HOT_PATH_FNS: &[&str] = &[
     "reset",
     "open_segment",
     "protocol_trial_digest",
+    "run_trial",
+    "set_sender",
 ];
 
 /// Identifier substrings treated as secret material by the constant-time

@@ -1,48 +1,45 @@
 //! # emerge-sim
 //!
-//! A small, deterministic discrete-event simulation engine. This is the
-//! substrate beneath the DHT and the self-emerging key-routing protocol:
-//! the paper evaluates on the Overlay Weaver DHT *emulator*; this crate (plus
-//! `emerge-dht`) plays that role here.
+//! Deterministic simulation plumbing beneath the DHT and the
+//! self-emerging key-routing protocol: the paper evaluates on the Overlay
+//! Weaver DHT *emulator*; this crate (plus `emerge-dht`) plays that role
+//! here.
 //!
-//! Design goals:
+//! * [`time`] — virtual instants and durations (integer ticks).
+//! * [`rng`] — labelled random streams forked off one root seed, so
+//!   identical seeds produce identical runs.
+//! * [`churn`] — node lifetime and replacement models.
+//! * [`metrics`] — mergeable rates and summaries.
+//! * [`shard`] — the one Monte-Carlo driver: contiguous trial ranges run
+//!   on worker threads and merged in range order.
 //!
-//! * **Determinism** — identical seeds produce identical runs. The event
-//!   queue breaks timestamp ties by insertion sequence; all randomness flows
-//!   from labelled [`rng`] streams forked off one root seed.
-//! * **No global state** — an [`engine::Engine`] is an ordinary value; tests
-//!   can run thousands of independent simulations in parallel.
-//! * **Separation of clock and logic** — the engine owns time and the event
-//!   queue; domain state lives outside and handles popped events, so there
-//!   are no borrow-checker acrobatics and no `Rc<RefCell>` webs.
+//! There is no global state: every world, stream and result is an
+//! ordinary value, so tests can run thousands of independent simulations
+//! in parallel.
 //!
 //! ```
-//! use emerge_sim::engine::Engine;
+//! use emerge_sim::rng::SeedSource;
 //! use emerge_sim::time::{SimDuration, SimTime};
+//! use rand::RngCore;
 //!
-//! #[derive(Debug, PartialEq)]
-//! enum Ev { Ping(u32) }
+//! let ts = SimTime::from_ticks(2);
+//! assert_eq!(ts + SimDuration::from_ticks(3), SimTime::from_ticks(5));
 //!
-//! let mut engine: Engine<Ev> = Engine::new();
-//! engine.schedule_in(SimDuration::from_ticks(5), Ev::Ping(1));
-//! engine.schedule_at(SimTime::from_ticks(2), Ev::Ping(0));
-//!
-//! let (t, ev) = engine.pop().unwrap();
-//! assert_eq!((t, ev), (SimTime::from_ticks(2), Ev::Ping(0)));
-//! let (t, ev) = engine.pop().unwrap();
-//! assert_eq!((t, ev), (SimTime::from_ticks(5), Ev::Ping(1)));
-//! assert!(engine.pop().is_none());
+//! // The same label and index always yield the same stream.
+//! let seeds = SeedSource::new(7);
+//! assert_eq!(
+//!     seeds.stream_n("trial", 3).next_u64(),
+//!     seeds.stream_n("trial", 3).next_u64()
+//! );
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod engine;
 pub mod metrics;
 pub mod rng;
 pub mod shard;
 pub mod time;
 
-pub use engine::Engine;
 pub use time::{SimDuration, SimTime};

@@ -13,7 +13,9 @@
 //! * [`contract`] — the smart-contract release layer: block clock, bonded
 //!   commit/reveal escrow, holder economy, and the contract-native bonded
 //!   release mode
-//! * [`sim`] — the deterministic discrete-event engine
+//! * [`sim`] — deterministic simulation plumbing: virtual time, labelled
+//!   RNG streams, churn models, mergeable metrics and the sharded
+//!   Monte-Carlo driver
 //! * [`crypto`] — the from-scratch cryptographic substrate
 //! * [`cloud`] — the encrypted blob store
 //! * [`obs`] — the observability layer: mergeable metrics, span/event

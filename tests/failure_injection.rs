@@ -143,6 +143,91 @@ fn tamper_storm_loses_values_but_never_misroutes_them() {
     );
 }
 
+/// `[fingerprint, fault_fingerprint]` of `fault_frontier_matches_golden`'s
+/// cells, in loop order: share 8×3 then joint 2×3, each over loss burst,
+/// correlated outage, crash storm and churn storm at 50k, 150k and 400k
+/// ppm.
+const FRONTIER_GOLDEN: [[u64; 2]; 24] = [
+    [0xcc7b_c66e_c0d5_ad15, 0x95e2_1a10_1214_efc3],
+    [0x9295_5d1e_76de_cdff, 0x04a0_589f_6195_1935],
+    [0x8684_7fe6_b656_b6d7, 0xc44a_84c2_63c1_838a],
+    [0x18d1_8cdc_3c15_a5f2, 0x4eb8_bbf8_a895_bbf0],
+    [0x48b8_84d7_68c3_4246, 0x335e_2db7_175d_fe03],
+    [0x087d_304f_48f9_6dfe, 0x323d_ca4a_4a0b_b32b],
+    [0x63c8_a8a1_b698_bf89, 0x1ad1_9e9e_f5ed_db53],
+    [0xa247_1f21_309b_1436, 0x3197_6a30_a917_5924],
+    [0xb932_699c_4901_caab, 0xe4a8_ebcb_1413_8a08],
+    [0x3f17_408c_6037_f6d5, 0xa6ad_98e6_9423_59d6],
+    [0x8a52_f3cd_9aaa_fbe9, 0x4241_5786_b341_eb92],
+    [0x877b_eb5b_cf69_063a, 0x8832_8740_22f3_e79d],
+    [0x4b82_3394_1804_9359, 0x0a2d_13df_fbbb_33ee],
+    [0x4b82_3394_1804_9359, 0xb473_8de3_5949_a48e],
+    [0x4b82_3394_1804_9359, 0x3ee8_dbc1_f213_d83f],
+    [0x4b82_3394_1804_9359, 0x3944_a855_cfa4_ae3b],
+    [0x4b82_3394_1804_9359, 0x829f_594a_ee2f_78a6],
+    [0x4b82_3394_1804_9359, 0x4ae4_6367_6563_ccd0],
+    [0x4b82_3394_1804_9359, 0xbe5c_fa9b_310d_23c8],
+    [0x4b82_3394_1804_9359, 0x5902_215b_6d46_1850],
+    [0x4b82_3394_1804_9359, 0xe672_d656_ca5d_8ffe],
+    [0x4b82_3394_1804_9359, 0x321f_ee6e_0eec_d265],
+    [0x4b82_3394_1804_9359, 0xc4e7_ed19_03f3_248b],
+    [0x4b82_3394_1804_9359, 0x9070_5144_ee0c_897b],
+];
+
+#[test]
+fn fault_frontier_matches_golden() {
+    // The `montecarlo_baseline --faults` frontier (its scenarios, ladder,
+    // plan horizon and seed) on a share and a keyed cell. The fault
+    // fingerprint digests every trial's injector counters, so it also
+    // pins substrate queries whose answers the executors ignore.
+    const SEED: u64 = 0xB45E;
+    let world = OverlayConfig {
+        n_nodes: 1_000,
+        malicious_fraction: 0.2,
+        mean_lifetime: Some(40_000),
+        horizon: 200_000,
+    };
+    let cells = [
+        SchemeParams::Share {
+            k: 2,
+            l: 3,
+            n: 8,
+            m: vec![4, 4],
+        },
+        SchemeParams::Joint { k: 2, l: 3 },
+    ];
+    let mut golden = FRONTIER_GOLDEN.iter();
+    for params in cells {
+        let spec = ProtocolTrialSpec {
+            params,
+            emerging_period: SimDuration::from_ticks(8_000),
+            attack: AttackMode::ReleaseAhead,
+        };
+        for scenario in [
+            Scenario::LossBurst,
+            Scenario::CorrelatedOutage,
+            Scenario::CrashStorm,
+            Scenario::ChurnStorm,
+        ] {
+            for ppm in [50_000, 150_000, 400_000] {
+                let plan = scenario.plan(ppm, 10_000, SEED);
+                let r =
+                    run_faulted_trials(&spec, &plan, RecoveryPolicy::default(), 20, SEED, |s| {
+                        AnalyticSubstrate::build(world, s)
+                    })
+                    .unwrap();
+                assert_eq!(
+                    Some(&[r.base.fingerprint, r.fault_fingerprint]),
+                    golden.next(),
+                    "{:?} under {}@{ppm}ppm",
+                    spec.params,
+                    scenario.name()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn crashed_bonded_holders_slash_exactly_their_bonds() {
     // Contract substrate, contract-native path: a total crash storm makes

@@ -18,10 +18,10 @@
 //! report — released secret/time, failure, adversary reconstruction,
 //! message counts — and the flattening alters only the sealing topology
 //! of the package, not one byte of delivered key material or one message
-//! of executor behaviour (the `format_oracle` suite in
-//! `emerge_core::protocol` proves v1 and v2 reports equal field by
-//! field). A fingerprint change here after a packaging edit therefore
-//! still means real protocol behaviour drifted.
+//! of executor behaviour (v1 and v2 reports agreed field by field; the
+//! frozen-digest tests in `emerge_core::protocol` recorded that agreement
+//! before v1 was retired). A fingerprint change here after a packaging
+//! edit therefore still means real protocol behaviour drifted.
 
 use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
 use self_emerging_data::core::config::SchemeParams;

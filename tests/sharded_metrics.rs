@@ -13,7 +13,7 @@
 //! which no two runs reproduce. Their *counts* still merge exactly and
 //! are compared.)
 
-use emerge_bench::profile::profiled;
+use emerge_bench::profile::{collected, profiled};
 use proptest::prelude::*;
 use self_emerging_data::contract::mc::{run_bonded_trial_range, run_bonded_trial_range_faulted};
 use self_emerging_data::contract::release::BondedSpec;
@@ -30,6 +30,7 @@ use self_emerging_data::faults::{RecoveryPolicy, Scenario};
 use self_emerging_data::obs::MetricsSnapshot;
 use self_emerging_data::sim::shard::{metrics_digest, run_sharded, Merge};
 use self_emerging_data::sim::time::SimDuration;
+use self_emerging_data::{SelfEmergingSystem, SendRequest};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -306,5 +307,53 @@ proptest! {
             prop_assert_eq!(&telemetry.counters, &serial_telemetry.counters);
             prop_assert_eq!(metrics_digest(&telemetry), metrics_digest(&serial_telemetry));
         }
+    }
+}
+
+#[test]
+fn a_send_records_no_trial_phase_spans() {
+    // `SelfEmergingSystem::run_to_release` runs the trial stages through
+    // the trial loops' scheme dispatch, but a send is not a Monte-Carlo
+    // trial: the `trial.*` phase spans stay empty while the layers below
+    // still record.
+    for scheme in SchemeKind::ALL {
+        let ((), telemetry) = collected(|| {
+            let mut system = SelfEmergingSystem::new(
+                OverlayConfig {
+                    n_nodes: 256,
+                    ..OverlayConfig::default()
+                },
+                17,
+            );
+            let mut handle = system
+                .send(SendRequest {
+                    message: b"sealed until noon".to_vec(),
+                    emerging_period: SimDuration::from_ticks(6_000),
+                    scheme,
+                    target_resilience: 0.99,
+                    expected_malicious_rate: 0.1,
+                })
+                .unwrap();
+            system.run_to_release(&mut handle);
+            assert_eq!(system.receive(&handle).unwrap(), b"sealed until noon");
+        });
+        for phase in [
+            "trial.world_rebuild",
+            "trial.paths",
+            "trial.package_build",
+            "trial.execute",
+        ] {
+            assert_eq!(
+                telemetry.counter(&format!("{phase}.calls")),
+                None,
+                "{scheme}: {phase}"
+            );
+        }
+        assert!(
+            telemetry
+                .counter("dht.analytic.resolves")
+                .is_some_and(|resolves| resolves > 0),
+            "{scheme}: the collector recorded nothing"
+        );
     }
 }
