@@ -1,8 +1,7 @@
 //! # emerge-bench
 //!
 //! The experiment harness that regenerates every figure of the paper's
-//! evaluation section (Section IV), plus criterion microbenches for the
-//! substrates.
+//! evaluation section (Section IV).
 //!
 //! Binaries:
 //!
@@ -10,16 +9,19 @@
 //! * `fig7` — churn resilience for α ∈ {1, 2, 3, 5} (Figure 7 a–d)
 //! * `fig8` — share-scheme cost sweep (Figure 8)
 //! * `all_figures` — runs everything and writes `results/*.dat`
+//! * `ablations` — the design-choice ablations
 //!
 //! Each binary prints gnuplot-ready columns in the same shape as the
 //! paper's plots. Environment variables `EMERGE_TRIALS` (default 1000)
 //! and `EMERGE_P_STEP` (default 0.02) trade accuracy for speed;
-//! `EMERGE_MC_THREADS` caps the sharded Monte-Carlo worker threads (see
+//! `EMERGE_MC_THREADS` caps the worker threads (see
 //! [`parallel::mc_threads`]).
 //!
 //! Batches run through the one Monte-Carlo driver,
 //! [`emerge_sim::shard::run_sharded`]; wrap the range call in
-//! [`profile::profiled`] for per-phase telemetry.
+//! [`profile::profiled`] for per-phase telemetry. The workspace's timing
+//! harness is the benchmark ledger in `bench/`, a package of its own that
+//! reads its output back through [`report::validate_json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,21 +1,21 @@
 //! A tiny work-stealing `parallel_map` over OS threads, and the worker
-//! count of the sharded Monte-Carlo binaries.
+//! count of the Monte-Carlo binaries.
 //!
 //! The figure sweeps are embarrassingly parallel across `p` values; this
-//! helper spreads them over the available cores with
+//! helper spreads them over [`mc_threads`] workers with
 //! [`parallel_map_workers`], the same scoped-thread pool that
 //! [`emerge_sim::shard::run_sharded`] runs trial ranges on.
 
 use emerge_sim::shard::parallel_map_workers;
 
-/// Worker-thread count for Monte-Carlo sharding: `EMERGE_MC_THREADS` if
-/// set to a positive integer, otherwise the machine's available
+/// Worker-thread count for the Monte-Carlo binaries: `EMERGE_MC_THREADS`
+/// if set to a positive integer, otherwise the machine's available
 /// parallelism (1 if unknown).
 ///
 /// The thread count only affects wall-clock time, never results:
 /// [`emerge_sim::shard::run_sharded`] is bit-identical across thread
 /// counts (CI runs the suites with `EMERGE_MC_THREADS=1` and unset to
-/// guard this).
+/// guard this), and [`parallel_map`] returns its results in input order.
 pub fn mc_threads() -> usize {
     std::env::var("EMERGE_MC_THREADS")
         .ok()
@@ -24,9 +24,8 @@ pub fn mc_threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
-/// Applies `f` to every item, in parallel, preserving input order in the
-/// output. `f` must be `Sync` (it is shared across workers). Worker count
-/// defaults to the available parallelism.
+/// Applies `f` to every item on [`mc_threads`] workers, preserving input
+/// order in the output. `f` must be `Sync` (it is shared across workers).
 ///
 /// A panic inside `f` propagates to the caller (the scoped-thread runtime
 /// re-raises it when the scope exits); the remaining items may or may not
@@ -37,8 +36,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = std::thread::available_parallelism().map_or(4, |p| p.get());
-    parallel_map_workers(items, workers, f)
+    parallel_map_workers(items, mc_threads(), f)
 }
 
 #[cfg(test)]

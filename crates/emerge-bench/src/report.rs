@@ -1,211 +1,10 @@
-//! Machine-readable benchmark reports (`BENCH_montecarlo.json`).
+//! A validated JSON reader (RFC 8259 subset).
 //!
-//! The baseline binary used to hand-format JSON with `format!("{:.3}")`,
-//! which happily prints `inf` — not a JSON token — whenever a measurement
-//! finishes below the clock resolution. This module centralizes the
-//! rendering: every number goes through `json_number`, which maps
-//! non-finite values to `0`, and the unit tests feed the rendered text
-//! back through the bundled [`validate_json`] checker so an invalid
-//! report can never be written silently again.
-
-use crate::profile::PhaseStats;
-use std::fmt::Write as _;
-
-/// One Monte-Carlo throughput measurement of a `(cell, substrate)` pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct McMeasurement {
-    /// Scenario cell label, e.g. `share_40x5_release_ahead`.
-    pub cell: String,
-    /// Substrate label (`analytic` or `contract`).
-    pub substrate: String,
-    /// Worker threads used by the sharded runner.
-    pub threads: usize,
-    /// Trials executed.
-    pub trials: usize,
-    /// Wall-clock seconds the batch took.
-    pub seconds: f64,
-    /// Clean-emergence rate observed.
-    pub clean: f64,
-    /// Release rate observed.
-    pub released: f64,
-    /// Degraded-success rate for fault-scenario cells: the fraction of
-    /// trials that released *despite* at least one injected disruption.
-    /// `None` for faultless cells (the key is omitted from the report),
-    /// so clean success and fault-tolerant success never blur together.
-    pub degraded: Option<f64>,
-    /// Per-phase breakdown from the cell's `emerge-obs` telemetry
-    /// (`--profile` runs; empty otherwise, and omitted from the report).
-    pub phases: Vec<PhaseStats>,
-}
-
-impl McMeasurement {
-    /// Trials per wall-clock second, `0.0` when the elapsed time is zero
-    /// or non-finite (a sub-resolution measurement carries no throughput
-    /// information, and `inf` is not a JSON token).
-    pub fn trials_per_sec(&self) -> f64 {
-        if self.seconds.is_finite() && self.seconds > 0.0 {
-            self.trials as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Formats `x` with `decimals` fraction digits, substituting `0` for
-/// non-finite values so the output is always a valid JSON number.
-fn json_number(x: f64, decimals: usize) -> String {
-    if x.is_finite() {
-        format!("{x:.decimals$}")
-    } else {
-        format!("{:.decimals$}", 0.0)
-    }
-}
-
-/// Escapes a string for embedding inside a JSON string literal, so label
-/// fields can never corrupt the report.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the full `BENCH_montecarlo.json` document.
-pub fn render_montecarlo_report(
-    population: usize,
-    seed: u64,
-    measurements: &[McMeasurement],
-) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"population\": {population},");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    json.push_str("  \"measurements\": [\n");
-    let lines: Vec<String> = measurements
-        .iter()
-        .map(|m| {
-            let mut line = format!(
-                concat!(
-                    "    {{\"cell\": \"{}\", \"substrate\": \"{}\", ",
-                    "\"threads\": {}, \"trials\": {}, ",
-                    "\"seconds\": {}, \"trials_per_sec\": {}, ",
-                    "\"clean_rate\": {}, \"released_rate\": {}"
-                ),
-                json_escape(&m.cell),
-                json_escape(&m.substrate),
-                m.threads,
-                m.trials,
-                json_number(m.seconds, 3),
-                json_number(m.trials_per_sec(), 3),
-                json_number(m.clean, 4),
-                json_number(m.released, 4),
-            );
-            if let Some(degraded) = m.degraded {
-                let _ = write!(line, ", \"degraded_rate\": {}", json_number(degraded, 4));
-            }
-            if !m.phases.is_empty() {
-                line.push_str(", \"phases\": [\n");
-                let phase_lines: Vec<String> = m.phases.iter().map(render_phase).collect();
-                line.push_str(&phase_lines.join(",\n"));
-                line.push_str("\n    ]");
-            }
-            line.push('}');
-            line
-        })
-        .collect();
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    json
-}
-
-/// Renders one phase entry of a measurement's `"phases"` array. All
-/// fields are integer-valued (nanoseconds, counts, bytes) so no
-/// non-finite guard is needed.
-fn render_phase(p: &PhaseStats) -> String {
-    format!(
-        concat!(
-            "      {{\"phase\": \"{}\", \"calls\": {}, ",
-            "\"total_nanos\": {}, \"mean_nanos\": {}, \"p99_nanos\": {}, ",
-            "\"allocs\": {}, \"sealed_bytes\": {}}}"
-        ),
-        json_escape(&p.phase),
-        p.calls,
-        p.total_nanos,
-        p.mean_nanos,
-        p.p99_nanos,
-        p.allocs,
-        p.sealed_bytes,
-    )
-}
-
-/// One crypto-kernel throughput measurement (`BENCH_crypto.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CryptoMeasurement {
-    /// Operation label, e.g. `shamir_split_20of40_32B`.
-    pub op: String,
-    /// Iterations executed.
-    pub iters: usize,
-    /// Wall-clock seconds the batch took.
-    pub seconds: f64,
-    /// Bytes processed per iteration (`0` when throughput-in-bytes is not
-    /// meaningful for the operation).
-    pub bytes_per_iter: usize,
-}
-
-impl CryptoMeasurement {
-    /// Iterations per wall-clock second (`0.0` for sub-resolution runs).
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.seconds.is_finite() && self.seconds > 0.0 {
-            self.iters as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Decimal megabytes (10^6 bytes) per second, `0.0` when
-    /// `bytes_per_iter` is zero.
-    pub fn mb_per_sec(&self) -> f64 {
-        self.ops_per_sec() * self.bytes_per_iter as f64 / 1e6
-    }
-}
-
-/// Renders the full `BENCH_crypto.json` document.
-pub fn render_crypto_report(measurements: &[CryptoMeasurement]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"measurements\": [\n");
-    let lines: Vec<String> = measurements
-        .iter()
-        .map(|m| {
-            format!(
-                concat!(
-                    "    {{\"op\": \"{}\", \"iters\": {}, \"seconds\": {}, ",
-                    "\"ops_per_sec\": {}, \"bytes_per_iter\": {}, ",
-                    "\"mb_per_sec\": {}}}"
-                ),
-                json_escape(&m.op),
-                m.iters,
-                json_number(m.seconds, 3),
-                json_number(m.ops_per_sec(), 1),
-                m.bytes_per_iter,
-                json_number(m.mb_per_sec(), 2),
-            )
-        })
-        .collect();
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    json
-}
+//! [`parse_json`] builds a [`JsonValue`] tree with document-ordered
+//! object members and bounded nesting, and [`validate_json`] checks a
+//! text with the same parser, so the two can never disagree about what is
+//! well-formed. The sweep plane's line-JSON wire format and report
+//! reader, and the benchmark ledger's output check, read through it.
 
 /// Checks that `text` is one complete JSON value (RFC 8259 subset: no
 /// escapes beyond `\" \\ \/ \b \f \n \r \t \uXXXX`). Returns the byte
@@ -577,130 +376,6 @@ impl JsonReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn measurement(seconds: f64) -> McMeasurement {
-        McMeasurement {
-            cell: "share_40x5_release_ahead".into(),
-            substrate: "analytic".into(),
-            threads: 4,
-            trials: 1000,
-            seconds,
-            clean: 1.0,
-            released: 1.0,
-            degraded: None,
-            phases: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn trials_per_sec_guards_sub_resolution_measurements() {
-        assert_eq!(measurement(0.0).trials_per_sec(), 0.0);
-        assert_eq!(measurement(-0.0).trials_per_sec(), 0.0);
-        assert_eq!(measurement(f64::NAN).trials_per_sec(), 0.0);
-        assert!((measurement(2.0).trials_per_sec() - 500.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn report_with_zero_elapsed_time_still_parses() {
-        // The historical bug: seconds == 0 rendered "trials_per_sec": inf.
-        let json = render_montecarlo_report(10_000, 0xB45E, &[measurement(0.0)]);
-        validate_json(&json).unwrap_or_else(|(pos, msg)| {
-            panic!("invalid JSON at byte {pos}: {msg}\n{json}");
-        });
-        assert!(json.contains("\"trials_per_sec\": 0.000"));
-        assert!(!json.contains("inf"));
-    }
-
-    #[test]
-    fn report_round_trips_normal_measurements() {
-        let json = render_montecarlo_report(10_000, 7, &[measurement(278.5), measurement(3.2)]);
-        assert!(validate_json(&json).is_ok());
-        assert!(json.contains("\"population\": 10000"));
-        assert!(json.contains("\"threads\": 4"));
-    }
-
-    #[test]
-    fn profiled_measurements_embed_a_valid_phases_array() {
-        let mut m = measurement(2.0);
-        m.phases = vec![
-            PhaseStats {
-                phase: "trial.package_build".into(),
-                calls: 1000,
-                total_nanos: 450_000_000,
-                mean_nanos: 450_000,
-                p99_nanos: 524_287,
-                allocs: 0,
-                sealed_bytes: 40_960_000,
-            },
-            PhaseStats {
-                phase: "trial.execute".into(),
-                calls: 1000,
-                total_nanos: 1_200_000_000,
-                mean_nanos: 1_200_000,
-                p99_nanos: 2_097_151,
-                allocs: 3,
-                sealed_bytes: 0,
-            },
-        ];
-        let json = render_montecarlo_report(10_000, 1, &[m, measurement(1.0)]);
-        validate_json(&json).unwrap_or_else(|(pos, msg)| {
-            panic!("invalid JSON at byte {pos}: {msg}\n{json}");
-        });
-        assert!(json.contains("\"phases\": ["));
-        assert!(json.contains("\"phase\": \"trial.package_build\""));
-        assert!(json.contains("\"sealed_bytes\": 40960000"));
-        // An unprofiled measurement carries no phases key at all.
-        assert_eq!(json.matches("\"phases\"").count(), 1);
-    }
-
-    #[test]
-    fn fault_cells_carry_a_degraded_rate_and_plain_cells_do_not() {
-        let mut faulted = measurement(2.0);
-        faulted.cell = "share_8x3+loss_burst@100000ppm".into();
-        faulted.degraded = Some(0.125);
-        let json = render_montecarlo_report(10_000, 1, &[faulted, measurement(1.0)]);
-        validate_json(&json).unwrap_or_else(|(pos, msg)| {
-            panic!("invalid JSON at byte {pos}: {msg}\n{json}");
-        });
-        assert_eq!(json.matches("\"degraded_rate\": 0.1250").count(), 1);
-        assert_eq!(json.matches("\"degraded_rate\"").count(), 1);
-    }
-
-    #[test]
-    fn hostile_labels_are_escaped() {
-        let mut m = measurement(1.0);
-        m.cell = "joint \"fast\" cell\\\n\u{1}".into();
-        let json = render_montecarlo_report(100, 1, &[m]);
-        validate_json(&json).unwrap_or_else(|(pos, msg)| {
-            panic!("invalid JSON at byte {pos}: {msg}\n{json}");
-        });
-        assert!(json.contains("joint \\\"fast\\\" cell\\\\\\n\\u0001"));
-    }
-
-    #[test]
-    fn crypto_report_renders_valid_json() {
-        let ms = [
-            CryptoMeasurement {
-                op: "gf256_mul_slice_assign_1KiB".into(),
-                iters: 1000,
-                seconds: 0.25,
-                bytes_per_iter: 1024,
-            },
-            CryptoMeasurement {
-                op: "key_schedule_row_key_memoized".into(),
-                iters: 5_000_000,
-                seconds: 0.0, // sub-resolution: must render 0, not inf
-                bytes_per_iter: 0,
-            },
-        ];
-        let json = render_crypto_report(&ms);
-        validate_json(&json).unwrap_or_else(|(pos, msg)| {
-            panic!("invalid JSON at byte {pos}: {msg}\n{json}");
-        });
-        assert!(json.contains("\"ops_per_sec\": 4000.0"));
-        assert!(json.contains("\"mb_per_sec\": 0.00"));
-        assert!(!json.contains("inf"));
-    }
 
     #[test]
     fn validator_accepts_json_shapes() {

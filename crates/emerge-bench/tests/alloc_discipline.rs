@@ -100,7 +100,7 @@ fn steady_state_share_trials_allocate_nothing() {
 /// collector records every phase span, counter increment and ring entry
 /// into preallocated storage, so steady-state trials stay at zero
 /// allocations even while fully instrumented. This is the property that
-/// lets `montecarlo_baseline` run its profiled drivers unconditionally.
+/// lets a sweep worker run every unit under a collector.
 #[test]
 fn steady_state_share_trials_allocate_nothing_with_metrics_enabled() {
     const TRIALS: usize = 20;

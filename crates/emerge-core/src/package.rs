@@ -72,10 +72,9 @@ use std::collections::HashMap;
 /// Instrumented seal hook: total AEAD plaintext bytes sealed by the
 /// share-packaging code (headers and segments), recorded into the
 /// thread's `emerge-obs` collector. Drives the seal-volume regression
-/// test (the package must be `Θ(l·n)`), the
-/// `share_package_seal_bytes` measurement in `crypto_baseline`, and the
-/// per-phase `trial.package_build.sealed_bytes` attribution of
-/// `montecarlo_baseline --profile`.
+/// test (the package must be `Θ(l·n)`) and the per-phase
+/// `trial.package_build.sealed_bytes` attribution that a profiled run
+/// collects.
 pub static SEALED_BYTES: CounterId = CounterId::new("package.seal.bytes");
 
 /// Every AEAD seal in this module (headers and segments) reports its

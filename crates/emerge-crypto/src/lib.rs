@@ -21,8 +21,9 @@
 //! * [`wire`] — small length-prefixed serialization helpers
 //!
 //! Everything here is written for clarity and determinism first; it is more
-//! than fast enough for the simulation workloads in this repository (see the
-//! `crypto_bench` criterion bench for numbers).
+//! than fast enough for the simulation workloads in this repository (the
+//! benchmark ledger's traced run, `bench/`, times the AEAD, Shamir and
+//! ChaCha20 primitives).
 //!
 //! # Example
 //!

@@ -1,4 +1,5 @@
-//! The named scenario catalog behind `montecarlo_baseline --faults`.
+//! The named scenario catalog behind the fault frontier, which
+//! `tests/failure_injection.rs` pins value for value.
 //!
 //! A [`Scenario`] compiles `(intensity, horizon, seed)` into a concrete
 //! [`FaultPlan`] with pure integer arithmetic, so the same name and knobs
@@ -46,7 +47,7 @@ impl Scenario {
         ]
     }
 
-    /// The scenario's stable CLI / report name.
+    /// The scenario's stable report name.
     pub fn name(&self) -> &'static str {
         match self {
             Scenario::LossBurst => "loss_burst",
@@ -57,11 +58,6 @@ impl Scenario {
             Scenario::ClockSkew => "clock_skew",
             Scenario::Tamper => "tamper",
         }
-    }
-
-    /// Parses a CLI name back into a scenario.
-    pub fn parse(name: &str) -> Option<Scenario> {
-        Scenario::all().iter().copied().find(|s| s.name() == name)
     }
 
     /// Compiles the scenario into a plan: one window over the middle 80%
@@ -114,11 +110,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for s in Scenario::all() {
-            assert_eq!(Scenario::parse(s.name()), Some(*s));
+    fn names_are_unique() {
+        let all = Scenario::all();
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                assert_ne!(a.name(), b.name());
+            }
         }
-        assert_eq!(Scenario::parse("no_such_fault"), None);
     }
 
     #[test]

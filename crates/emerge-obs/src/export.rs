@@ -1,30 +1,7 @@
-//! Cold-path renderers for [`MetricsSnapshot`]: a JSON object (checked
-//! against `emerge_bench::report::validate_json` in the bench crate's
-//! tests) and the Prometheus text exposition format.
+//! Cold-path renderer for [`MetricsSnapshot`]: the Prometheus text
+//! exposition format, which `sweep_coordinator --prom` writes.
 
 use crate::metrics::{bucket_upper_bound, MetricsSnapshot};
-
-/// Escapes a string for a JSON string literal (quotes, backslash,
-/// control characters). Mirrors `emerge_bench::report::json_escape`;
-/// duplicated here because this crate sits below the bench crate and
-/// must stay dependency-free.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Replaces every character outside `[a-zA-Z0-9_:]` with `_` so dotted
 /// metric names become valid Prometheus metric names.
@@ -41,76 +18,6 @@ fn prometheus_name(s: &str) -> String {
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot as one JSON object:
-    ///
-    /// ```json
-    /// {
-    ///   "counters": { "crypto.seal.bytes": 663552 },
-    ///   "gauges":   { "pool.slots": { "current": 3, "min": 0, "max": 8, "samples": 12 } },
-    ///   "histograms": {
-    ///     "trial.paths": { "count": 300, "sum": 91234, "min": 210, "max": 512,
-    ///                       "mean": 304, "p50": 255, "p99": 511,
-    ///                       "buckets": [[255, 120], [511, 180]] }
-    ///   }
-    /// }
-    /// ```
-    ///
-    /// Histogram `buckets` list only the non-empty buckets as
-    /// `[upper_bound, count]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(&c.name), c.value));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"current\":{},\"min\":{},\"max\":{},\"samples\":{}}}",
-                json_escape(&g.name),
-                g.current,
-                g.min,
-                g.max,
-                g.samples
-            ));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-                json_escape(&h.name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.99)
-            ));
-            let mut first = true;
-            for (b, &n) in h.buckets.iter().enumerate() {
-                if n != 0 {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&format!("[{},{}]", bucket_upper_bound(b), n));
-                }
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// Renders the snapshot in the Prometheus text exposition format
     /// (v0.0.4): counters and gauges as single samples, histograms as
     /// cumulative `_bucket{le="…"}` series plus `_sum` and `_count`.
@@ -162,12 +69,6 @@ mod tests {
         LAT.record(900);
         let snap = take().expect("collector installed").snapshot();
 
-        let json = snap.to_json();
-        assert!(json.contains("\"test.export.calls\":7"), "{json}");
-        assert!(json.contains("\"current\":-2"), "{json}");
-        assert!(json.contains("\"count\":2"), "{json}");
-        assert!(json.contains("\"buckets\":[[3,1],[1023,1]]"), "{json}");
-
         let prom = snap.to_prometheus();
         assert!(prom.contains("# TYPE test_export_calls counter\ntest_export_calls 7\n"));
         assert!(prom.contains("test_export_level -2\n"));
@@ -183,10 +84,6 @@ mod tests {
     #[test]
     fn empty_snapshot_renders_valid_shells() {
         let snap = crate::metrics::MetricsSnapshot::default();
-        assert_eq!(
-            snap.to_json(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
-        );
         assert_eq!(snap.to_prometheus(), "");
     }
 }

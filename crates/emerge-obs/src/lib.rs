@@ -17,8 +17,8 @@
 //!   timing layer compiles out without the `trace` cargo feature.
 //! * **Profiling hooks** ([`alloccount`], [`stopwatch`], [`export`]):
 //!   a counting global allocator so spans can attribute heap
-//!   allocations per phase, the shared bench stopwatch, and JSON /
-//!   Prometheus renderers for snapshots.
+//!   allocations per phase, the shared bench stopwatch, and a
+//!   Prometheus renderer for snapshots.
 //!
 //! Recording routes through the thread-local [`collector::Collector`]:
 //! install one per worker thread, record for free, snapshot and merge

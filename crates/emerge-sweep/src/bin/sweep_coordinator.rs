@@ -72,7 +72,7 @@ sweep_coordinator [options]
   --chaos SEED         seeded worker self-chaos (kills, stalls, corruption)
   --stall-ms N         chaos stall length (default 300)
   --max-units N        pause after N completed units (resume later)
-  --out PATH           write BENCH_sweep.json-style report here
+  --out PATH           write the JSON sweep report here
   --prom PATH          stream Prometheus counters here
   --deadline-ms N      per-dispatch deadline (default 10000)
   --hedge-ms N         hedge stragglers after this long (default 150)

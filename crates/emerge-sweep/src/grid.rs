@@ -42,9 +42,9 @@ pub struct SweepGrid {
 }
 
 /// The world every sweep trial runs in: the paper's churn/adversary
-/// setup at a configurable population (matching `montecarlo_baseline`'s
-/// `world_config`, so sweep numbers compare directly with the
-/// single-process baseline).
+/// setup at a configurable population. The benchmark ledger's in-process
+/// workloads build their worlds with it too, so sweep numbers compare
+/// directly with the single-process ones.
 pub fn world_config(population: usize) -> OverlayConfig {
     OverlayConfig {
         n_nodes: population,

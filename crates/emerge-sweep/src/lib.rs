@@ -42,7 +42,7 @@
 //!
 //! Progress and fault counters (`sweep.retries`, `sweep.hedges`,
 //! `sweep.dedup_dropped`, ...) stream through `emerge-obs` and export as
-//! Prometheus text plus the `BENCH_sweep.json` report ([`report`]).
+//! Prometheus text plus the JSON sweep report ([`report`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

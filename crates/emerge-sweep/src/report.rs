@@ -1,4 +1,4 @@
-//! `BENCH_sweep.json` rendering: clean-vs-chaos wall clock, the
+//! Sweep report rendering: clean-vs-chaos wall clock, the
 //! robustness counters, per-cell rates and every fingerprint needed to
 //! re-verify a run offline.
 //!
@@ -36,7 +36,7 @@ fn rate_json(rate: Rate) -> String {
     )
 }
 
-/// Renders the `BENCH_sweep.json` document for a set of runs over the
+/// Renders the sweep report document for a set of runs over the
 /// same grid. The first run is the reference: its cells section is the
 /// one rendered, and every run's fingerprints are listed side by side so
 /// the bit-for-bit claim is checkable by eye (and by the reader in

@@ -174,19 +174,22 @@ const FRONTIER_GOLDEN: [[u64; 2]; 24] = [
     [0x4b82_3394_1804_9359, 0x9070_5144_ee0c_897b],
 ];
 
+/// The frontier's 1k-node world and seed, shared by the protocol and the
+/// clock-skew cells.
+const FRONTIER_WORLD: OverlayConfig = OverlayConfig {
+    n_nodes: 1_000,
+    malicious_fraction: 0.2,
+    mean_lifetime: Some(40_000),
+    horizon: 200_000,
+};
+const FRONTIER_SEED: u64 = 0xB45E;
+
 #[test]
 fn fault_frontier_matches_golden() {
-    // The `montecarlo_baseline --faults` frontier (its scenarios, ladder,
-    // plan horizon and seed) on a share and a keyed cell. The fault
+    // The protocol fault frontier (four scenarios, a three-step ladder,
+    // a 10k-tick plan horizon) on a share and a keyed cell. The fault
     // fingerprint digests every trial's injector counters, so it also
     // pins substrate queries whose answers the executors ignore.
-    const SEED: u64 = 0xB45E;
-    let world = OverlayConfig {
-        n_nodes: 1_000,
-        malicious_fraction: 0.2,
-        mean_lifetime: Some(40_000),
-        horizon: 200_000,
-    };
     let cells = [
         SchemeParams::Share {
             k: 2,
@@ -210,12 +213,16 @@ fn fault_frontier_matches_golden() {
             Scenario::ChurnStorm,
         ] {
             for ppm in [50_000, 150_000, 400_000] {
-                let plan = scenario.plan(ppm, 10_000, SEED);
-                let r =
-                    run_faulted_trials(&spec, &plan, RecoveryPolicy::default(), 20, SEED, |s| {
-                        AnalyticSubstrate::build(world, s)
-                    })
-                    .unwrap();
+                let plan = scenario.plan(ppm, 10_000, FRONTIER_SEED);
+                let r = run_faulted_trials(
+                    &spec,
+                    &plan,
+                    RecoveryPolicy::default(),
+                    20,
+                    FRONTIER_SEED,
+                    |s| AnalyticSubstrate::build(FRONTIER_WORLD, s),
+                )
+                .unwrap();
                 assert_eq!(
                     Some(&[r.base.fingerprint, r.fault_fingerprint]),
                     golden.next(),
@@ -225,6 +232,47 @@ fn fault_frontier_matches_golden() {
                 );
             }
         }
+    }
+}
+
+/// `[fingerprint, fault_fingerprint]` of `clock_skew_frontier_matches_golden`'s
+/// cells: the bonded 24-of-16 release under block-clock skew at 50k, 150k
+/// and 400k ppm. The three cells release 19, 14 and 1 of their 20 trials.
+const CLOCK_SKEW_GOLDEN: [[u64; 2]; 3] = [
+    [0xcf17_7757_bcd3_889b, 0x4756_827d_8b78_6956],
+    [0x7b40_0d7e_b166_5486, 0xb442_8208_b5cb_aa88],
+    [0xe4d3_f4d4_cb26_9038, 0xee30_9388_9e8d_4aa7],
+];
+
+#[test]
+fn clock_skew_frontier_matches_golden() {
+    // Clock skew is contract-native: it bends the holders' block clocks,
+    // not hop deadlines, so its frontier runs on the bonded cell, where a
+    // holder whose skewed window start passes the close is slashed as a
+    // withholder. Rational adversaries are offered bribes below their
+    // bond, so the economics, not the adversary, carry the release.
+    let spec = BondedSpec {
+        n: 24,
+        m: 16,
+        emerging_period: SimDuration::from_ticks(8_000),
+        reveal_window_blocks: 1,
+        strategy: HolderStrategy::Rational {
+            withhold_bribe: 100,
+            early_reveal_bribe: 100,
+        },
+    };
+    let mut golden = CLOCK_SKEW_GOLDEN.iter();
+    for ppm in [50_000, 150_000, 400_000] {
+        let plan = Scenario::ClockSkew.plan(ppm, 10_000, FRONTIER_SEED);
+        let r = run_bonded_trial_range_faulted(&spec, &plan, 0, 20, FRONTIER_SEED, |s| {
+            ContractSubstrate::build(ContractConfig::over(FRONTIER_WORLD), s)
+        })
+        .unwrap();
+        assert_eq!(
+            Some(&[r.base.fingerprint, r.fault_fingerprint]),
+            golden.next(),
+            "clock_skew@{ppm}ppm"
+        );
     }
 }
 

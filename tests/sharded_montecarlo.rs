@@ -5,9 +5,9 @@
 //! for every scheme, substrate and thread count — under injected faults
 //! too. Sharding and threading change wall-clock time only.
 //!
-//! This is what licenses recording multi-threaded numbers in
-//! `BENCH_montecarlo.json` against single-threaded baselines, and it is
-//! the invariant CI's `EMERGE_MC_THREADS` matrix guards.
+//! This is what licenses the benchmark ledger's check that its 2-thread
+//! pass equals its 1-thread pass, and it is the invariant CI's
+//! `EMERGE_MC_THREADS` matrix guards.
 
 use emerge_bench::parallel::mc_threads;
 use proptest::prelude::*;
