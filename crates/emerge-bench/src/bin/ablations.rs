@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in DESIGN.md.
+//! Ablation studies of the five design choices A–E listed below.
 //!
 //! ```sh
 //! cargo run -p emerge-bench --bin ablations --release

@@ -23,9 +23,6 @@ pub struct EconomyParams {
     /// The reward paid (from the depositor's escrowed reward pot) for a
     /// correct in-window reveal.
     pub reveal_reward: u64,
-    /// The bond a responsible node escrows per replicated `store` on the
-    /// contract substrate (the storage-deal collateral).
-    pub store_bond: u64,
 }
 
 impl Default for EconomyParams {
@@ -35,7 +32,6 @@ impl Default for EconomyParams {
             sender_funds: 100_000,
             bond: 100,
             reveal_reward: 10,
-            store_bond: 1,
         }
     }
 }

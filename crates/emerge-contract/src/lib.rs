@@ -19,9 +19,9 @@
 //!   register → bond escrow → commit → timed reveal → claim/slash
 //! * [`economy`] — bond sizes, reveal rewards, and rational-adversary
 //!   strategies parameterized by bribe value
-//! * [`substrate`] — [`ContractSubstrate`], the third `HolderSubstrate`
-//!   backend: analytic DHT semantics (bit-identical populations and
-//!   protocol outcomes) plus the chain layered on top
+//! * [`substrate`] — [`ContractSubstrate`], the bonded mode's world: the
+//!   analytic DHT world (bit-identical populations) plus the chain
+//!   layered on top
 //! * [`release`] — the contract-native emergence mode: bonded `(m, n)`
 //!   share release with the withheld-quorum and early-reveal-leak
 //!   failure predicates
@@ -29,9 +29,9 @@
 //!   (bit-identical across thread counts of
 //!   `emerge_sim::shard::run_sharded`)
 //!
-//! The `HolderSubstrate` implementation itself lives in
-//! `emerge_core::substrate`, next to the analytic substrate's — this
-//! crate stays independent of the scheme layer.
+//! The crate is independent of the scheme layer: `emerge-core` does not
+//! depend on it, and its wire protocol does not run on
+//! [`ContractSubstrate`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

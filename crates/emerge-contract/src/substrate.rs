@@ -1,23 +1,16 @@
-//! The contract-backed DHT substrate.
+//! The world of the contract-native bonded release.
 //!
 //! [`ContractSubstrate`] layers the simulated blockchain — block clock,
 //! token [`Ledger`], [`ReleaseContract`] — on top of the routing-free
-//! [`AnalyticSubstrate`]. The DHT semantics (population, churn
-//! timelines, XOR-closest holder resolution, storage oracle) are
-//! *delegated verbatim* to the inner substrate, so for a given
-//! `(OverlayConfig, seed)` pair every path plan, protocol run and
-//! Monte-Carlo fingerprint is bit-identical to the analytic substrate's —
-//! the cross-substrate parity the workspace test suites pin down. What
-//! the contract layer adds:
+//! [`AnalyticSubstrate`]. The DHT semantics (population, churn timelines,
+//! XOR-closest holder resolution) are *delegated verbatim* to the inner
+//! world, so a given `(OverlayConfig, seed)` pair yields the analytic
+//! substrate's population bit for bit. What the contract layer adds:
 //!
 //! * a **block clock**: `advance_to` keeps a blockchain height in sync
 //!   with simulated time, and contract deadlines are block heights;
-//! * **storage deals**: every replicated `store` escrows a per-replica
-//!   bond from the responsible slots' accounts, refunded when the
-//!   value's TTL expires — storage capacity is collateralized, not free;
-//! * the **release contract** itself, on which the contract-native
-//!   bonded-release protocol ([`crate::release`]) escrows, reveals,
-//!   claims and slashes.
+//! * the **release contract** itself, on which the bonded-release
+//!   protocol ([`crate::release`]) escrows, reveals, claims and slashes.
 //!
 //! Account layout: slot `s` owns ledger account `s`; the depositor
 //! (sender) owns account `n_nodes`.
@@ -66,15 +59,6 @@ impl ContractConfig {
     }
 }
 
-/// A collateralized replicated store: the bonds are refunded to the
-/// responsible slots when the value expires.
-#[derive(Debug, Clone)]
-struct StorageDeal {
-    expires: SimTime,
-    slots: Vec<usize>,
-    bond: u64,
-}
-
 /// The smart-contract release substrate: analytic DHT semantics plus a
 /// deterministic simulated blockchain.
 #[derive(Debug)]
@@ -84,8 +68,6 @@ pub struct ContractSubstrate {
     economy: EconomyParams,
     ledger: Ledger,
     contract: ReleaseContract,
-    /// Open storage deals, settled lazily as time advances past expiry.
-    deals: Vec<StorageDeal>,
 }
 
 impl ContractSubstrate {
@@ -108,7 +90,6 @@ impl ContractSubstrate {
             economy: config.economy,
             ledger,
             contract: ReleaseContract::new(),
-            deals: Vec::new(),
         }
     }
 
@@ -158,11 +139,6 @@ impl ContractSubstrate {
         &self.inner
     }
 
-    /// Number of open (unsettled) storage deals.
-    pub fn open_storage_deals(&self) -> usize {
-        self.deals.len()
-    }
-
     // ---- delegated DHT semantics -------------------------------------
 
     /// Number of population slots.
@@ -175,37 +151,18 @@ impl ContractSubstrate {
         self.inner.now()
     }
 
-    /// Advances the clock (monotonic) and settles storage deals whose
-    /// values expired at or before the new time.
+    /// Advances the clock (monotonic).
     ///
     /// # Panics
     ///
     /// Panics if `t` is earlier than the current time.
     pub fn advance_to(&mut self, t: SimTime) {
         self.inner.advance_to(t);
-        let (ledger, deals) = (&mut self.ledger, &mut self.deals);
-        deals.retain(|deal| {
-            if deal.expires > t {
-                return true;
-            }
-            for &slot in &deal.slots {
-                ledger
-                    .release(slot, deal.bond)
-                    // LINT-WAIVER(panic): the deal's bond was escrowed at registration, so the refund is always covered
-                    .expect("storage-deal escrow must cover its own refund");
-            }
-            false
-        });
     }
 
     /// The slot responsible for `target`.
     pub fn resolve_holder(&self, target: &NodeId) -> usize {
         self.inner.resolve_holder(target)
-    }
-
-    /// The `count` slots XOR-closest to `target`, closest first.
-    pub fn closest_slots(&self, target: &NodeId, count: usize) -> Vec<usize> {
-        self.inner.closest_slots(target, count)
     }
 
     /// All tenant generations of a slot, in time order.
@@ -231,42 +188,6 @@ impl ContractSubstrate {
     /// Panics if `count > n_nodes`.
     pub fn sample_distinct_slots<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<usize> {
         self.inner.sample_distinct_slots(count, rng)
-    }
-
-    /// Stores `value` under `key` on the responsible slots, escrowing the
-    /// per-replica storage bond from each slot's account. With a TTL the
-    /// bonds refund when the value expires; without one they stay locked
-    /// for the substrate's lifetime (an open-ended deal).
-    pub fn store(&mut self, key: NodeId, value: Vec<u8>, ttl: Option<SimDuration>) -> Vec<usize> {
-        let slots = match ttl {
-            Some(ttl) => self.inner.store_with_ttl(key, value, ttl),
-            None => self.inner.store(key, value),
-        };
-        let bond = self.economy.store_bond;
-        if bond > 0 {
-            let funded: Vec<usize> = slots
-                .iter()
-                .copied()
-                .filter(|&slot| self.ledger.lock(slot, bond).is_ok())
-                .collect();
-            // Unfunded replicas simply store without collateral; the data
-            // path never depends on the economy.
-            if let Some(ttl) = ttl {
-                if !funded.is_empty() {
-                    self.deals.push(StorageDeal {
-                        expires: self.inner.now() + ttl,
-                        slots: funded,
-                        bond,
-                    });
-                }
-            }
-        }
-        slots
-    }
-
-    /// Reads a value back from the responsible slots.
-    pub fn find_value(&self, key: NodeId) -> Option<Vec<u8>> {
-        self.inner.find_value(key)
     }
 }
 
@@ -298,11 +219,13 @@ mod tests {
             assert_eq!(eager.generations[slot], contract.generations(slot));
             assert_eq!(analytic.generations(slot), contract.generations(slot));
         }
-        let target = NodeId::from_name(b"parity-probe");
-        assert_eq!(
-            analytic.closest_slots(&target, 8),
-            contract.closest_slots(&target, 8)
-        );
+        for probe in 0..8 {
+            let target = NodeId::from_name(format!("parity-probe-{probe}").as_bytes());
+            assert_eq!(
+                analytic.resolve_holder(&target),
+                contract.resolve_holder(&target)
+            );
+        }
     }
 
     #[test]
@@ -328,48 +251,6 @@ mod tests {
         assert_eq!(
             sub.ledger().total_supply(),
             8 * economy.holder_funds + economy.sender_funds
-        );
-    }
-
-    #[test]
-    fn stores_escrow_and_refund_storage_bonds() {
-        let mut sub = ContractSubstrate::build(config(64), 3);
-        let supply = sub.ledger().total_supply();
-        let key = NodeId::from_name(b"deal");
-        let slots = sub.store(key, b"v".to_vec(), Some(SimDuration::from_ticks(100)));
-        assert!(!slots.is_empty());
-        assert_eq!(sub.open_storage_deals(), 1);
-        let bond = sub.economy().store_bond;
-        assert_eq!(sub.ledger().escrow(), bond * slots.len() as u64);
-        assert_eq!(sub.find_value(key), Some(b"v".to_vec()));
-
-        // Expiry refunds every replica's bond and drops the value.
-        sub.advance_to(SimTime::from_ticks(101));
-        assert_eq!(sub.open_storage_deals(), 0);
-        assert_eq!(sub.ledger().escrow(), 0);
-        assert_eq!(sub.find_value(key), None);
-        assert_eq!(sub.ledger().total_supply(), supply);
-        for slot in slots {
-            assert_eq!(
-                sub.ledger().balance(slot),
-                EconomyParams::default().holder_funds
-            );
-        }
-    }
-
-    #[test]
-    fn untimed_stores_keep_bonds_locked() {
-        let mut sub = ContractSubstrate::build(config(64), 4);
-        let slots = sub.store(NodeId::from_name(b"forever"), b"v".to_vec(), None);
-        assert_eq!(sub.open_storage_deals(), 0, "no deal to settle");
-        assert_eq!(
-            sub.ledger().escrow(),
-            sub.economy().store_bond * slots.len() as u64
-        );
-        sub.advance_to(SimTime::from_ticks(10_000));
-        assert_eq!(
-            sub.ledger().escrow(),
-            sub.economy().store_bond * slots.len() as u64
         );
     }
 

@@ -90,7 +90,7 @@ pub struct SendHandle {
 ///
 /// Generic over the [`HolderSubstrate`] carrying the key packages; the
 /// default is the [`AnalyticSubstrate`] DHT world. Use [`with_substrate`]
-/// for any other backend, such as the contract substrate.
+/// for any other backend, such as the fault plane's `FaultySubstrate`.
 ///
 /// [`with_substrate`]: SelfEmergingSystem::with_substrate
 #[derive(Debug)]

@@ -2,9 +2,9 @@
 //!
 //! [`FaultySubstrate`] wraps any [`HolderSubstrate`] and injects a seeded
 //! [`FaultPlan`] at the trait surface — ghost tenants for disrupted
-//! holder contacts, hedged redirects for outages and churn storms, lost
-//! stores on crashed slots, retried/hedged/tamper-checked lookups — while
-//! delegating everything else verbatim. With an empty plan every hook is
+//! holder contacts — while delegating everything else verbatim. Faults
+//! act only at hand-off contacts: holder placement (path construction)
+//! resolves exactly as on the bare world. With an empty plan the hook is
 //! a single branch and the wrapper is observationally identical to the
 //! bare substrate (pinned by test), so the golden fingerprints, the
 //! zero-allocation gate and the perf floor are untouched.
@@ -27,8 +27,7 @@ use emerge_dht::population::NodeInfo;
 use emerge_faults::{FaultInjector, FaultPlan, FaultStats, FaultyResults, RecoveryPolicy};
 use emerge_obs::trace::span;
 use emerge_sim::rng::SeedSource;
-use emerge_sim::shard::TrialDigest;
-use emerge_sim::time::{SimDuration, SimTime};
+use emerge_sim::time::SimTime;
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -40,41 +39,26 @@ use rand::RngCore;
 const GHOST_POOL: usize = 64;
 
 /// A substrate wrapper that injects an armed fault plan at the
-/// [`HolderSubstrate`] boundary and recovers through the configured
-/// [`RecoveryPolicy`].
+/// [`HolderSubstrate`] boundary.
 ///
-/// Fault semantics per trait method:
-///
-/// * `generation_at` — a disrupted `(slot, t)` contact observes a *ghost
-///   tenant*: a benign `NodeInfo` with a far-future spawn no real tenant
-///   shares. Executors comparing spawn identities across arrival and
-///   departure therefore see the hop as lost; exposure predicates are
-///   **not** rerouted through ghosts (delegated to the inner substrate
-///   unchanged), so injected loss never masquerades as a confidentiality
-///   change.
-/// * `resolve_holder` — churn storms redirect resolution to a
-///   deterministic neighbour; outages hedge across
-///   `closest_slots(fanout)` to the nearest reachable slot.
-/// * `store` — a value offered to an unreachable (crashed / outaged) slot
-///   is lost: no slot accepts it, and later lookups miss naturally.
-/// * `find_value` — bounded retry with deterministic backoff, per-attempt
-///   timeouts under slow-node latency inflation, hedged replica recovery
-///   when the primary is unreachable, and tamper injection on fetched
-///   bytes (authenticated decryption downstream rejects the forgery). A
-///   churned address aims the lookup at a neighbour that never held the
-///   value; only a hedge wider than the primary (`fanout >= 2`) walks
-///   back onto the pre-storm holder, so brittle policies lose the value.
+/// Only `generation_at` is faulted: a disrupted `(slot, t)` contact
+/// observes a *ghost tenant*, a benign `NodeInfo` with a far-future spawn
+/// no real tenant shares. Executors comparing spawn identities across
+/// arrival and departure therefore see the hop as lost. Every other
+/// method delegates to the inner substrate unchanged: holder resolution,
+/// so placement is fault-free, and the exposure predicates, so injected
+/// loss never masquerades as a confidentiality change.
 #[derive(Debug)]
 pub struct FaultySubstrate<S> {
     inner: S,
     injector: FaultInjector,
-    policy: RecoveryPolicy,
     ghosts: Vec<NodeInfo>,
 }
 
 impl<S: HolderSubstrate> FaultySubstrate<S> {
-    /// Wraps `inner` with an armed injector and a recovery policy.
-    pub fn new(inner: S, injector: FaultInjector, policy: RecoveryPolicy) -> Self {
+    /// Wraps `inner` with an armed injector. Nothing reads `_policy`; the
+    /// argument stays so that existing callers keep compiling.
+    pub fn new(inner: S, injector: FaultInjector, _policy: RecoveryPolicy) -> Self {
         let ghosts = (0..GHOST_POOL)
             .map(|i| NodeInfo {
                 id: NodeId::from_name(format!("fault-ghost-{i}").as_bytes()),
@@ -86,7 +70,6 @@ impl<S: HolderSubstrate> FaultySubstrate<S> {
         FaultySubstrate {
             inner,
             injector,
-            policy,
             ghosts,
         }
     }
@@ -126,29 +109,7 @@ impl<S: HolderSubstrate> HolderSubstrate for FaultySubstrate<S> {
     }
 
     fn resolve_holder(&self, target: &NodeId) -> usize {
-        let slot = self.inner.resolve_holder(target);
-        if self.injector.is_empty() {
-            return slot;
-        }
-        let t = self.inner.now();
-        if let Some(offset) = self.injector.churn_redirect(slot, t, self.inner.n_nodes()) {
-            return (slot + offset) % self.inner.n_nodes();
-        }
-        if self.injector.unreachable_at(slot, t) {
-            self.injector.note_disruption();
-            for alt in self.inner.closest_slots(target, self.policy.hedge.fanout) {
-                if alt != slot && !self.injector.unreachable_at(alt, t) {
-                    self.injector.note_recovery();
-                    self.injector.note_redirect();
-                    return alt;
-                }
-            }
-        }
-        slot
-    }
-
-    fn closest_slots(&self, target: &NodeId, count: usize) -> Vec<usize> {
-        self.inner.closest_slots(target, count)
+        self.inner.resolve_holder(target)
     }
 
     fn generations(&self, slot: usize) -> &[NodeInfo] {
@@ -186,100 +147,6 @@ impl<S: HolderSubstrate> HolderSubstrate for FaultySubstrate<S> {
     fn sample_distinct_slots(&self, count: usize, rng: &mut StdRng) -> Vec<usize> {
         self.inner.sample_distinct_slots(count, rng)
     }
-
-    fn store(&mut self, key: NodeId, value: Vec<u8>, ttl: Option<SimDuration>) -> Vec<usize> {
-        if self.injector.is_empty() {
-            return self.inner.store(key, value, ttl);
-        }
-        let t = self.inner.now();
-        let slot = self.inner.resolve_holder(&key);
-        if self.injector.unreachable_at(slot, t) {
-            // Crash with state loss: no slot accepts the value.
-            self.injector.note_disruption();
-            return Vec::new();
-        }
-        self.inner.store(key, value, ttl)
-    }
-
-    fn find_value(&mut self, key: NodeId) -> Option<Vec<u8>> {
-        if self.injector.is_empty() {
-            return self.inner.find_value(key);
-        }
-        let t = self.inner.now();
-        let key_hash = hash_key(&key);
-        let slot = self.inner.resolve_holder(&key);
-        if self
-            .injector
-            .churn_redirect(slot, t, self.inner.n_nodes())
-            .is_some()
-        {
-            // The storm reshuffled the address: the querier's primary
-            // contact is now a neighbour that never held the value. The
-            // stored copy survives on the pre-storm holder, so only a
-            // hedge wider than the primary walks back onto it. The
-            // reshuffle is window-stable per slot, so retries cannot help
-            // and the miss is final.
-            self.injector.note_disruption();
-            if self.policy.hedge.fanout < 2 || self.injector.unreachable_at(slot, t) {
-                return None;
-            }
-            self.injector.note_recovery();
-        }
-        for attempt in 0..self.policy.retry.attempts() {
-            if attempt > 0 {
-                self.injector
-                    .note_retry(self.policy.retry.backoff_ticks(attempt));
-            }
-            if self.injector.unreachable_at(slot, t) {
-                self.injector.note_disruption();
-                // Hedge: a replica on a nearby reachable slot may still
-                // serve the value.
-                let rescued = self
-                    .inner
-                    .closest_slots(&key, self.policy.hedge.fanout)
-                    .into_iter()
-                    .any(|alt| alt != slot && !self.injector.unreachable_at(alt, t));
-                if !rescued {
-                    continue;
-                }
-                self.injector.note_recovery();
-            }
-            if self.injector.lookup_attempt_lost(key_hash, attempt, t) {
-                self.injector.note_disruption();
-                continue;
-            }
-            let extra = self.injector.extra_latency(slot, t);
-            if extra > 0 {
-                self.injector.note_latency(extra);
-                if extra > self.policy.timeout.per_attempt_ticks {
-                    self.injector.note_timeout();
-                    continue;
-                }
-            }
-            let mut value = self.inner.find_value(key)?;
-            if let Some(selector) = self.injector.tamper_selector(key_hash, t) {
-                if !value.is_empty() {
-                    let pos = (selector as usize) % value.len();
-                    // Guaranteed-nonzero flip mask: the value always changes.
-                    value[pos] ^= ((selector >> 32) as u8) | 1;
-                }
-            }
-            if attempt > 0 {
-                // A value produced on a retry recovered from a real loss;
-                // plain first-try successes stay silent.
-                self.injector.note_recovery();
-            }
-            return Some(value);
-        }
-        None
-    }
-}
-
-/// FNV-1a of a node ID, the key identity fault decisions hash on.
-fn hash_key(key: &NodeId) -> u64 {
-    let mut d = TrialDigest::new();
-    d.eat(key.as_bytes());
-    d.finish()
 }
 
 /// Aggregated outcomes of a fault-plane wire-protocol batch: the plain
@@ -299,7 +166,6 @@ pub type FaultyMcResults = FaultyResults<ProtocolMcResults>;
 pub fn run_faulted_trials<S, F>(
     spec: &ProtocolTrialSpec,
     plan: &FaultPlan,
-    policy: RecoveryPolicy,
     trials: usize,
     seed: u64,
     substrate_factory: F,
@@ -308,7 +174,15 @@ where
     S: HolderSubstrate,
     F: FnMut(u64) -> S,
 {
-    run_faulted_trial_range(spec, plan, policy, 0, trials, seed, substrate_factory)
+    run_faulted_trial_range(
+        spec,
+        plan,
+        RecoveryPolicy::default(),
+        0,
+        trials,
+        seed,
+        substrate_factory,
+    )
 }
 
 /// Runs the contiguous trial range `[first_trial, first_trial + count)`
@@ -319,7 +193,8 @@ where
 /// against it, so the injected fault stream is a pure function of the
 /// global trial index: range runs merge bit-identically to serial runs
 /// (both fingerprints), and an empty plan reproduces the plain runner's
-/// results exactly.
+/// results exactly. Nothing reads `_policy`; the argument stays so that
+/// existing callers keep compiling.
 ///
 /// # Errors
 ///
@@ -330,7 +205,7 @@ where
 pub fn run_faulted_trial_range<S, F>(
     spec: &ProtocolTrialSpec,
     plan: &FaultPlan,
-    policy: RecoveryPolicy,
+    _policy: RecoveryPolicy,
     first_trial: usize,
     count: usize,
     seed: u64,
@@ -351,7 +226,8 @@ where
             let _phase = span(&SPAN_WORLD_REBUILD);
             substrate_factory(world_seed)
         };
-        let mut substrate = FaultySubstrate::new(inner, plan.arm(world_seed), policy);
+        let mut substrate =
+            FaultySubstrate::new(inner, plan.arm(world_seed), RecoveryPolicy::default());
         run_trial(
             spec,
             &mut substrate,
@@ -371,9 +247,12 @@ mod tests {
     use super::*;
     use crate::config::SchemeParams;
     use crate::montecarlo::run_protocol_trials;
+    use crate::path::construct_paths;
     use crate::protocol::AttackMode;
     use crate::substrate::{AnalyticSubstrate, OverlayConfig};
-    use emerge_faults::{FaultEvent, FaultKind, Scenario, PPM_SCALE};
+    use emerge_crypto::keys::SymmetricKey;
+    use emerge_faults::{FaultEvent, FaultKind, Scenario};
+    use emerge_sim::time::SimDuration;
 
     fn world(n: usize, p: f64) -> OverlayConfig {
         OverlayConfig {
@@ -402,15 +281,7 @@ mod tests {
         let spec = share_spec();
         let factory = |s| AnalyticSubstrate::build(world(150, 0.3), s);
         let plain = run_protocol_trials(&spec, 12, 5, factory).unwrap();
-        let faulted = run_faulted_trials(
-            &spec,
-            &FaultPlan::none(),
-            RecoveryPolicy::default(),
-            12,
-            5,
-            factory,
-        )
-        .unwrap();
+        let faulted = run_faulted_trials(&spec, &FaultPlan::none(), 12, 5, factory).unwrap();
         assert_eq!(plain.fingerprint, faulted.base.fingerprint);
         assert_eq!(plain.released, faulted.base.released);
         assert_eq!(plain.clean, faulted.base.clean);
@@ -427,7 +298,7 @@ mod tests {
         let spec = share_spec();
         let plan = Scenario::CrashStorm.plan(150_000, 4_000, 0xFA);
         let run = || {
-            run_faulted_trials(&spec, &plan, RecoveryPolicy::default(), 10, 7, |s| {
+            run_faulted_trials(&spec, &plan, 10, 7, |s| {
                 AnalyticSubstrate::build(world(150, 0.3), s)
             })
             .unwrap()
@@ -454,7 +325,7 @@ mod tests {
                 },
             }],
         );
-        let r = run_faulted_trials(&spec, &blackout, RecoveryPolicy::default(), 6, 2, |s| {
+        let r = run_faulted_trials(&spec, &blackout, 6, 2, |s| {
             AnalyticSubstrate::build(world(150, 0.0), s)
         })
         .unwrap();
@@ -468,7 +339,7 @@ mod tests {
         // A mild loss burst on a benign world: most trials still release,
         // and the ones that saw faults count as degraded, not clean.
         let mild = Scenario::LossBurst.plan(60_000, 4_000, 2);
-        let r = run_faulted_trials(&spec, &mild, RecoveryPolicy::default(), 20, 2, |s| {
+        let r = run_faulted_trials(&spec, &mild, 20, 2, |s| {
             AnalyticSubstrate::build(world(150, 0.0), s)
         })
         .unwrap();
@@ -485,44 +356,13 @@ mod tests {
     }
 
     #[test]
-    fn tampered_lookup_is_rejected_not_misrouted() {
-        // Tampering every fetched value must never yield a bogus release:
-        // authenticated decryption rejects the forgeries.
-        let spec = share_spec();
-        let tamper = FaultPlan::new(
-            3,
-            vec![FaultEvent {
-                from: SimTime::ZERO,
-                to: SimTime::MAX,
-                kind: FaultKind::Tamper {
-                    tamper_ppm: PPM_SCALE,
-                },
-            }],
-        );
-        let r = run_faulted_trials(&spec, &tamper, RecoveryPolicy::default(), 6, 4, |s| {
-            AnalyticSubstrate::build(world(150, 0.0), s)
-        })
-        .unwrap();
-        assert_eq!(r.base.reconstructed_early.successes(), 0);
-        // Tampering may or may not block release depending on which
-        // lookups the executor performs, but any release that did happen
-        // must carry the *correct* secret — guaranteed by the fingerprint
-        // being a pure function of the seeds.
-        let again = run_faulted_trials(&spec, &tamper, RecoveryPolicy::default(), 6, 4, |s| {
-            AnalyticSubstrate::build(world(150, 0.0), s)
-        })
-        .unwrap();
-        assert_eq!(r.base.released.successes(), again.base.released.successes());
-    }
-
-    #[test]
     fn ghost_tenants_do_not_grant_confidentiality_exposures() {
         // A crash storm on an adversary-free world must never produce an
         // early reconstruction: ghosts are benign and exposure predicates
         // bypass the fault plane.
         let spec = share_spec();
         let plan = Scenario::CrashStorm.plan(400_000, 4_000, 9);
-        let r = run_faulted_trials(&spec, &plan, RecoveryPolicy::default(), 15, 6, |s| {
+        let r = run_faulted_trials(&spec, &plan, 15, 6, |s| {
             AnalyticSubstrate::build(world(150, 0.0), s)
         })
         .unwrap();
@@ -531,19 +371,40 @@ mod tests {
     }
 
     #[test]
-    fn brittle_policy_fares_no_better_than_recovering_policy() {
-        let spec = share_spec();
-        let plan = Scenario::CorrelatedOutage.plan(250_000, 4_000, 4);
-        let factory = |s| AnalyticSubstrate::build(world(150, 0.0), s);
-        let robust =
-            run_faulted_trials(&spec, &plan, RecoveryPolicy::default(), 25, 8, factory).unwrap();
-        let brittle =
-            run_faulted_trials(&spec, &plan, RecoveryPolicy::brittle(), 25, 8, factory).unwrap();
-        assert!(
-            robust.base.released.successes() >= brittle.base.released.successes(),
-            "recovery must not hurt: robust {} vs brittle {}",
-            robust.base.released.successes(),
-            brittle.base.released.successes()
+    fn holder_placement_is_fault_free() {
+        // An outage and a churn storm open over the whole timeline, path
+        // construction included: holders must still resolve exactly as on
+        // the bare world, and placement counts no fault.
+        let window = |kind| FaultEvent {
+            from: SimTime::ZERO,
+            to: SimTime::MAX,
+            kind,
+        };
+        let plan = FaultPlan::new(
+            5,
+            vec![
+                window(FaultKind::SlotOutage {
+                    modulus: 2,
+                    residue: 0,
+                }),
+                window(FaultKind::ChurnStorm { churn_ppm: 200_000 }),
+            ],
         );
+        let params = share_spec().params;
+        let key = SymmetricKey::from_bytes([7; 32]);
+        for seed in 0..4 {
+            let bare = AnalyticSubstrate::build(world(150, 0.3), seed);
+            let faulty = FaultySubstrate::new(
+                AnalyticSubstrate::build(world(150, 0.3), seed),
+                plan.arm(seed),
+                RecoveryPolicy::default(),
+            );
+            assert_eq!(
+                construct_paths(&faulty, &params, &key).unwrap(),
+                construct_paths(&bare, &params, &key).unwrap(),
+                "world {seed}"
+            );
+            assert_eq!(faulty.fault_stats(), FaultStats::default());
+        }
     }
 }

@@ -22,16 +22,16 @@
 //! * [`analysis`] — equations (1)–(3), Lemma 1, Algorithm 1, and the
 //!   `(k, l)` solver behind the paper's cost/resilience sweeps
 //! * [`substrate`] — the [`substrate::HolderSubstrate`] trait decoupling
-//!   the schemes from any concrete DHT, with the analytic DHT world and
-//!   the smart-contract release layer as backends
+//!   the schemes from any concrete DHT, with the analytic DHT world as
+//!   its backend
 //! * [`path`] — pseudo-random holder selection on the DHT
 //! * [`package`] — onion and share package generation (real crypto)
 //! * [`protocol`] — hop-by-hop execution with churn and attacks
 //! * [`adversary`] — trial-level attack predicates (Monte-Carlo ground
 //!   truth)
 //! * [`faults`] — the [`faults::FaultySubstrate`] wrapper applying a
-//!   seeded fault plan at the substrate boundary, with retry/hedge
-//!   recovery and fault-aware Monte-Carlo runners
+//!   seeded fault plan at the substrate's hand-off contacts, and the
+//!   fault-aware Monte-Carlo runners
 //! * [`montecarlo`] — the paper-scale experiment engine (10000 nodes ×
 //!   1000 trials), timeline-based and substrate-backed
 //! * [`emergence`] — the high-level sender/receiver API

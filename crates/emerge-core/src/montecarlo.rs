@@ -268,10 +268,7 @@ fn run_one_trial(spec: &TrialSpec, rng: &mut StdRng) -> TrialOutcome {
 /// predicates on sampled holder timelines, a protocol cell runs the *real*
 /// protocol — path construction, onion/share packaging, hop-by-hop
 /// execution with genuine cryptography — on a fresh
-/// [`HolderSubstrate`] world per trial. Running the same spec on the
-/// analytic and on the contract substrate must produce identical results
-/// (see [`ProtocolMcResults::fingerprint`]): the contract layer never
-/// perturbs what the schemes observe.
+/// [`HolderSubstrate`] world per trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolTrialSpec {
     /// Scheme parameters to instantiate each trial.
@@ -704,7 +701,7 @@ impl TimelineSampler<'_> {
 mod tests {
     use super::*;
     use crate::analysis;
-    use crate::substrate::{AnalyticSubstrate, ContractConfig, ContractSubstrate, OverlayConfig};
+    use crate::substrate::{AnalyticSubstrate, OverlayConfig};
 
     fn protocol_spec(params: SchemeParams, attack: AttackMode) -> ProtocolTrialSpec {
         ProtocolTrialSpec {
@@ -747,39 +744,6 @@ mod tests {
         let (a, b) = (run(), run());
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.clean.successes(), b.clean.successes());
-    }
-
-    #[test]
-    fn protocol_trials_substrates_agree() {
-        for (params, attack) in [
-            (SchemeParams::Central, AttackMode::ReleaseAhead),
-            (SchemeParams::Joint { k: 2, l: 3 }, AttackMode::ReleaseAhead),
-            (SchemeParams::Disjoint { k: 2, l: 3 }, AttackMode::Drop),
-            (
-                SchemeParams::Share {
-                    k: 2,
-                    l: 3,
-                    n: 5,
-                    m: vec![3, 3],
-                },
-                AttackMode::ReleaseAhead,
-            ),
-        ] {
-            let spec = protocol_spec(params, attack);
-            let chained = run_protocol_trials(&spec, 8, 5, |s| {
-                ContractSubstrate::build(ContractConfig::over(world_config(150, 0.4)), s)
-            })
-            .unwrap();
-            let fast = run_protocol_trials(&spec, 8, 5, |s| {
-                AnalyticSubstrate::build(world_config(150, 0.4), s)
-            })
-            .unwrap();
-            assert_eq!(
-                chained.fingerprint, fast.fingerprint,
-                "substrates diverged for {:?}",
-                spec.params
-            );
-        }
     }
 
     /// Exact-field equality between two protocol result batches: the

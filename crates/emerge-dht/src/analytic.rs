@@ -15,26 +15,17 @@
 //!   own per-slot stream only when first queried, so a Monte-Carlo trial
 //!   that touches ~30 holders of a 10 000-node world never pays for the
 //!   other 9 970 timelines (bit-identical to the eager
-//!   [`crate::population::Population::build`]);
-//! * **no network model** — storage is an oracle: values land on the
-//!   [`REPLICATION`] responsible slots instantly and lookups read them
-//!   back directly.
+//!   [`crate::population::Population::build`]).
 
 use crate::id::NodeId;
 use crate::index::{IndexScratch, SortedIdIndex};
 use crate::overlay::OverlayConfig;
 use crate::population::{self, Genesis, NodeInfo};
-use crate::storage::Store;
 use emerge_obs::metrics::CounterId;
 use emerge_sim::rng::SeedSource;
-use emerge_sim::time::{SimDuration, SimTime};
+use emerge_sim::time::SimTime;
 use rand::Rng;
 use std::cell::{OnceCell, RefCell};
-use std::collections::HashMap;
-
-/// Replication factor for stored values: each `store` lands on this many
-/// XOR-closest slots.
-pub const REPLICATION: usize = 3;
 
 /// Holder resolutions served by the analytic substrate's sorted-ID
 /// index (recorded into the thread's `emerge-obs` collector, if any).
@@ -57,8 +48,6 @@ pub struct AnalyticSubstrate {
     index_scratch: IndexScratch,
     /// Shuffle scratch for warm genesis re-marking.
     marking_scratch: Vec<usize>,
-    /// Slot-local stores, created on first write.
-    stores: HashMap<usize, Store>,
     now: SimTime,
 }
 
@@ -82,7 +71,6 @@ impl AnalyticSubstrate {
             index,
             index_scratch: IndexScratch::default(),
             marking_scratch: Vec::new(),
-            stores: HashMap::new(),
             now: SimTime::ZERO,
         }
     }
@@ -107,7 +95,6 @@ impl AnalyticSubstrate {
                 pool.push(buf);
             }
         }
-        self.stores.clear();
         self.now = SimTime::ZERO;
     }
 
@@ -207,48 +194,6 @@ impl AnalyticSubstrate {
         );
         rand::seq::index::sample(rng, self.n_nodes(), count).into_vec()
     }
-
-    /// Stores `value` under `key` on the [`REPLICATION`] closest slots
-    /// (oracle placement — no lookup traffic). Returns the slots written.
-    pub fn store(&mut self, key: NodeId, value: Vec<u8>) -> Vec<usize> {
-        self.store_with_ttl_opt(key, value, None)
-    }
-
-    /// Stores with a TTL.
-    pub fn store_with_ttl(&mut self, key: NodeId, value: Vec<u8>, ttl: SimDuration) -> Vec<usize> {
-        self.store_with_ttl_opt(key, value, Some(ttl))
-    }
-
-    fn store_with_ttl_opt(
-        &mut self,
-        key: NodeId,
-        value: Vec<u8>,
-        ttl: Option<SimDuration>,
-    ) -> Vec<usize> {
-        let targets = self.closest_slots(&key, REPLICATION);
-        for &slot in &targets {
-            self.stores
-                .entry(slot)
-                .or_default()
-                .put(key, value.clone(), self.now, ttl);
-        }
-        targets
-    }
-
-    /// Reads a value back from the responsible slots (oracle lookup).
-    pub fn find_value(&self, key: NodeId) -> Option<Vec<u8>> {
-        let targets = self.closest_slots(&key, REPLICATION);
-        for slot in targets {
-            if let Some(v) = self
-                .stores
-                .get(&slot)
-                .and_then(|store| store.get(&key, self.now))
-            {
-                return Some(v.value.clone());
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -307,13 +252,12 @@ mod tests {
             horizon: 40_000,
         };
         let mut warm = AnalyticSubstrate::build(cfg, 100);
-        // Materialize a spread of timelines and dirty the clock/stores so
-        // the rebuild has real state to recycle.
+        // Materialize a spread of timelines and dirty the clock so the
+        // rebuild has real state to recycle.
         for slot in [0usize, 7, 42, 199, 299] {
             let _ = warm.generations(slot);
         }
         warm.advance_to(SimTime::from_ticks(123));
-        warm.store(NodeId::from_name(b"k"), b"v".to_vec());
 
         for seed in [100u64, 7, 0xDEAD] {
             warm.rebuild(seed);
@@ -341,7 +285,6 @@ mod tests {
                     "slot {slot}"
                 );
             }
-            assert_eq!(warm.find_value(NodeId::from_name(b"k")), None);
         }
     }
 
@@ -504,26 +447,6 @@ mod tests {
         assert!(sub.closest_slots(&target, 0).is_empty());
         assert_eq!(sub.closest_slots(&target, 16).len(), 16);
         assert_eq!(sub.closest_slots(&target, 100).len(), 16);
-    }
-
-    #[test]
-    fn store_and_find_roundtrip() {
-        let mut sub = AnalyticSubstrate::build(config(64), 5);
-        let key = NodeId::from_name(b"k");
-        let written = sub.store(key, b"v".to_vec());
-        assert_eq!(written.len(), REPLICATION);
-        assert_eq!(sub.find_value(key), Some(b"v".to_vec()));
-        assert_eq!(sub.find_value(NodeId::from_name(b"missing")), None);
-    }
-
-    #[test]
-    fn ttl_expires_values() {
-        let mut sub = AnalyticSubstrate::build(config(64), 6);
-        let key = NodeId::from_name(b"ttl");
-        sub.store_with_ttl(key, b"v".to_vec(), SimDuration::from_ticks(10));
-        assert!(sub.find_value(key).is_some());
-        sub.advance_to(SimTime::from_ticks(11));
-        assert!(sub.find_value(key).is_none());
     }
 
     #[test]

@@ -4,20 +4,20 @@
 //! becomes once armed against one trial's world seed. Every decision it
 //! takes — is this holder contact lost, is this slot crashed, how many
 //! blocks is this holder's clock off — is a **pure hash** of the armed
-//! seed, a per-operation tag and the operands (`slot`, tick, key hash,
-//! attempt). No decision consumes mutable RNG state, so callers may ask
-//! in any order, any number of times, from any shard, and always get the
-//! same answer: the property that keeps sharded Monte-Carlo exactly
-//! mergeable under faults.
+//! seed, a per-operation tag and the operands (`slot`, tick). No decision
+//! consumes mutable RNG state, so callers may ask in any order, any
+//! number of times, from any shard, and always get the same answer: the
+//! property that keeps sharded Monte-Carlo exactly mergeable under
+//! faults.
 //!
-//! The injector also tallies what it did (disruptions, recoveries,
-//! retries, timeouts, …) into interior-mutability counters readable via
+//! The injector also tallies what it did (disruptions and recoveries)
+//! into interior-mutability counters readable via
 //! [`FaultInjector::stats`], and mirrors them into `emerge-obs` counters
 //! — free no-ops unless a collector is installed.
 
 use std::cell::Cell;
 
-use emerge_obs::metrics::{CounterId, HistogramId};
+use emerge_obs::metrics::CounterId;
 use emerge_sim::shard::mix64;
 use emerge_sim::time::SimTime;
 
@@ -25,49 +25,31 @@ use crate::plan::{FaultEvent, FaultKind, PPM_SCALE};
 
 /// Fault contacts injected (lost hops, crashed holders, outage hits).
 pub static FAULTS_INJECTED: CounterId = CounterId::new("faults.injected");
-/// Disruptions survived through hedging or replication.
+/// Disruptions absorbed by the protocol.
 pub static FAULTS_RECOVERED: CounterId = CounterId::new("faults.recovered");
-/// Lookup attempts retried after a loss or timeout.
-pub static FAULT_RETRIES: CounterId = CounterId::new("faults.lookup_retries");
-/// Lookup attempts abandoned to a per-attempt timeout.
-pub static FAULT_TIMEOUTS: CounterId = CounterId::new("faults.lookup_timeouts");
 /// Trials that released despite at least one injected disruption.
 pub static DEGRADED_SUCCESS: CounterId = CounterId::new("faults.degraded_success");
-/// Backoff waited before lookup retries, in virtual ticks.
-pub static BACKOFF_TICKS: HistogramId = HistogramId::new("faults.backoff_ticks");
 
 // Per-operation hash domain tags (arbitrary odd constants).
 const TAG_LOSS: u64 = 0x1ED5;
 const TAG_CRASH: u64 = 0x3C4A;
 const TAG_CHURN: u64 = 0x4C07;
-const TAG_SLOW: u64 = 0x5107;
 const TAG_SKEW: u64 = 0x6B3D;
-const TAG_TAMPER: u64 = 0x7A21;
 const TAG_GHOST: u64 = 0x9057;
 
 /// Counters of what an injector actually did during one trial.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Holder contacts disrupted (lost, crashed or in outage).
+    /// Holder contacts disrupted (lost, crashed, in outage or skewed).
     pub disruptions: u64,
-    /// Disruptions absorbed by hedging or replication.
+    /// Disruptions the protocol absorbed.
     pub recoveries: u64,
-    /// Lookup attempts retried.
-    pub retries: u64,
-    /// Lookup attempts lost to timeouts.
-    pub timeouts: u64,
-    /// Fetched values returned tampered.
-    pub tampered: u64,
-    /// Holder resolutions redirected (outage hedge or churn reshuffle).
-    pub redirects: u64,
-    /// Virtual latency accumulated by slow nodes and backoff, in ticks.
-    pub virtual_latency_ticks: u64,
 }
 
 impl FaultStats {
     /// Whether the trial saw any injected disruption at all.
     pub fn disrupted(&self) -> bool {
-        self.disruptions > 0 || self.tampered > 0 || self.redirects > 0
+        self.disruptions > 0
     }
 
     /// Digest of the statistics keyed by a global trial index: FNV-1a
@@ -77,15 +59,12 @@ impl FaultStats {
     pub fn digest(&self, trial_idx: u64) -> u64 {
         let mut d = emerge_sim::shard::TrialDigest::new();
         d.eat(&trial_idx.to_le_bytes());
-        for v in [
-            self.disruptions,
-            self.recoveries,
-            self.retries,
-            self.timeouts,
-            self.tampered,
-            self.redirects,
-            self.virtual_latency_ticks,
-        ] {
+        // The five zeros stand where the retired lookup counters (retries,
+        // timeouts, tampered, redirects, virtual latency) were digested,
+        // so the byte stream, and with it every pinned fault fingerprint
+        // (`FRONTIER_GOLDEN`, `CLOCK_SKEW_GOLDEN`, the ledger's
+        // `faults_share_8x3` golden), stays unchanged.
+        for v in [self.disruptions, self.recoveries, 0, 0, 0, 0, 0] {
             d.eat(&v.to_le_bytes());
         }
         d.finish()
@@ -104,11 +83,6 @@ pub struct FaultInjector {
     arm_seed: u64,
     disruptions: Cell<u64>,
     recoveries: Cell<u64>,
-    retries: Cell<u64>,
-    timeouts: Cell<u64>,
-    tampered: Cell<u64>,
-    redirects: Cell<u64>,
-    virtual_latency_ticks: Cell<u64>,
 }
 
 impl FaultInjector {
@@ -121,11 +95,6 @@ impl FaultInjector {
             arm_seed,
             disruptions: Cell::new(0),
             recoveries: Cell::new(0),
-            retries: Cell::new(0),
-            timeouts: Cell::new(0),
-            tampered: Cell::new(0),
-            redirects: Cell::new(0),
-            virtual_latency_ticks: Cell::new(0),
         }
     }
 
@@ -150,8 +119,7 @@ impl FaultInjector {
     }
 
     /// Whether `slot` is unreachable at `t` through a correlated outage
-    /// or a crash window — the coarse, whole-window disruptions that
-    /// holder resolution can hedge around.
+    /// or a crash window — the coarse, whole-window disruptions.
     pub fn unreachable_at(&self, slot: usize, t: SimTime) -> bool {
         self.events.iter().enumerate().any(|(idx, ev)| {
             ev.active_at(t)
@@ -183,9 +151,7 @@ impl FaultInjector {
                             Self::hits(self.roll(TAG_LOSS, slot as u64, t.ticks()), loss_ppm)
                         }
                         // A churned slot's tenant is gone for the whole
-                        // window: the same slot-stable roll as
-                        // `churn_redirect`, so resolution and holder
-                        // contacts see one consistent reshuffle.
+                        // window: one slot-stable roll per event.
                         FaultKind::ChurnStorm { churn_ppm } => {
                             Self::hits(self.roll(TAG_CHURN, idx as u64, slot as u64), churn_ppm)
                         }
@@ -203,93 +169,6 @@ impl FaultInjector {
     /// different ghosts (up to a `1/pool` collision).
     pub fn ghost_index(&self, slot: usize, t: SimTime, pool: usize) -> usize {
         (self.roll(TAG_GHOST, slot as u64, t.ticks()) % pool.max(1) as u64) as usize
-    }
-
-    /// Churn-storm redirect for a resolution landing on `slot` at `t`:
-    /// `Some(offset)` (1-based, `< n_nodes`) when the slot's
-    /// responsibility has been reshuffled. Counts a redirect when it
-    /// fires.
-    pub fn churn_redirect(&self, slot: usize, t: SimTime, n_nodes: usize) -> Option<usize> {
-        if self.is_empty() || n_nodes < 2 {
-            return None;
-        }
-        self.events.iter().enumerate().find_map(|(idx, ev)| {
-            if !ev.active_at(t) {
-                return None;
-            }
-            let FaultKind::ChurnStorm { churn_ppm } = ev.kind else {
-                return None;
-            };
-            let r = self.roll(TAG_CHURN, idx as u64, slot as u64);
-            if Self::hits(r, churn_ppm) {
-                self.redirects.set(self.redirects.get() + 1);
-                FAULTS_INJECTED.incr();
-                Some(1 + (mix64(r) % (n_nodes as u64 - 1)) as usize)
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Whether one `find_value` attempt for `key_hash` is lost at `t`.
-    pub fn lookup_attempt_lost(&self, key_hash: u64, attempt: u32, t: SimTime) -> bool {
-        self.events.iter().any(|ev| {
-            ev.active_at(t)
-                && match ev.kind {
-                    FaultKind::LossBurst { loss_ppm } => {
-                        Self::hits(self.roll(TAG_LOSS, key_hash, u64::from(attempt)), loss_ppm)
-                    }
-                    _ => false,
-                }
-        })
-    }
-
-    /// Virtual latency added to a lookup against `slot` at `t` by slow
-    /// nodes, in ticks (summed over active events).
-    pub fn extra_latency(&self, slot: usize, t: SimTime) -> u64 {
-        self.events
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, ev)| {
-                if !ev.active_at(t) {
-                    return None;
-                }
-                let FaultKind::SlowNodes {
-                    slow_ppm,
-                    extra_ticks,
-                } = ev.kind
-                else {
-                    return None;
-                };
-                Self::hits(self.roll(TAG_SLOW, idx as u64, slot as u64), slow_ppm)
-                    .then_some(extra_ticks)
-            })
-            .fold(0u64, u64::saturating_add)
-    }
-
-    /// The tamper decision for one fetched value: `Some(selector)` when
-    /// the value must be returned corrupted; the selector picks the byte
-    /// to flip. Counts a tampered fetch when it fires.
-    pub fn tamper_selector(&self, key_hash: u64, t: SimTime) -> Option<u64> {
-        if self.is_empty() {
-            return None;
-        }
-        self.events.iter().enumerate().find_map(|(idx, ev)| {
-            if !ev.active_at(t) {
-                return None;
-            }
-            let FaultKind::Tamper { tamper_ppm } = ev.kind else {
-                return None;
-            };
-            let r = self.roll(TAG_TAMPER, idx as u64, key_hash);
-            if Self::hits(r, tamper_ppm) {
-                self.tampered.set(self.tampered.get() + 1);
-                FAULTS_INJECTED.incr();
-                Some(mix64(r))
-            } else {
-                None
-            }
-        })
     }
 
     /// How many blocks `slot`'s view of the chain lags at `t` (the
@@ -323,35 +202,10 @@ impl FaultInjector {
         FAULTS_INJECTED.incr();
     }
 
-    /// Records one disruption absorbed by hedging or replication.
+    /// Records one disruption the protocol absorbed.
     pub fn note_recovery(&self) {
         self.recoveries.set(self.recoveries.get() + 1);
         FAULTS_RECOVERED.incr();
-    }
-
-    /// Records one retried lookup attempt and the backoff it waited.
-    pub fn note_retry(&self, backoff_ticks: u64) {
-        self.retries.set(self.retries.get() + 1);
-        self.note_latency(backoff_ticks);
-        FAULT_RETRIES.incr();
-        BACKOFF_TICKS.record(backoff_ticks);
-    }
-
-    /// Records one attempt lost to a per-attempt timeout.
-    pub fn note_timeout(&self) {
-        self.timeouts.set(self.timeouts.get() + 1);
-        FAULT_TIMEOUTS.incr();
-    }
-
-    /// Records one resolution redirect.
-    pub fn note_redirect(&self) {
-        self.redirects.set(self.redirects.get() + 1);
-    }
-
-    /// Accumulates virtual latency (slow nodes, backoff waits).
-    pub fn note_latency(&self, ticks: u64) {
-        self.virtual_latency_ticks
-            .set(self.virtual_latency_ticks.get().saturating_add(ticks));
     }
 
     /// A snapshot of everything the injector did so far.
@@ -359,11 +213,6 @@ impl FaultInjector {
         FaultStats {
             disruptions: self.disruptions.get(),
             recoveries: self.recoveries.get(),
-            retries: self.retries.get(),
-            timeouts: self.timeouts.get(),
-            tampered: self.tampered.get(),
-            redirects: self.redirects.get(),
-            virtual_latency_ticks: self.virtual_latency_ticks.get(),
         }
     }
 }
@@ -419,11 +268,12 @@ mod tests {
         );
         let inj = plan.arm(3);
         let t = SimTime::from_ticks(10);
-        let lost = (0..10_000u64)
-            .filter(|&k| inj.lookup_attempt_lost(k, 0, t))
+        let lost = (0..10_000usize)
+            .filter(|&slot| inj.holder_disrupted(slot, t))
             .count();
         let rate = lost as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "loss rate {rate}");
+        assert_eq!(inj.stats().disruptions, lost as u64);
     }
 
     #[test]
@@ -451,22 +301,18 @@ mod tests {
             vec![event(
                 0,
                 100,
-                FaultKind::Tamper {
-                    tamper_ppm: PPM_SCALE,
+                FaultKind::SlotOutage {
+                    modulus: 1,
+                    residue: 0,
                 },
             )],
         );
         let inj = plan.arm(1);
-        assert!(inj.tamper_selector(42, SimTime::from_ticks(1)).is_some());
-        inj.note_retry(16);
+        assert!(inj.holder_disrupted(42, SimTime::from_ticks(1)));
         inj.note_recovery();
-        inj.note_timeout();
         let s = inj.stats();
-        assert_eq!(s.tampered, 1);
-        assert_eq!(s.retries, 1);
+        assert_eq!(s.disruptions, 1);
         assert_eq!(s.recoveries, 1);
-        assert_eq!(s.timeouts, 1);
-        assert_eq!(s.virtual_latency_ticks, 16);
         assert!(s.disrupted());
     }
 
@@ -498,10 +344,7 @@ mod tests {
         let t = SimTime::from_ticks(1);
         assert!(inj.is_empty());
         assert!(!inj.holder_disrupted(0, t));
-        assert!(!inj.lookup_attempt_lost(0, 0, t));
-        assert!(inj.tamper_selector(0, t).is_none());
-        assert!(inj.churn_redirect(0, t, 100).is_none());
-        assert_eq!(inj.extra_latency(0, t), 0);
+        assert!(!inj.unreachable_at(0, t));
         assert_eq!(inj.clock_skew_blocks(0, t), 0);
         assert_eq!(inj.stats(), FaultStats::default());
     }

@@ -1,28 +1,28 @@
-//! The deterministic fault plane shared by every substrate.
+//! The deterministic fault plane of the wire protocol and the bonded
+//! release.
 //!
 //! Robustness work needs a failure model richer than a single drop
 //! probability: correlated outages, crash/restart with state loss, loss
-//! bursts, churn storms, slow nodes, block-clock skew and stored-value
-//! tampering — plus the recovery machinery (bounded retry, timeouts,
-//! hedged lookups) that survives them. This crate provides exactly that,
-//! with one non-negotiable property: **everything is a pure function of
-//! seeds**. A [`plan::FaultPlan`] compiles from a seed, arms into a
+//! bursts, churn storms and block-clock skew. This crate provides
+//! exactly that, with one non-negotiable property: **everything is a
+//! pure function of seeds**. A [`plan::FaultPlan`] compiles from a seed, arms into a
 //! per-world [`injector::FaultInjector`], and every individual fault
 //! decision hashes `(arm seed, operation, operand)` — so the same plan
 //! replays bit-identically at any shard count, and sharded Monte-Carlo
 //! stays exactly mergeable under faults.
 //!
 //! Layering: this crate depends only on `emerge-sim` (time, hashing) and
-//! `emerge-obs` (fault counters and retry histograms). The substrate-side
-//! wrapper that applies a plan at the `HolderSubstrate` trait boundary
-//! lives in `emerge-core::faults`; the contract-path clock-skew and
+//! `emerge-obs` (fault counters). The substrate-side wrapper that applies
+//! a plan at the `HolderSubstrate` trait boundary lives in
+//! `emerge-core::faults`; the contract-path clock-skew and
 //! crash-before-reveal wiring lives in `emerge-contract`.
 //!
 //! * [`plan`] — fault event kinds, windows and the seeded [`plan::FaultPlan`]
-//! * [`scenario`] — the named scenario catalog behind `--faults <scenario>`
+//! * [`scenario`] — the named scenario catalog behind the fault frontier
 //! * [`injector`] — per-world armed decisions plus fault statistics
 //! * [`outcome`] — the clean/degraded/failed taxonomy of a faulted batch
-//! * [`recovery`] — retry/backoff, timeout and hedging policies
+//! * [`recovery`] — the retry/backoff, deadline and hedging policy of the
+//!   sweep coordinator's unit dispatch
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //! * **clean success** — the key emerged and the trial saw *zero*
 //!   injected disruptions;
 //! * **degraded success** — the key emerged despite at least one
-//!   disruption (recovered via retry, hedging or m-of-n share slack);
+//!   disruption (absorbed by m-of-n share slack or an in-window reveal);
 //! * **failure** — the key never emerged.
 //!
 //! `degraded` is reported separately from `clean_of_faults` precisely so
@@ -26,7 +26,7 @@ pub struct FaultyResults<B> {
     /// under the fault plan.
     pub base: B,
     /// Fraction of trials that released despite at least one injected
-    /// disruption — recovered via retry, hedging or m-of-n slack.
+    /// disruption — absorbed by m-of-n slack or an in-window reveal.
     pub degraded: Rate,
     /// Fraction of trials that released having seen no disruption at all.
     pub clean_of_faults: Rate,
@@ -34,8 +34,6 @@ pub struct FaultyResults<B> {
     pub disrupted: Rate,
     /// Per-trial injected-disruption counts.
     pub disruptions: Summary,
-    /// Per-trial lookup retries.
-    pub retries: Summary,
     /// Index-keyed digest over every trial's fault statistics
     /// ([`FaultStats::digest`]); merges by wrapping addition exactly like
     /// the protocol fingerprint, so sharded fault streams are checked bit
@@ -63,7 +61,6 @@ impl<B> FaultyResults<B> {
         self.clean_of_faults.record(released && !disrupted);
         self.disrupted.record(disrupted);
         self.disruptions.record(stats.disruptions as f64);
-        self.retries.record(stats.retries as f64);
         // An empty plan leaves the fault fingerprint at zero so faultless
         // runs are trivially distinguishable from all-quiet faulted runs.
         if !plan.is_empty() {
@@ -84,7 +81,6 @@ impl<B: Merge> FaultyResults<B> {
         self.clean_of_faults.merge(&other.clean_of_faults);
         self.disrupted.merge(&other.disrupted);
         self.disruptions.merge(&other.disruptions);
-        self.retries.merge(&other.retries);
         self.fault_fingerprint = self.fault_fingerprint.wrapping_add(other.fault_fingerprint);
     }
 }

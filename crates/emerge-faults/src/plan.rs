@@ -24,18 +24,16 @@ pub const PPM_SCALE: u32 = 1_000_000;
 /// million — exact, hashable, platform-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Message-loss burst: any single holder contact (a hop handoff in
-    /// the executor, one lookup attempt in `find_value`) is lost with
-    /// probability `loss_ppm`, independently per `(slot, tick)` /
-    /// `(key, attempt)` pair. Uncorrelated, fine-grained loss.
+    /// Message-loss burst: any single holder contact (a hop hand-off in
+    /// the executor) is lost with probability `loss_ppm`, independently
+    /// per `(slot, tick)` pair. Uncorrelated, fine-grained loss.
     LossBurst {
         /// Per-contact loss probability in parts per million.
         loss_ppm: u32,
     },
     /// Correlated slot outage: every slot congruent to `residue` modulo
-    /// `modulus` is unreachable for the whole window. Lookups against an
-    /// out slot fail and holder resolution hedges to the nearest live
-    /// slot; nothing about the outage set is random.
+    /// `modulus` is unreachable for the whole window; nothing about the
+    /// outage set is random.
     SlotOutage {
         /// The outage stride (`0` or `1` takes the whole population out).
         modulus: usize,
@@ -44,32 +42,17 @@ pub enum FaultKind {
     },
     /// Crash + restart with state loss: each slot flips one seeded coin
     /// at `crash_ppm` for the window. A crashed slot's holder is
-    /// unreachable for the entire window and any value stored on it
-    /// while crashed is lost.
+    /// unreachable for the entire window.
     CrashRestart {
         /// Per-slot crash probability in parts per million.
         crash_ppm: u32,
     },
-    /// Churn storm: a keyspace reshuffle. Each slot flips one seeded coin
-    /// at `churn_ppm`; holder addresses resolving to a churned slot are
-    /// redirected to a deterministic neighbour, perturbing placement the
-    /// way a mass join/leave wave would. Lookups against a churned
-    /// address miss the stored value unless a hedge wider than the
-    /// primary walks back onto the pre-storm holder.
+    /// Churn storm: a mass join/leave wave. Each slot flips one seeded
+    /// coin at `churn_ppm`; a churned slot's tenant is gone for the whole
+    /// window, so every hand-off contact with it is lost.
     ChurnStorm {
-        /// Per-slot reshuffle probability in parts per million.
+        /// Per-slot churn probability in parts per million.
         churn_ppm: u32,
-    },
-    /// Slow nodes: each slot flips one seeded coin at `slow_ppm`; a slow
-    /// slot inflates every lookup against it by `extra_ticks` of virtual
-    /// latency. Combined with a
-    /// [`TimeoutPolicy`](crate::recovery::TimeoutPolicy), slow lookups
-    /// time out and burn retry attempts.
-    SlowNodes {
-        /// Per-slot slow probability in parts per million.
-        slow_ppm: u32,
-        /// Added virtual latency per lookup attempt, in ticks.
-        extra_ticks: u64,
     },
     /// Block-clock skew (contract substrate): each holder slot flips one
     /// seeded coin at `skew_ppm`; a skewed holder believes the reveal
@@ -81,29 +64,6 @@ pub enum FaultKind {
         /// Clock error in blocks.
         blocks: u64,
     },
-    /// Stored-value corruption: a fetched value is returned with one
-    /// deterministically chosen byte flipped with probability
-    /// `tamper_ppm` per lookup. Authenticated encryption downstream must
-    /// reject the forgery rather than misroute it.
-    Tamper {
-        /// Per-lookup corruption probability in parts per million.
-        tamper_ppm: u32,
-    },
-}
-
-impl FaultKind {
-    /// Short stable label used in fault fingerprints and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::LossBurst { .. } => "loss_burst",
-            FaultKind::SlotOutage { .. } => "slot_outage",
-            FaultKind::CrashRestart { .. } => "crash_restart",
-            FaultKind::ChurnStorm { .. } => "churn_storm",
-            FaultKind::SlowNodes { .. } => "slow_nodes",
-            FaultKind::ClockSkew { .. } => "clock_skew",
-            FaultKind::Tamper { .. } => "tamper",
-        }
-    }
 }
 
 /// One scheduled fault: a kind active over the half-open window

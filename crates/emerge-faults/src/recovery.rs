@@ -1,19 +1,18 @@
 //! Recovery policies: bounded retry with deterministic backoff,
-//! per-attempt timeouts, and hedged redundant lookups.
+//! per-attempt deadlines, and hedged redundant dispatch.
 //!
-//! Policies are plain `Copy` configuration — the machinery that applies
-//! them (retry loops in `find_value`, hedges over `closest_slots`) lives
-//! in the substrate wrappers. Keeping policy and mechanism apart lets the
-//! same policy drive the analytic, contract and cloud paths.
+//! Policies are plain `Copy` configuration. Their one consumer is the
+//! sweep coordinator (`emerge_sweep::coordinator`), which applies them to
+//! work-unit dispatch: `timeout.per_attempt_ticks` is the per-dispatch
+//! deadline in milliseconds, `retry` bounds and spaces re-dispatches of a
+//! failed unit, and `hedge.fanout` caps the concurrent copies of a
+//! straggling unit. No trial reads them; the fault-plane runner keeps a
+//! `RecoveryPolicy` argument only for signature stability.
 
 /// Bounded retry with deterministic exponential backoff.
-///
-/// Backoff is *virtual*: attempts are re-rolled immediately, but the
-/// configured wait is accounted as virtual latency so degraded runs
-/// report how long recovery would have stalled a real deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts per lookup, including the first (`0` acts as `1`).
+    /// Total attempts per unit, including the first (`0` acts as `1`).
     pub max_attempts: u32,
     /// Backoff before the first retry, in ticks.
     pub base_backoff_ticks: u64,
@@ -49,14 +48,13 @@ impl RetryPolicy {
     }
 }
 
-/// Per-attempt lookup timeout.
+/// Per-attempt deadline.
 ///
-/// An attempt whose virtual latency (base plus slow-node inflation)
-/// exceeds the budget is abandoned and counted as a timeout; the retry
-/// policy decides whether another attempt follows.
+/// An attempt that outlives the budget is abandoned and counted as a
+/// failure; the retry policy decides whether another attempt follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeoutPolicy {
-    /// Latency budget per attempt, in ticks.
+    /// Budget per attempt, in ticks (milliseconds in the sweep).
     pub per_attempt_ticks: u64,
 }
 
@@ -68,13 +66,13 @@ impl Default for TimeoutPolicy {
     }
 }
 
-/// Hedged redundant lookups over the `fanout` closest slots.
+/// Hedged redundant dispatch.
 ///
-/// When the primary slot is unreachable, resolution and retrieval fall
-/// through the next-closest replicas in deterministic order.
+/// A straggling attempt is raced by further copies, up to `fanout`
+/// concurrent copies in all; the first valid result wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HedgePolicy {
-    /// How many closest slots to consider, including the primary.
+    /// Concurrent copies allowed, including the first.
     pub fanout: usize,
 }
 
@@ -84,33 +82,15 @@ impl Default for HedgePolicy {
     }
 }
 
-/// The complete recovery stance of a faulty substrate.
+/// The complete recovery stance of a dispatcher.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Retry/backoff behaviour for lookups.
+    /// Retry/backoff behaviour.
     pub retry: RetryPolicy,
-    /// Per-attempt timeout.
+    /// Per-attempt deadline.
     pub timeout: TimeoutPolicy,
-    /// Hedged redundancy for resolution and retrieval.
+    /// Hedged redundancy.
     pub hedge: HedgePolicy,
-}
-
-impl RecoveryPolicy {
-    /// A policy that never retries, never hedges and never times out —
-    /// faults land at full force. Useful as an experimental control.
-    pub fn brittle() -> Self {
-        RecoveryPolicy {
-            retry: RetryPolicy {
-                max_attempts: 1,
-                base_backoff_ticks: 0,
-                multiplier: 1,
-            },
-            timeout: TimeoutPolicy {
-                per_attempt_ticks: u64::MAX,
-            },
-            hedge: HedgePolicy { fanout: 1 },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,13 +124,5 @@ mod tests {
             multiplier: 2,
         };
         assert_eq!(p.attempts(), 1);
-    }
-
-    #[test]
-    fn brittle_policy_disables_recovery() {
-        let p = RecoveryPolicy::brittle();
-        assert_eq!(p.retry.attempts(), 1);
-        assert_eq!(p.hedge.fanout, 1);
-        assert_eq!(p.timeout.per_attempt_ticks, u64::MAX);
     }
 }

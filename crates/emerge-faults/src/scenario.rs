@@ -23,14 +23,11 @@ pub enum Scenario {
     CorrelatedOutage,
     /// Crash + restart with state loss at `intensity_ppm` per slot.
     CrashStorm,
-    /// Keyspace reshuffle redirecting `intensity_ppm` of resolutions.
+    /// Mass join/leave wave replacing the tenants of `intensity_ppm` of
+    /// slots for the window.
     ChurnStorm,
-    /// Slow nodes inflating lookup latency on `intensity_ppm` of slots.
-    SlowNodes,
     /// Contract block-clock skew on `intensity_ppm` of holders.
     ClockSkew,
-    /// Stored-value corruption on `intensity_ppm` of fetches.
-    Tamper,
 }
 
 impl Scenario {
@@ -41,9 +38,7 @@ impl Scenario {
             Scenario::CorrelatedOutage,
             Scenario::CrashStorm,
             Scenario::ChurnStorm,
-            Scenario::SlowNodes,
             Scenario::ClockSkew,
-            Scenario::Tamper,
         ]
     }
 
@@ -54,9 +49,7 @@ impl Scenario {
             Scenario::CorrelatedOutage => "correlated_outage",
             Scenario::CrashStorm => "crash_storm",
             Scenario::ChurnStorm => "churn_storm",
-            Scenario::SlowNodes => "slow_nodes",
             Scenario::ClockSkew => "clock_skew",
-            Scenario::Tamper => "tamper",
         }
     }
 
@@ -89,16 +82,9 @@ impl Scenario {
             Scenario::ChurnStorm => FaultKind::ChurnStorm {
                 churn_ppm: intensity_ppm,
             },
-            Scenario::SlowNodes => FaultKind::SlowNodes {
-                slow_ppm: intensity_ppm,
-                extra_ticks: 500,
-            },
             Scenario::ClockSkew => FaultKind::ClockSkew {
                 skew_ppm: intensity_ppm,
                 blocks: 64,
-            },
-            Scenario::Tamper => FaultKind::Tamper {
-                tamper_ppm: intensity_ppm,
             },
         };
         FaultPlan::new(seed, vec![FaultEvent { from, to, kind }])

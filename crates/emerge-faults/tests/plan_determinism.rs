@@ -20,13 +20,7 @@ fn plan(seed: u64, loss_ppm: u32, crash_ppm: u32) -> FaultPlan {
         vec![
             window(FaultKind::LossBurst { loss_ppm }),
             window(FaultKind::CrashRestart { crash_ppm }),
-            window(FaultKind::SlowNodes {
-                slow_ppm: 300_000,
-                extra_ticks: 40,
-            }),
-            window(FaultKind::Tamper {
-                tamper_ppm: 200_000,
-            }),
+            window(FaultKind::ChurnStorm { churn_ppm: 300_000 }),
         ],
     )
 }
@@ -54,8 +48,6 @@ proptest! {
             seen.push((
                 forward.unreachable_at(slot, t),
                 forward.holder_disrupted(slot, t),
-                forward.extra_latency(slot, t),
-                forward.tamper_selector(slot as u64, t),
                 forward.ghost_index(slot, t, 64),
             ));
         }
@@ -67,9 +59,7 @@ proptest! {
             let t = SimTime::from_ticks(tick);
             prop_assert_eq!(backward.unreachable_at(slot, t), expected.0);
             prop_assert_eq!(backward.holder_disrupted(slot, t), expected.1);
-            prop_assert_eq!(backward.extra_latency(slot, t), expected.2);
-            prop_assert_eq!(backward.tamper_selector(slot as u64, t), expected.3);
-            prop_assert_eq!(backward.ghost_index(slot, t, 64), expected.4);
+            prop_assert_eq!(backward.ghost_index(slot, t, 64), expected.2);
         }
     }
 
@@ -96,7 +86,7 @@ proptest! {
         intensity in 1u32..1_000_000,
         horizon in 100u64..1_000_000,
         seed in any::<u64>(),
-        scenario_idx in 0usize..7,
+        scenario_idx in 0usize..Scenario::all().len(),
     ) {
         let scenario = Scenario::all()[scenario_idx];
         let a = scenario.plan(intensity, horizon, seed);

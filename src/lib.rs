@@ -21,7 +21,8 @@
 //! * [`obs`] — the observability layer: mergeable metrics, span/event
 //!   tracing, profiling hooks
 //! * [`faults`] — the deterministic fault plane: seeded fault plans,
-//!   injectors and the retry/timeout/hedge recovery policies
+//!   injectors, the fault-outcome taxonomy, and the sweep coordinator's
+//!   retry/deadline/hedge policy
 //!
 //! See `examples/quickstart.rs` for a complete walk-through, and the
 //! `emerge-bench` crate for the binaries that regenerate every figure of

@@ -1,16 +1,13 @@
-//! The contract release substrate's workspace-level guarantees:
+//! The contract-native bonded mode's workspace-level guarantees:
 //!
-//! 1. **Scheme portability** — all four key-routing schemes run on
-//!    `ContractSubstrate` unchanged, and produce *bit-identical*
-//!    Monte-Carlo fingerprints to the analytic substrate (the chain
-//!    layer never perturbs the DHT semantics).
-//! 2. **Sharded == serial** — the sharded Monte-Carlo guarantee extends
-//!    to the new substrate and to the contract-native bonded-release
-//!    mode, for every thread count of `emerge_sim::shard::run_sharded`
-//!    (what CI's `EMERGE_MC_THREADS` matrix guards).
-//! 3. **Economics invariants** — escrow conservation, no double-claim,
+//! 1. **Sharded == serial** — the sharded Monte-Carlo guarantee extends
+//!    to the bonded release on `ContractSubstrate`, for every thread
+//!    count of `emerge_sim::shard::run_sharded` (what CI's
+//!    `EMERGE_MC_THREADS` matrix guards).
+//! 2. **Economics invariants** — escrow conservation, no double-claim,
 //!    and slash-only-on-misbehaviour, property-tested across seeds,
-//!    malicious rates and adversary strategies.
+//!    malicious rates and adversary strategies; bond sizing prices out
+//!    the drop attack.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,30 +20,11 @@ use self_emerging_data::contract::mc::{
 use self_emerging_data::contract::release::{run_bonded_release, BondedSpec};
 use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
 use self_emerging_data::contract::ContractError;
-use self_emerging_data::core::config::{SchemeKind, SchemeParams};
-use self_emerging_data::core::montecarlo::{
-    run_protocol_trial_range, run_protocol_trials, ProtocolMcResults, ProtocolTrialSpec,
-};
-use self_emerging_data::core::protocol::AttackMode;
-use self_emerging_data::core::substrate::{AnalyticSubstrate, OverlayConfig};
+use self_emerging_data::dht::overlay::OverlayConfig;
 use self_emerging_data::sim::shard::run_sharded;
 use self_emerging_data::sim::time::SimDuration;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
-
-fn params_for(kind: SchemeKind) -> SchemeParams {
-    match kind {
-        SchemeKind::Central => SchemeParams::Central,
-        SchemeKind::Disjoint => SchemeParams::Disjoint { k: 2, l: 3 },
-        SchemeKind::Joint => SchemeParams::Joint { k: 2, l: 3 },
-        SchemeKind::Share => SchemeParams::Share {
-            k: 2,
-            l: 3,
-            n: 5,
-            m: vec![3, 3],
-        },
-    }
-}
 
 fn world(n: usize, p: f64) -> OverlayConfig {
     OverlayConfig {
@@ -59,67 +37,6 @@ fn world(n: usize, p: f64) -> OverlayConfig {
 
 fn contract_factory(cfg: OverlayConfig) -> impl Fn(u64) -> ContractSubstrate + Sync {
     move |seed| ContractSubstrate::build(ContractConfig::over(cfg), seed)
-}
-
-/// `trials` wire-protocol trials on contract worlds through the one
-/// driver on `threads` workers.
-fn sharded_on_contract(
-    spec: &ProtocolTrialSpec,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-    cfg: OverlayConfig,
-) -> ProtocolMcResults {
-    run_sharded(trials, threads, |first, count| {
-        run_protocol_trial_range(spec, first, count, seed, contract_factory(cfg))
-    })
-    .unwrap()
-}
-
-#[test]
-fn all_four_schemes_agree_with_the_other_substrates() {
-    for kind in SchemeKind::ALL {
-        let spec = ProtocolTrialSpec {
-            params: params_for(kind),
-            emerging_period: SimDuration::from_ticks(6_000),
-            attack: AttackMode::ReleaseAhead,
-        };
-        let cfg = world(150, 0.3);
-        let on_contract = run_protocol_trials(&spec, 12, 9, contract_factory(cfg)).unwrap();
-        let on_analytic =
-            run_protocol_trials(&spec, 12, 9, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
-        assert_eq!(
-            on_contract.fingerprint, on_analytic.fingerprint,
-            "{kind}: contract/analytic parity"
-        );
-    }
-}
-
-#[test]
-fn sharded_matches_serial_for_all_schemes_on_the_contract_substrate() {
-    for kind in SchemeKind::ALL {
-        let spec = ProtocolTrialSpec {
-            params: params_for(kind),
-            emerging_period: SimDuration::from_ticks(6_000),
-            attack: AttackMode::Drop,
-        };
-        let cfg = world(150, 0.25);
-        let serial = run_protocol_trials(&spec, 12, 17, contract_factory(cfg)).unwrap();
-        for threads in SHARD_COUNTS {
-            let sharded = sharded_on_contract(&spec, 12, 17, threads, cfg);
-            assert_eq!(
-                sharded.fingerprint, serial.fingerprint,
-                "{kind}/{threads} threads: fingerprint"
-            );
-            assert_eq!(sharded.released, serial.released, "{kind}: released");
-            assert_eq!(sharded.clean, serial.clean, "{kind}: clean");
-            assert_eq!(
-                sharded.reconstructed_early, serial.reconstructed_early,
-                "{kind}: early"
-            );
-            assert_eq!(sharded.messages.count(), serial.messages.count());
-        }
-    }
 }
 
 fn bonded_spec(strategy: HolderStrategy) -> BondedSpec {
@@ -292,32 +209,6 @@ proptest! {
         prop_assert_eq!(report.released.is_none(), report.failure.is_some());
         if report.early_leak.is_some() {
             prop_assert!(report.early >= spec.m, "a leak needs an early quorum");
-        }
-    }
-
-    /// The wire-protocol sharded == serial property extends to the
-    /// contract substrate for arbitrary seeds and trial counts.
-    #[test]
-    fn contract_substrate_sharded_equals_serial_property(
-        seed in 0u64..10_000,
-        trials in 1usize..16,
-        p in 0.0f64..0.5,
-    ) {
-        let cfg = world(120, p);
-        for kind in SchemeKind::ALL {
-            let spec = ProtocolTrialSpec {
-                params: params_for(kind),
-                emerging_period: SimDuration::from_ticks(6_000),
-                attack: AttackMode::ReleaseAhead,
-            };
-            let serial = run_protocol_trials(&spec, trials, seed, contract_factory(cfg)).unwrap();
-            for threads in SHARD_COUNTS {
-                let sharded = sharded_on_contract(&spec, trials, seed, threads, cfg);
-                prop_assert_eq!(serial.fingerprint, sharded.fingerprint,
-                    "{} with {} threads, {} trials", kind, threads, trials);
-                prop_assert_eq!(serial.released, sharded.released);
-                prop_assert_eq!(serial.clean, sharded.clean);
-            }
         }
     }
 

@@ -1,13 +1,13 @@
 //! Failure injection on the deterministic fault plane.
 //!
 //! Every scenario here is a seeded [`FaultPlan`]: the same seed compiles
-//! the same schedule of loss bursts, crash storms, outages and tampering,
-//! so each assertion replays bit-identically. Scenarios run against the
-//! analytic *and* contract substrates through the same
-//! `FaultySubstrate` wrapper, plus the contract-native bonded path where
-//! crashes turn into slashing withholds. One legacy probe survives from
-//! the pre-fault-plane suite: the onion AEAD tamper check, which guards a
-//! layer the injector sits above.
+//! the same schedule of loss bursts, outages, crash and churn storms and
+//! clock skew, so each assertion replays bit-identically. Protocol
+//! scenarios run on the analytic world through the `FaultySubstrate`
+//! wrapper; the contract-native bonded path turns crashes and skew into
+//! slashing withholds. One legacy probe survives from the pre-fault-plane
+//! suite: the onion AEAD tamper check, which guards a layer the injector
+//! sits above.
 
 use self_emerging_data::contract::economy::{EconomyParams, HolderStrategy};
 use self_emerging_data::contract::mc::run_bonded_trial_range_faulted;
@@ -21,9 +21,7 @@ use self_emerging_data::crypto::keys::SymmetricKey;
 use self_emerging_data::crypto::onion;
 use self_emerging_data::dht::analytic::AnalyticSubstrate;
 use self_emerging_data::dht::overlay::OverlayConfig;
-use self_emerging_data::faults::{
-    FaultEvent, FaultKind, FaultPlan, RecoveryPolicy, Scenario, PPM_SCALE,
-};
+use self_emerging_data::faults::{FaultEvent, FaultKind, FaultPlan, Scenario, PPM_SCALE};
 use self_emerging_data::sim::time::{SimDuration, SimTime};
 
 /// The protocol's active window: fault plans are compiled over the
@@ -57,53 +55,17 @@ fn analytic(seed: u64) -> AnalyticSubstrate {
     AnalyticSubstrate::build(world(), seed)
 }
 
-fn contract(seed: u64) -> ContractSubstrate {
-    ContractSubstrate::build(ContractConfig::over(world()), seed)
-}
-
 #[test]
-fn seeded_loss_burst_replays_bit_identically_on_both_substrates() {
+fn seeded_loss_burst_replays_bit_identically() {
     let plan = Scenario::LossBurst.plan(400_000, PLAN_HORIZON, 11);
-    let policy = RecoveryPolicy::default();
-    for factory in [analytic, analytic] {
-        let a = run_faulted_trials(&spec(), &plan, policy, 25, 3, factory).unwrap();
-        let b = run_faulted_trials(&spec(), &plan, policy, 25, 3, factory).unwrap();
-        assert_eq!(a.base.fingerprint, b.base.fingerprint);
-        assert_eq!(a.fault_fingerprint, b.fault_fingerprint);
-        assert_eq!(a.disruptions.count(), b.disruptions.count());
-    }
-    let c1 = run_faulted_trials(&spec(), &plan, policy, 25, 3, contract).unwrap();
-    let c2 = run_faulted_trials(&spec(), &plan, policy, 25, 3, contract).unwrap();
-    assert_eq!(c1.base.fingerprint, c2.base.fingerprint);
-    assert_eq!(c1.fault_fingerprint, c2.fault_fingerprint);
+    let a = run_faulted_trials(&spec(), &plan, 25, 3, analytic).unwrap();
+    let b = run_faulted_trials(&spec(), &plan, 25, 3, analytic).unwrap();
+    assert_eq!(a.base.fingerprint, b.base.fingerprint);
+    assert_eq!(a.fault_fingerprint, b.fault_fingerprint);
+    assert_eq!(a.disruptions.count(), b.disruptions.count());
     assert!(
-        c1.disrupted.successes() > 0,
+        a.disrupted.successes() > 0,
         "a 40% loss burst must actually disrupt"
-    );
-}
-
-#[test]
-fn recovery_policy_beats_brittle_under_a_crash_storm() {
-    let plan = Scenario::CrashStorm.plan(500_000, PLAN_HORIZON, 7);
-    let recovering =
-        run_faulted_trials(&spec(), &plan, RecoveryPolicy::default(), 40, 5, analytic).unwrap();
-    let brittle =
-        run_faulted_trials(&spec(), &plan, RecoveryPolicy::brittle(), 40, 5, analytic).unwrap();
-    assert!(
-        recovering.base.released.successes() >= brittle.base.released.successes(),
-        "hedged retries must not lose to give-up-immediately ({} vs {})",
-        recovering.base.released.successes(),
-        brittle.base.released.successes()
-    );
-    assert!(
-        recovering.disrupted.successes() > 0,
-        "the storm must actually disrupt"
-    );
-    // Degraded successes are reported apart from clean ones and the two
-    // exactly partition the released trials.
-    assert_eq!(
-        recovering.degraded.successes() + recovering.clean_of_faults.successes(),
-        recovering.base.released.successes()
     );
 }
 
@@ -113,9 +75,8 @@ fn correlated_outage_degrades_gracefully_under_m_of_n() {
     // share scheme only needs k-of-m columns, so the release rate bends
     // instead of collapsing — and some successes are degraded ones.
     let plan = Scenario::CorrelatedOutage.plan(160_000, PLAN_HORIZON, 13);
-    let policy = RecoveryPolicy::default();
-    let faulted = run_faulted_trials(&spec(), &plan, policy, 40, 9, analytic).unwrap();
-    let plain = run_faulted_trials(&spec(), &FaultPlan::none(), policy, 40, 9, analytic).unwrap();
+    let faulted = run_faulted_trials(&spec(), &plan, 40, 9, analytic).unwrap();
+    let plain = run_faulted_trials(&spec(), &FaultPlan::none(), 40, 9, analytic).unwrap();
     assert!(faulted.disrupted.successes() > 0, "outage must fire");
     assert!(
         faulted.base.released.successes() > 0,
@@ -124,22 +85,6 @@ fn correlated_outage_degrades_gracefully_under_m_of_n() {
     assert!(
         faulted.base.released.successes() <= plain.base.released.successes(),
         "injected outages cannot help"
-    );
-}
-
-#[test]
-fn tamper_storm_loses_values_but_never_misroutes_them() {
-    // Tampered find_value results fail AEAD authentication downstream;
-    // what must never happen is a tampered value being *accepted*. At the
-    // MC level that shows up as suppressed releases, never as garbage
-    // releases or panics.
-    let plan = Scenario::Tamper.plan(PPM_SCALE, PLAN_HORIZON, 17);
-    let r =
-        run_faulted_trials(&spec(), &plan, RecoveryPolicy::default(), 25, 21, analytic).unwrap();
-    assert_eq!(r.base.released.trials(), 25);
-    assert_eq!(
-        r.degraded.successes() + r.clean_of_faults.successes(),
-        r.base.released.successes()
     );
 }
 
@@ -214,14 +159,9 @@ fn fault_frontier_matches_golden() {
         ] {
             for ppm in [50_000, 150_000, 400_000] {
                 let plan = scenario.plan(ppm, 10_000, FRONTIER_SEED);
-                let r = run_faulted_trials(
-                    &spec,
-                    &plan,
-                    RecoveryPolicy::default(),
-                    20,
-                    FRONTIER_SEED,
-                    |s| AnalyticSubstrate::build(FRONTIER_WORLD, s),
-                )
+                let r = run_faulted_trials(&spec, &plan, 20, FRONTIER_SEED, |s| {
+                    AnalyticSubstrate::build(FRONTIER_WORLD, s)
+                })
                 .unwrap();
                 assert_eq!(
                     Some(&[r.base.fingerprint, r.fault_fingerprint]),

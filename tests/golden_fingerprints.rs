@@ -13,8 +13,7 @@
 //! constants in the same commit and say so in the commit message.
 //!
 //! **Share format v2** (the flat segment table that replaced the nested
-//! column bundles): re-pinned on every substrate and confirmed
-//! *unchanged*. The trial digest covers holder slots and the protocol
+//! column bundles): re-pinned and confirmed *unchanged*. The trial digest covers holder slots and the protocol
 //! report — released secret/time, failure, adversary reconstruction,
 //! message counts — and the flattening alters only the sealing topology
 //! of the package, not one byte of delivered key material or one message
@@ -23,7 +22,6 @@
 //! before v1 was retired). A fingerprint change here after a packaging
 //! edit therefore still means real protocol behaviour drifted.
 
-use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
 use self_emerging_data::core::config::SchemeParams;
 use self_emerging_data::core::montecarlo::{run_protocol_trials, ProtocolTrialSpec};
 use self_emerging_data::core::protocol::AttackMode;
@@ -85,7 +83,7 @@ fn cells() -> Vec<(&'static str, ProtocolTrialSpec)> {
 }
 
 /// `(cell, analytic fingerprint)` recorded on the pre-refactor scalar
-/// crypto implementation. The other substrates must agree exactly.
+/// crypto implementation.
 const GOLDEN: [(&str, u64); 4] = [
     ("central", 0xf797fb5bccacbd79),
     ("disjoint_3x4", 0x201cca94b1bc19ef),
@@ -109,21 +107,6 @@ fn analytic_fingerprints_match_golden() {
             "{name}: fingerprint {:#018x} != golden {:#018x} — a crypto or \
              packaging byte changed",
             r.fingerprint, expected
-        );
-    }
-}
-
-#[test]
-fn contract_fingerprints_match_golden() {
-    for (name, spec) in cells() {
-        let r = run_protocol_trials(&spec, TRIALS, SEED, |s| {
-            ContractSubstrate::build(ContractConfig::over(world_config()), s)
-        })
-        .unwrap();
-        let (_, expected) = GOLDEN.iter().find(|(n, _)| *n == name).unwrap();
-        assert_eq!(
-            r.fingerprint, *expected,
-            "{name}: contract fingerprint diverged from golden"
         );
     }
 }

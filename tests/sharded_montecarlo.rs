@@ -2,8 +2,8 @@
 //! batch into contiguous ranges and running them on worker threads
 //! through the one driver, `emerge_sim::shard::run_sharded`, produces a
 //! `ProtocolMcResults` identical to the serial run, fingerprint included,
-//! for every scheme, substrate and thread count — under injected faults
-//! too. Sharding and threading change wall-clock time only.
+//! for every scheme and thread count — under injected faults too.
+//! Sharding and threading change wall-clock time only.
 //!
 //! This is what licenses the benchmark ledger's check that its 2-thread
 //! pass equals its 1-thread pass, and it is the invariant CI's
@@ -19,9 +19,7 @@ use self_emerging_data::core::montecarlo::{
     run_protocol_trial_range, run_protocol_trials, ProtocolMcResults, ProtocolTrialSpec,
 };
 use self_emerging_data::core::protocol::AttackMode;
-use self_emerging_data::core::substrate::{
-    AnalyticSubstrate, ContractConfig, ContractSubstrate, HolderSubstrate, OverlayConfig,
-};
+use self_emerging_data::core::substrate::{AnalyticSubstrate, HolderSubstrate, OverlayConfig};
 use self_emerging_data::faults::{FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 use self_emerging_data::sim::shard::run_sharded;
 use self_emerging_data::sim::time::{SimDuration, SimTime};
@@ -57,10 +55,6 @@ fn world(n: usize, p: f64) -> OverlayConfig {
         mean_lifetime: Some(10_000),
         horizon: 100_000,
     }
-}
-
-fn contract(cfg: OverlayConfig, seed: u64) -> ContractSubstrate {
-    ContractSubstrate::build(ContractConfig::over(cfg), seed)
 }
 
 /// `trials` of `spec` through the one driver on `threads` workers.
@@ -136,40 +130,22 @@ fn assert_identical(label: &str, serial: &ProtocolMcResults, sharded: &ProtocolM
 }
 
 #[test]
-fn sharded_matches_serial_for_all_schemes_on_both_substrates() {
+fn sharded_matches_serial_for_all_schemes() {
     for kind in SchemeKind::ALL {
         let spec = spec_for(kind, AttackMode::ReleaseAhead);
         let cfg = world(150, 0.3);
-
-        let serial_fast =
+        let serial =
             run_protocol_trials(&spec, 12, 9, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
-        let serial_chained = run_protocol_trials(&spec, 12, 9, |s| contract(cfg, s)).unwrap();
-        assert_eq!(
-            serial_fast.fingerprint, serial_chained.fingerprint,
-            "{kind}: substrate parity of the serial baseline"
-        );
-
         // The deployment thread count (EMERGE_MC_THREADS or the
         // available parallelism) must agree too, whatever it is.
         for threads in SHARD_COUNTS.into_iter().chain([mc_threads()]) {
-            let fast = run_threaded(&spec, 12, 9, threads, |s| AnalyticSubstrate::build(cfg, s));
-            assert_identical(
-                &format!("{kind}/analytic/{threads} threads"),
-                &serial_fast,
-                &fast,
-            );
-
-            let chained = run_threaded(&spec, 12, 9, threads, |s| contract(cfg, s));
-            assert_identical(
-                &format!("{kind}/contract/{threads} threads"),
-                &serial_chained,
-                &chained,
-            );
+            let sharded = run_threaded(&spec, 12, 9, threads, |s| AnalyticSubstrate::build(cfg, s));
+            assert_identical(&format!("{kind}/{threads} threads"), &serial, &sharded);
         }
     }
 }
 
-/// A non-trivial schedule mixing four fault kinds over the protocol's
+/// A non-trivial schedule mixing three fault kinds over the protocol's
 /// active window (emerging period 6k ticks, so faults run [500, 5500)).
 fn storm_plan(seed: u64) -> FaultPlan {
     let window = |kind| FaultEvent {
@@ -183,35 +159,18 @@ fn storm_plan(seed: u64) -> FaultPlan {
             window(FaultKind::LossBurst { loss_ppm: 200_000 }),
             window(FaultKind::CrashRestart { crash_ppm: 150_000 }),
             window(FaultKind::ChurnStorm { churn_ppm: 100_000 }),
-            window(FaultKind::SlowNodes {
-                slow_ppm: 250_000,
-                extra_ticks: 50,
-            }),
         ],
     )
 }
 
 #[test]
-fn faulted_sharded_matches_serial_on_both_substrates() {
+fn faulted_sharded_matches_serial() {
     let plan = storm_plan(41);
-    let policy = RecoveryPolicy::default();
     for kind in [SchemeKind::Joint, SchemeKind::Share] {
         let spec = spec_for(kind, AttackMode::ReleaseAhead);
         let cfg = world(150, 0.3);
-        let serial = run_faulted_trials(&spec, &plan, policy, 12, 9, |s| {
-            AnalyticSubstrate::build(cfg, s)
-        })
-        .unwrap();
-        let chained =
-            run_faulted_trials(&spec, &plan, policy, 12, 9, |s| contract(cfg, s)).unwrap();
-        assert_eq!(
-            serial.base.fingerprint, chained.base.fingerprint,
-            "{kind}: substrate parity must survive fault injection"
-        );
-        assert_eq!(
-            serial.fault_fingerprint, chained.fault_fingerprint,
-            "{kind}: the fault schedule is substrate-independent"
-        );
+        let serial =
+            run_faulted_trials(&spec, &plan, 12, 9, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
         for threads in SHARD_COUNTS {
             let sharded = run_faulted_threaded(&spec, &plan, 12, 9, threads, cfg);
             assert_identical(
@@ -227,7 +186,6 @@ fn faulted_sharded_matches_serial_on_both_substrates() {
             assert_eq!(serial.clean_of_faults, sharded.clean_of_faults);
             assert_eq!(serial.disrupted, sharded.disrupted);
             assert_eq!(serial.disruptions.count(), sharded.disruptions.count());
-            assert_eq!(serial.retries.count(), sharded.retries.count());
         }
         assert!(
             serial.disrupted.successes() > 0,
@@ -282,8 +240,7 @@ proptest! {
         let spec = spec_for(SchemeKind::Share, AttackMode::ReleaseAhead);
         let cfg = world(120, 0.2);
         let plan = storm_plan(plan_seed);
-        let policy = RecoveryPolicy::default();
-        let serial = run_faulted_trials(&spec, &plan, policy, trials, mc_seed, |s| {
+        let serial = run_faulted_trials(&spec, &plan, trials, mc_seed, |s| {
             AnalyticSubstrate::build(cfg, s)
         })
         .unwrap();
