@@ -7,13 +7,14 @@
 //!
 //! For a quick pass: `EMERGE_TRIALS=100 EMERGE_P_STEP=0.05 cargo run ...`
 
-use emerge_bench::figures::{
-    fig6_attack_and_cost, fig7_churn_resilience, fig8_share_cost, render_and_save,
-};
+use emerge_bench::figures::{fig6, fig7, fig8, render_and_save, Panel};
 use emerge_bench::{p_step_from_env, p_sweep, trials_from_env};
+use emerge_core::error::EmergeError;
 use emerge_obs::Stopwatch;
 
-fn main() {
+type Figure = fn(&[f64], usize) -> Result<Vec<Panel>, EmergeError>;
+
+fn main() -> Result<(), EmergeError> {
     let trials = trials_from_env();
     let ps = p_sweep(p_step_from_env());
     let total = Stopwatch::start();
@@ -23,33 +24,17 @@ fn main() {
         ps.len()
     );
 
-    for (population, tag_r, tag_c) in [(10_000usize, "fig6a", "fig6b"), (100, "fig6c", "fig6d")] {
+    for (name, figure) in [("fig6", fig6 as Figure), ("fig7", fig7), ("fig8", fig8)] {
         let watch = Stopwatch::start();
-        let (r, c) = fig6_attack_and_cost(population, &ps, trials, 0x6A);
-        render_and_save(&r, tag_r);
-        render_and_save(&c, tag_c);
-        println!("# {tag_r}/{tag_c} done in {:.1} s", watch.elapsed_secs());
-    }
-
-    for (panel, alpha) in [("a", 1.0f64), ("b", 2.0), ("c", 3.0), ("d", 5.0)] {
-        let watch = Stopwatch::start();
-        let table = fig7_churn_resilience(10_000, alpha, &ps, trials, 0x70 + alpha as u64);
-        render_and_save(&table, &format!("fig7{panel}"));
-        println!(
-            "# fig7{panel} (α = {alpha}) done in {:.1} s",
-            watch.elapsed_secs()
-        );
-    }
-
-    {
-        let watch = Stopwatch::start();
-        let table = fig8_share_cost(10_000, &[100, 1_000, 5_000, 10_000], 3.0, &ps, trials, 0x80);
-        render_and_save(&table, "fig8");
-        println!("# fig8 done in {:.1} s", watch.elapsed_secs());
+        for panel in figure(&ps, trials)? {
+            render_and_save(&panel.table, &panel.name);
+        }
+        println!("# {name} done in {:.1} s", watch.elapsed_secs());
     }
 
     println!(
         "# all figures regenerated in {:.1} s; tables in results/",
         total.elapsed_secs()
     );
+    Ok(())
 }

@@ -10,28 +10,15 @@
 //! EMERGE_TRIALS=200 EMERGE_P_STEP=0.05 cargo run -p emerge-bench --bin fig6 --release
 //! ```
 
-use emerge_bench::figures::{fig6_attack_and_cost, render_and_save};
+use emerge_bench::figures::{fig6, save_and_print};
 use emerge_bench::{p_step_from_env, p_sweep, trials_from_env};
-use emerge_obs::Stopwatch;
+use emerge_core::error::EmergeError;
 
-fn main() {
+fn main() -> Result<(), EmergeError> {
     let trials = trials_from_env();
     let ps = p_sweep(p_step_from_env());
     println!("# Figure 6 — attack resilience evaluation");
     println!("# trials per cell: {trials}; p sweep: {} points", ps.len());
-
-    for (population, tag_r, tag_c) in [(10_000usize, "fig6a", "fig6b"), (100, "fig6c", "fig6d")] {
-        let watch = Stopwatch::start();
-        let (r, c) = fig6_attack_and_cost(population, &ps, trials, 0x6A);
-        println!();
-        println!("## Figure 6 ({tag_r}): attack resilience R, {population} nodes");
-        println!("{}", render_and_save(&r, tag_r));
-        println!();
-        println!("## Figure 6 ({tag_c}): required nodes C, {population} nodes (log scale)");
-        println!("{}", render_and_save(&c, tag_c));
-        eprintln!(
-            "# {population}-node sweep took {:.1} s",
-            watch.elapsed_secs()
-        );
-    }
+    save_and_print(&fig6(&ps, trials)?);
+    Ok(())
 }

@@ -8,23 +8,15 @@
 //! EMERGE_TRIALS=200 EMERGE_P_STEP=0.05 cargo run -p emerge-bench --bin fig7 --release
 //! ```
 
-use emerge_bench::figures::{fig7_churn_resilience, render_and_save};
+use emerge_bench::figures::{fig7, save_and_print};
 use emerge_bench::{p_step_from_env, p_sweep, trials_from_env};
-use emerge_obs::Stopwatch;
+use emerge_core::error::EmergeError;
 
-fn main() {
+fn main() -> Result<(), EmergeError> {
     let trials = trials_from_env();
     let ps = p_sweep(p_step_from_env());
-    let population = 10_000;
-    println!("# Figure 7 — churn resilience evaluation ({population} nodes)");
+    println!("# Figure 7 — churn resilience evaluation (10000 nodes)");
     println!("# trials per cell: {trials}; p sweep: {} points", ps.len());
-
-    for (panel, alpha) in [("a", 1.0f64), ("b", 2.0), ("c", 3.0), ("d", 5.0)] {
-        let watch = Stopwatch::start();
-        let table = fig7_churn_resilience(population, alpha, &ps, trials, 0x70 + alpha as u64);
-        println!();
-        println!("## Figure 7({panel}): α = {alpha}");
-        println!("{}", render_and_save(&table, &format!("fig7{panel}")));
-        eprintln!("# α = {alpha} sweep took {:.1} s", watch.elapsed_secs());
-    }
+    save_and_print(&fig7(&ps, trials)?);
+    Ok(())
 }

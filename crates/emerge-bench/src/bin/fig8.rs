@@ -9,24 +9,15 @@
 //! EMERGE_TRIALS=200 EMERGE_P_STEP=0.05 cargo run -p emerge-bench --bin fig8 --release
 //! ```
 
-use emerge_bench::figures::{fig8_share_cost, render_and_save};
+use emerge_bench::figures::{fig8, save_and_print};
 use emerge_bench::{p_step_from_env, p_sweep, trials_from_env};
-use emerge_obs::Stopwatch;
+use emerge_core::error::EmergeError;
 
-fn main() {
+fn main() -> Result<(), EmergeError> {
     let trials = trials_from_env();
     let ps = p_sweep(p_step_from_env());
-    let population = 10_000;
-    let budgets = [100usize, 1_000, 5_000, 10_000];
-    let alpha = 3.0;
-
     println!("# Figure 8 — key-share routing cost evaluation");
-    println!("# population {population}, α = {alpha}, budgets {budgets:?}");
     println!("# trials per cell: {trials}; p sweep: {} points", ps.len());
-
-    let watch = Stopwatch::start();
-    let table = fig8_share_cost(population, &budgets, alpha, &ps, trials, 0x80);
-    println!();
-    println!("{}", render_and_save(&table, "fig8"));
-    eprintln!("# sweep took {:.1} s", watch.elapsed_secs());
+    save_and_print(&fig8(&ps, trials)?);
+    Ok(())
 }

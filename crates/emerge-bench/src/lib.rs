@@ -14,29 +14,43 @@
 //! Each binary prints gnuplot-ready columns in the same shape as the
 //! paper's plots. Environment variables `EMERGE_TRIALS` (default 1000)
 //! and `EMERGE_P_STEP` (default 0.02) trade accuracy for speed;
-//! `EMERGE_MC_THREADS` caps the worker threads (see
-//! [`parallel::mc_threads`]).
+//! `EMERGE_MC_THREADS` caps the worker threads (see [`mc_threads`]).
 //!
-//! Batches run through the one Monte-Carlo driver,
-//! [`emerge_sim::shard::run_sharded`]; wrap the range call in
-//! [`profile::profiled`] for per-phase telemetry. The workspace's timing
-//! harness is the benchmark ledger in `bench/`, a package of its own that
-//! reads its output back through [`report::validate_json`].
+//! Every cell runs through the one Monte-Carlo driver,
+//! [`emerge_sim::shard::run_sharded`], over the model's range call
+//! ([`figures::run_cell`]); wrap a range call in [`profile::profiled`]
+//! for per-phase telemetry. The workspace's timing harness is the
+//! benchmark ledger in `bench/`, a package of its own that reads its
+//! output back through [`report::validate_json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod parallel;
 pub mod profile;
 pub mod report;
 
+/// Worker-thread count for the Monte-Carlo binaries: `EMERGE_MC_THREADS`
+/// if set to a positive integer, otherwise the machine's available
+/// parallelism (1 if unknown).
+///
+/// The thread count only affects wall-clock time, never results:
+/// [`emerge_sim::shard::run_sharded`] is bit-identical across thread
+/// counts. CI guards this twice: it runs the test suites with
+/// `EMERGE_MC_THREADS=1` and unset, and diffs the figure tables written
+/// at 1 and 2 threads.
+pub fn mc_threads() -> usize {
+    std::env::var("EMERGE_MC_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
 /// Number of Monte-Carlo trials per experiment cell (the paper runs 1000).
 ///
-/// `EMERGE_TRIALS=0` (or unparsable input) falls back rather than
-/// propagating a zero-trial spec the engines would reject — this is the
-/// input boundary that keeps the interior `run_trials(...)` calls
-/// infallible on hardcoded specs.
+/// `EMERGE_TRIALS=0` (or unparsable input) falls back to the default, so
+/// a figure never reports rates over zero trials.
 pub fn trials_from_env() -> usize {
     std::env::var("EMERGE_TRIALS")
         .ok()
@@ -86,5 +100,7 @@ mod tests {
         // Not set in the test environment.
         assert_eq!(trials_from_env(), 1000);
         assert!((p_step_from_env() - 0.02).abs() < 1e-12);
+        // Set or not, the worker count is a sane positive number.
+        assert!(mc_threads() >= 1);
     }
 }

@@ -15,17 +15,22 @@
 //! Warm-up is an identical pass over the same trial range, so every
 //! pooled buffer reaches the exact capacity the measured pass needs —
 //! the same steady state a bench shard reaches after its first trials.
+//!
+//! The plain factory loop is the fault-plane loop under an empty plan,
+//! so arming that plan around a world must not allocate either.
 
 use emerge_core::config::SchemeParams;
+use emerge_core::faults::FaultySubstrate;
 use emerge_core::montecarlo::{
     run_protocol_trial_range_pooled, ProtocolMcResults, ProtocolTrialSpec, TrialWorkspace,
 };
 use emerge_core::protocol::AttackMode;
-use emerge_core::substrate::{AnalyticSubstrate, OverlayConfig};
+use emerge_core::substrate::{AnalyticSubstrate, HolderSubstrate, OverlayConfig};
+use emerge_faults::{FaultPlan, RecoveryPolicy};
 use emerge_obs::alloccount::{allocations, CountingAllocator};
 use emerge_obs::collector::{install, take};
 use emerge_obs::Collector;
-use emerge_sim::time::SimDuration;
+use emerge_sim::time::{SimDuration, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -178,5 +183,51 @@ fn steady_state_share_trials_allocate_nothing_with_metrics_enabled() {
         allocated, 0,
         "steady-state pooled trials with metrics enabled must not touch \
          the allocator ({allocated} allocation(s) across {TRIALS} trials)"
+    );
+}
+
+#[test]
+fn warm_empty_plan_wrapper_allocates_nothing() {
+    const WORLDS: u64 = 8;
+    let config = OverlayConfig {
+        n_nodes: 200,
+        malicious_fraction: 0.2,
+        mean_lifetime: Some(4_000),
+        horizon: 100_000,
+    };
+    let plan = FaultPlan::none();
+    let warm = FaultySubstrate::new(
+        AnalyticSubstrate::build(config, WORLDS),
+        plan.arm(WORLDS),
+        RecoveryPolicy::default(),
+    );
+    // Each world samples the slot's churn timeline (lazily, allocating)
+    // before the window opens, so the window sees only the wrapper.
+    let at = SimTime::from_ticks(50_000);
+    let mut worlds: Vec<AnalyticSubstrate> = (0..WORLDS)
+        .map(|seed| {
+            let world = AnalyticSubstrate::build(config, seed);
+            let _ = world.generation_at(seed as usize, at);
+            world
+        })
+        .collect();
+    let mut wrapped = Vec::with_capacity(worlds.len());
+
+    // Measured window: arm the empty plan around each world and read the
+    // tenant through the wrapper, as every plain trial does.
+    let before = allocations();
+    for (seed, world) in worlds.drain(..).enumerate() {
+        let faulty = FaultySubstrate::new(world, plan.arm(seed as u64), RecoveryPolicy::default());
+        let _ = faulty.generation_at(seed, at);
+        wrapped.push(faulty);
+    }
+    let allocated = allocations() - before;
+
+    assert_eq!(wrapped.len() as u64, WORLDS);
+    assert_eq!(warm.fault_stats().disruptions, 0);
+    assert_eq!(
+        allocated, 0,
+        "arming an empty plan must not touch the allocator \
+         ({allocated} allocation(s) across {WORLDS} wrappers)"
     );
 }

@@ -137,11 +137,6 @@ impl ReleaseContract {
         ReleaseContract::default()
     }
 
-    /// Number of deposits ever opened.
-    pub fn deposit_count(&self) -> usize {
-        self.deposits.len()
-    }
-
     /// Opens a deposit: escrows the depositor's reward pot and every
     /// holder's bond (the *register* step for the whole holder set).
     ///
@@ -499,18 +494,6 @@ impl ReleaseContract {
             .get(holder)
             .map(|e| e.revealed.clone())
             .ok_or(ContractError::UnknownHolder { holder })
-    }
-
-    /// Whether a deposit has been finalized.
-    ///
-    /// # Errors
-    ///
-    /// Unknown deposit id.
-    pub fn is_finalized(&self, deposit: DepositId) -> Result<bool, ContractError> {
-        self.deposits
-            .get(deposit)
-            .map(|d| d.finalized)
-            .ok_or(ContractError::UnknownDeposit { deposit })
     }
 
     /// The terms of a deposit.

@@ -11,7 +11,7 @@
 //! mode unchanged.
 
 use crate::error::ContractError;
-use crate::release::{run_bonded_release, run_bonded_release_faulted, BondedReport, BondedSpec};
+use crate::release::{run_bonded_release_faulted, BondedReport, BondedSpec};
 use crate::substrate::ContractSubstrate;
 use emerge_faults::{FaultPlan, FaultyResults};
 use emerge_obs::trace::{span, SpanId};
@@ -72,72 +72,48 @@ impl Merge for BondedMcResults {
 /// Runs the contiguous trial range `[first_trial, first_trial + count)`
 /// of a bonded-release Monte-Carlo batch, building a fresh substrate
 /// world per trial via `substrate_factory` (which receives the trial's
-/// world seed).
+/// world seed): [`run_bonded_trial_range_faulted`] under
+/// [`FaultPlan::none`].
 ///
 /// # Errors
 ///
-/// Propagates the first trial failure (invalid spec, contract errors).
+/// Propagates the first trial failure (invalid spec — rejected before
+/// the first trial, so an empty range too — or contract errors).
 pub fn run_bonded_trial_range<F>(
     spec: &BondedSpec,
     first_trial: usize,
     count: usize,
-    seed: u64,
-    mut substrate_factory: F,
-) -> Result<BondedMcResults, ContractError>
-where
-    F: FnMut(u64) -> ContractSubstrate,
-{
-    let seeds = SeedSource::new(seed);
-    let mut results = BondedMcResults::default();
-    for trial_idx in first_trial..first_trial + count {
-        let mut trial_rng = seeds.stream_n("bonded-trial", trial_idx as u64);
-        let world_seed = trial_rng.next_u64();
-        let mut substrate = {
-            let _phase = span(&SPAN_WORLD_REBUILD);
-            substrate_factory(world_seed)
-        };
-        let mut secret = [0u8; 32];
-        trial_rng.fill_bytes(&mut secret);
-
-        let report = {
-            let _phase = span(&SPAN_BONDED_RELEASE);
-            run_bonded_release(&mut substrate, spec, &secret, &mut trial_rng)?
-        };
-        record_bonded_trial(&mut results, trial_idx, &report);
-    }
-    Ok(results)
-}
-
-/// Runs `trials` bonded-release trials, deterministically from `seed`.
-/// Equivalent to [`run_bonded_trial_range`] over `[0, trials)`.
-///
-/// # Errors
-///
-/// See [`run_bonded_trial_range`].
-pub fn run_bonded_trials<F>(
-    spec: &BondedSpec,
-    trials: usize,
     seed: u64,
     substrate_factory: F,
 ) -> Result<BondedMcResults, ContractError>
 where
     F: FnMut(u64) -> ContractSubstrate,
 {
-    run_bonded_trial_range(spec, 0, trials, seed, substrate_factory)
+    let plain = run_bonded_trial_range_faulted(
+        spec,
+        &FaultPlan::none(),
+        first_trial,
+        count,
+        seed,
+        substrate_factory,
+    )?;
+    Ok(plain.base)
 }
 
 /// Runs the contiguous trial range `[first_trial, first_trial + count)`
-/// of a bonded-release batch under `plan`. Each trial arms the plan
-/// against its own world seed — the same per-index stream as
-/// [`run_bonded_trial_range`] — so an empty plan reproduces the plain
-/// runner bit for bit and sharded runs merge exactly to serial ones.
+/// of a bonded-release batch under `plan`. Each trial draws its world
+/// seed from its own `SeedSource::stream_n("bonded-trial", trial_idx)`
+/// stream and arms the plan against it, so sharded runs merge exactly to
+/// serial ones; under an empty plan this is the plain bonded run,
+/// [`run_bonded_trial_range`].
 /// Outcomes land in the shared fault taxonomy ([`FaultyResults`]):
 /// crashes become slashing withholds, block-clock skew can push reveals
 /// out of their window.
 ///
 /// # Errors
 ///
-/// Propagates the first trial failure (invalid spec, contract errors).
+/// Propagates the first trial failure (invalid spec — rejected by
+/// [`BondedSpec::validate`] before the first trial — or contract errors).
 pub fn run_bonded_trial_range_faulted<F>(
     spec: &BondedSpec,
     plan: &FaultPlan,
@@ -149,6 +125,7 @@ pub fn run_bonded_trial_range_faulted<F>(
 where
     F: FnMut(u64) -> ContractSubstrate,
 {
+    spec.validate()?;
     let seeds = SeedSource::new(seed);
     let mut results = FaultyResults::<BondedMcResults>::default();
     for trial_idx in first_trial..first_trial + count {
@@ -250,7 +227,8 @@ mod tests {
 
     #[test]
     fn clean_network_is_always_clean() {
-        let r = run_bonded_trials(&spec(HolderStrategy::Compliant), 20, 1, factory(0.0)).unwrap();
+        let r = run_bonded_trial_range(&spec(HolderStrategy::Compliant), 0, 20, 1, factory(0.0))
+            .unwrap();
         assert_eq!(r.released.value(), 1.0);
         assert_eq!(r.clean.value(), 1.0);
         assert_eq!(r.leaked_early.value(), 0.0);
@@ -260,8 +238,14 @@ mod tests {
 
     #[test]
     fn withholders_register_in_the_quorum_predicate() {
-        let r =
-            run_bonded_trials(&spec(HolderStrategy::AlwaysWithhold), 30, 2, factory(0.5)).unwrap();
+        let r = run_bonded_trial_range(
+            &spec(HolderStrategy::AlwaysWithhold),
+            0,
+            30,
+            2,
+            factory(0.5),
+        )
+        .unwrap();
         assert!(
             r.withheld_quorum.value() > 0.0,
             "p=0.5 must starve sometimes"
@@ -276,8 +260,9 @@ mod tests {
 
     #[test]
     fn early_revealers_register_in_the_leak_predicate() {
-        let r = run_bonded_trials(
+        let r = run_bonded_trial_range(
             &spec(HolderStrategy::AlwaysRevealEarly),
+            0,
             30,
             3,
             factory(0.6),
@@ -290,7 +275,7 @@ mod tests {
     #[test]
     fn ranges_merge_commutatively_and_key_by_index() {
         let spec = spec(HolderStrategy::Compliant);
-        let full = run_bonded_trials(&spec, 10, 5, factory(0.3)).unwrap();
+        let full = run_bonded_trial_range(&spec, 0, 10, 5, factory(0.3)).unwrap();
         let head = run_bonded_trial_range(&spec, 0, 4, 5, factory(0.3)).unwrap();
         let tail = run_bonded_trial_range(&spec, 4, 6, 5, factory(0.3)).unwrap();
         let mut merged = tail.clone();
@@ -307,10 +292,10 @@ mod tests {
     #[test]
     fn empty_batch_is_the_merge_identity() {
         let spec = spec(HolderStrategy::Compliant);
-        let empty = run_bonded_trials(&spec, 0, 1, factory(0.0)).unwrap();
+        let empty = run_bonded_trial_range(&spec, 0, 0, 1, factory(0.0)).unwrap();
         assert_eq!(empty.fingerprint, 0);
         assert_eq!(empty.released.trials(), 0);
-        let run = run_bonded_trials(&spec, 5, 1, factory(0.0)).unwrap();
+        let run = run_bonded_trial_range(&spec, 0, 5, 1, factory(0.0)).unwrap();
         let mut merged = empty;
         merged.merge(&run);
         assert_eq!(merged.fingerprint, run.fingerprint);
@@ -325,19 +310,6 @@ mod tests {
                 kind,
             }],
         )
-    }
-
-    #[test]
-    fn empty_plan_faulted_trials_match_plain_bit_for_bit() {
-        let spec = spec(HolderStrategy::AlwaysWithhold);
-        let plain = run_bonded_trials(&spec, 12, 9, factory(0.4)).unwrap();
-        let faulted =
-            run_bonded_trial_range_faulted(&spec, &FaultPlan::none(), 0, 12, 9, factory(0.4))
-                .unwrap();
-        assert_eq!(faulted.base.fingerprint, plain.fingerprint);
-        assert_eq!(faulted.base.released, plain.released);
-        assert_eq!(faulted.fault_fingerprint, 0);
-        assert_eq!(faulted.disrupted.successes(), 0);
     }
 
     #[test]
@@ -388,10 +360,14 @@ mod tests {
 
     #[test]
     fn errors_propagate() {
+        // A bad spec fails before the first trial: an empty range, which
+        // never reaches a release, is rejected too.
         let bad = BondedSpec::new(5, 0, SimDuration::from_ticks(100));
-        assert!(matches!(
-            run_bonded_trials(&bad, 1, 1, factory(0.0)),
-            Err(ContractError::InvalidParameters(_))
-        ));
+        for count in [1, 0] {
+            assert!(matches!(
+                run_bonded_trial_range(&bad, 0, count, 1, factory(0.0)),
+                Err(ContractError::InvalidParameters(_))
+            ));
+        }
     }
 }

@@ -27,7 +27,7 @@ use crate::error::ContractError;
 use crate::substrate::ContractSubstrate;
 use emerge_crypto::keys::KeyShare;
 use emerge_crypto::shamir;
-use emerge_faults::FaultInjector;
+use emerge_faults::{FaultInjector, FaultPlan};
 use emerge_sim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 
@@ -57,6 +57,35 @@ impl BondedSpec {
             reveal_window_blocks: 1,
             strategy: HolderStrategy::Compliant,
         }
+    }
+
+    /// Checks what needs no world: `m` in `[1, n]`, at most
+    /// [`shamir::MAX_SHARES`] holders and a reveal window of at least one
+    /// block.
+    ///
+    /// # Errors
+    ///
+    /// [`ContractError::InvalidParameters`] naming the first bad value.
+    pub fn validate(&self) -> Result<(), ContractError> {
+        if self.m == 0 || self.m > self.n {
+            return Err(ContractError::InvalidParameters(format!(
+                "threshold m must be in [1, n]: m={}, n={}",
+                self.m, self.n
+            )));
+        }
+        if self.n > shamir::MAX_SHARES {
+            return Err(ContractError::InvalidParameters(format!(
+                "GF(256) sharing supports at most {} holders, got {}",
+                shamir::MAX_SHARES,
+                self.n
+            )));
+        }
+        if self.reveal_window_blocks == 0 {
+            return Err(ContractError::InvalidParameters(
+                "the reveal window must span at least one block".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -130,21 +159,23 @@ enum ResolvedAction {
 }
 
 /// Runs one bonded release on `substrate`, deterministically from `rng`
-/// (slot sampling and share splitting are the only randomness).
+/// (slot sampling and share splitting are the only randomness): the
+/// empty-plan case of [`run_bonded_release_faulted`].
 ///
 /// Advances the substrate clock to the end of the reveal window.
 ///
 /// # Errors
 ///
-/// [`ContractError::InvalidParameters`] for a bad `(m, n)` pair, a
-/// population smaller than `n`, or an empty reveal window.
+/// [`ContractError::InvalidParameters`] for a spec that fails
+/// [`BondedSpec::validate`] or a population smaller than `n`.
 pub fn run_bonded_release(
     substrate: &mut ContractSubstrate,
     spec: &BondedSpec,
     secret: &[u8],
     rng: &mut StdRng,
 ) -> Result<BondedReport, ContractError> {
-    run_bonded_release_inner(substrate, spec, secret, rng, None)
+    let no_faults = FaultPlan::none().arm(0);
+    run_bonded_release_faulted(substrate, spec, secret, rng, &no_faults)
 }
 
 /// [`run_bonded_release`] under an armed fault plan: crash faults kill a
@@ -153,9 +184,7 @@ pub fn run_bonded_release(
 /// block-clock skew makes a holder believe the reveal window opens
 /// `skew` blocks later than it does — when the skew exceeds the window
 /// length the holder misses it entirely and is slashed as a withholder.
-///
-/// With an injector armed from an empty plan this is bit-identical to
-/// the plain runner.
+/// An injector armed from an empty plan touches no holder.
 ///
 /// # Errors
 ///
@@ -167,40 +196,13 @@ pub fn run_bonded_release_faulted(
     rng: &mut StdRng,
     faults: &FaultInjector,
 ) -> Result<BondedReport, ContractError> {
-    run_bonded_release_inner(substrate, spec, secret, rng, Some(faults))
-}
-
-fn run_bonded_release_inner(
-    substrate: &mut ContractSubstrate,
-    spec: &BondedSpec,
-    secret: &[u8],
-    rng: &mut StdRng,
-    faults: Option<&FaultInjector>,
-) -> Result<BondedReport, ContractError> {
-    if spec.m == 0 || spec.m > spec.n {
-        return Err(ContractError::InvalidParameters(format!(
-            "threshold m must be in [1, n]: m={}, n={}",
-            spec.m, spec.n
-        )));
-    }
-    if spec.n > shamir::MAX_SHARES {
-        return Err(ContractError::InvalidParameters(format!(
-            "GF(256) sharing supports at most {} holders, got {}",
-            shamir::MAX_SHARES,
-            spec.n
-        )));
-    }
+    spec.validate()?;
     if spec.n > substrate.n_nodes() {
         return Err(ContractError::InvalidParameters(format!(
             "population of {} cannot host {} holders",
             substrate.n_nodes(),
             spec.n
         )));
-    }
-    if spec.reveal_window_blocks == 0 {
-        return Err(ContractError::InvalidParameters(
-            "the reveal window must span at least one block".into(),
-        ));
     }
 
     let clock = substrate.clock();
@@ -276,17 +278,14 @@ fn run_bonded_release_inner(
                 }
                 RevealAction::Withhold => ResolvedAction::Withhold { died: false },
             };
-            match faults {
-                Some(injector) => apply_holder_faults(
-                    injector,
-                    slot,
-                    resolved,
-                    reveal_instant,
-                    reveal_from,
-                    reveal_by,
-                ),
-                None => resolved,
-            }
+            apply_holder_faults(
+                faults,
+                slot,
+                resolved,
+                reveal_instant,
+                reveal_from,
+                reveal_by,
+            )
         })
         .collect();
 
@@ -617,35 +616,6 @@ mod tests {
                 kind,
             }],
         )
-    }
-
-    #[test]
-    fn empty_plan_faulted_run_matches_plain_bit_for_bit() {
-        let run_plain = || {
-            let mut sub = substrate(96, 0.4, 21);
-            let mut rng = StdRng::seed_from_u64(21);
-            run_bonded_release(
-                &mut sub,
-                &spec(7, 4, HolderStrategy::AlwaysWithhold),
-                SECRET,
-                &mut rng,
-            )
-            .unwrap()
-        };
-        let run_faulted = || {
-            let mut sub = substrate(96, 0.4, 21);
-            let mut rng = StdRng::seed_from_u64(21);
-            let injector = emerge_faults::FaultPlan::none().arm(21);
-            run_bonded_release_faulted(
-                &mut sub,
-                &spec(7, 4, HolderStrategy::AlwaysWithhold),
-                SECRET,
-                &mut rng,
-                &injector,
-            )
-            .unwrap()
-        };
-        assert_eq!(run_plain(), run_faulted());
     }
 
     #[test]

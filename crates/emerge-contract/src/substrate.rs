@@ -20,7 +20,6 @@ use crate::contract::ReleaseContract;
 use crate::economy::EconomyParams;
 use crate::ledger::{AccountId, Ledger};
 use emerge_dht::analytic::AnalyticSubstrate;
-use emerge_dht::id::NodeId;
 use emerge_dht::overlay::OverlayConfig;
 use emerge_dht::population::NodeInfo;
 use emerge_sim::time::{SimDuration, SimTime};
@@ -134,11 +133,6 @@ impl ContractSubstrate {
         (&mut self.contract, &mut self.ledger)
     }
 
-    /// The inner analytic substrate carrying the DHT semantics.
-    pub fn dht(&self) -> &AnalyticSubstrate {
-        &self.inner
-    }
-
     // ---- delegated DHT semantics -------------------------------------
 
     /// Number of population slots.
@@ -160,24 +154,9 @@ impl ContractSubstrate {
         self.inner.advance_to(t);
     }
 
-    /// The slot responsible for `target`.
-    pub fn resolve_holder(&self, target: &NodeId) -> usize {
-        self.inner.resolve_holder(target)
-    }
-
-    /// All tenant generations of a slot, in time order.
-    pub fn generations(&self, slot: usize) -> &[NodeInfo] {
-        self.inner.generations(slot)
-    }
-
     /// The generation occupying `slot` at time `t`.
     pub fn generation_at(&self, slot: usize, t: SimTime) -> &NodeInfo {
         self.inner.generation_at(slot, t)
-    }
-
-    /// Count of initially malicious nodes (generation 0).
-    pub fn initial_malicious_count(&self) -> usize {
-        self.inner.initial_malicious_count()
     }
 
     /// Samples `count` distinct slots uniformly (same stream contract as
@@ -194,6 +173,7 @@ impl ContractSubstrate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emerge_dht::id::NodeId;
     use emerge_dht::population::Population;
     use emerge_sim::rng::SeedSource;
 
@@ -215,15 +195,16 @@ mod tests {
         let eager = Population::build(&overlay_cfg, &SeedSource::new(42));
         let analytic = AnalyticSubstrate::build(overlay_cfg, 42);
         let contract = ContractSubstrate::build(ContractConfig::over(overlay_cfg), 42);
+        let world = &contract.inner;
         for slot in 0..120 {
-            assert_eq!(eager.generations[slot], contract.generations(slot));
-            assert_eq!(analytic.generations(slot), contract.generations(slot));
+            assert_eq!(eager.generations[slot], world.generations(slot));
+            assert_eq!(analytic.generations(slot), world.generations(slot));
         }
         for probe in 0..8 {
             let target = NodeId::from_name(format!("parity-probe-{probe}").as_bytes());
             assert_eq!(
                 analytic.resolve_holder(&target),
-                contract.resolve_holder(&target)
+                world.resolve_holder(&target)
             );
         }
     }

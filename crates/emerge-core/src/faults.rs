@@ -5,16 +5,16 @@
 //! holder contacts — while delegating everything else verbatim. Faults
 //! act only at hand-off contacts: holder placement (path construction)
 //! resolves exactly as on the bare world. With an empty plan the hook is
-//! a single branch and the wrapper is observationally identical to the
-//! bare substrate (pinned by test), so the golden fingerprints, the
-//! zero-allocation gate and the perf floor are untouched.
+//! a single branch and the wrapper neither allocates nor changes an
+//! answer, so the golden fingerprints and the zero-allocation gate hold.
 //!
-//! The fault-aware Monte-Carlo runner runs the same per-trial body as
-//! [`crate::montecarlo::run_protocol_trial_range`]: each trial arms the
-//! plan against its own world seed (a pure function of the global trial
-//! index), so sharded runs merge bit-identically to serial runs **under
-//! faults** — the property `tests/sharded_montecarlo.rs` pins. Outcomes
-//! land in [`FaultyMcResults`], the protocol instance of the shared
+//! [`run_faulted_trial_range`] is the factory trial loop of the wire
+//! protocol: [`crate::montecarlo::run_protocol_trial_range`] is this loop
+//! under [`FaultPlan::none`]. Each trial arms the plan against its own
+//! world seed (a pure function of the global trial index), so sharded
+//! runs merge bit-identically to serial runs **under faults** — the
+//! property `tests/sharded_montecarlo.rs` pins. Outcomes land in
+//! [`FaultyMcResults`], the protocol instance of the shared
 //! clean/degraded/failed taxonomy ([`emerge_faults::outcome`]).
 
 use crate::error::EmergeError;
@@ -30,6 +30,7 @@ use emerge_sim::rng::SeedSource;
 use emerge_sim::time::SimTime;
 use rand::rngs::StdRng;
 use rand::RngCore;
+use std::sync::OnceLock;
 
 /// Size of the ghost-tenant pool. A hop disrupted at both its arrival and
 /// departure instants fakes survival only when both contacts hash to the
@@ -37,6 +38,23 @@ use rand::RngCore;
 /// documented artifact of modelling crashes without mutating the
 /// underlying population.
 const GHOST_POOL: usize = 64;
+
+/// The ghost tenants, built once per process on the first disrupted
+/// contact: benign, never dying, and spawned in the far future, where no
+/// real tenant's spawn lies.
+fn ghosts() -> &'static [NodeInfo] {
+    static GHOSTS: OnceLock<Vec<NodeInfo>> = OnceLock::new();
+    GHOSTS.get_or_init(|| {
+        (0..GHOST_POOL)
+            .map(|i| NodeInfo {
+                id: NodeId::from_name(format!("fault-ghost-{i}").as_bytes()),
+                malicious: false,
+                spawn: SimTime::from_ticks(u64::MAX - GHOST_POOL as u64 + i as u64),
+                death: SimTime::MAX,
+            })
+            .collect()
+    })
+}
 
 /// A substrate wrapper that injects an armed fault plan at the
 /// [`HolderSubstrate`] boundary.
@@ -52,46 +70,19 @@ const GHOST_POOL: usize = 64;
 pub struct FaultySubstrate<S> {
     inner: S,
     injector: FaultInjector,
-    ghosts: Vec<NodeInfo>,
 }
 
 impl<S: HolderSubstrate> FaultySubstrate<S> {
-    /// Wraps `inner` with an armed injector. Nothing reads `_policy`; the
-    /// argument stays so that existing callers keep compiling.
+    /// Wraps `inner` with an armed injector. Allocates nothing. Nothing
+    /// reads `_policy`; the argument stays so that existing callers keep
+    /// compiling.
     pub fn new(inner: S, injector: FaultInjector, _policy: RecoveryPolicy) -> Self {
-        let ghosts = (0..GHOST_POOL)
-            .map(|i| NodeInfo {
-                id: NodeId::from_name(format!("fault-ghost-{i}").as_bytes()),
-                malicious: false,
-                spawn: SimTime::from_ticks(u64::MAX - GHOST_POOL as u64 + i as u64),
-                death: SimTime::MAX,
-            })
-            .collect();
-        FaultySubstrate {
-            inner,
-            injector,
-            ghosts,
-        }
-    }
-
-    /// The wrapped substrate.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The armed injector (for statistics snapshots).
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
+        FaultySubstrate { inner, injector }
     }
 
     /// What the injector did so far in this trial.
     pub fn fault_stats(&self) -> FaultStats {
         self.injector.stats()
-    }
-
-    /// Unwraps back into the inner substrate.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 }
 
@@ -121,8 +112,7 @@ impl<S: HolderSubstrate> HolderSubstrate for FaultySubstrate<S> {
             return self.inner.generation_at(slot, t);
         }
         if self.injector.holder_disrupted(slot, t) {
-            let idx = self.injector.ghost_index(slot, t, self.ghosts.len());
-            return &self.ghosts[idx];
+            return &ghosts()[self.injector.ghost_index(slot, t, GHOST_POOL)];
         }
         self.inner.generation_at(slot, t)
     }
@@ -154,47 +144,17 @@ impl<S: HolderSubstrate> HolderSubstrate for FaultySubstrate<S> {
 /// taxonomy.
 pub type FaultyMcResults = FaultyResults<ProtocolMcResults>;
 
-/// Runs `trials` wire-protocol trials under `plan`, deterministically
-/// from `seed`. Equivalent to [`run_faulted_trial_range`] over
-/// `[0, trials)`.
-///
-/// # Errors
-///
-/// Propagates construction failures, e.g.
-/// [`EmergeError::InsufficientNodes`] when the structure does not fit the
-/// factory's worlds.
-pub fn run_faulted_trials<S, F>(
-    spec: &ProtocolTrialSpec,
-    plan: &FaultPlan,
-    trials: usize,
-    seed: u64,
-    substrate_factory: F,
-) -> Result<FaultyMcResults, EmergeError>
-where
-    S: HolderSubstrate,
-    F: FnMut(u64) -> S,
-{
-    run_faulted_trial_range(
-        spec,
-        plan,
-        RecoveryPolicy::default(),
-        0,
-        trials,
-        seed,
-        substrate_factory,
-    )
-}
-
 /// Runs the contiguous trial range `[first_trial, first_trial + count)`
 /// of a fault-plane Monte-Carlo batch.
 ///
-/// Each trial draws its world seed from the same per-index stream as
-/// [`crate::montecarlo::run_protocol_trial_range`] and arms `plan`
-/// against it, so the injected fault stream is a pure function of the
-/// global trial index: range runs merge bit-identically to serial runs
-/// (both fingerprints), and an empty plan reproduces the plain runner's
-/// results exactly. Nothing reads `_policy`; the argument stays so that
-/// existing callers keep compiling.
+/// Each trial draws its world seed from its own
+/// `SeedSource::stream_n("protocol-trial", trial_idx)` stream and arms
+/// `plan` against it, so the injected fault stream is a pure function of
+/// the global trial index: range runs merge bit-identically to serial
+/// runs (both fingerprints). Under an empty plan this is the plain wire
+/// protocol run, [`crate::montecarlo::run_protocol_trial_range`]. Nothing
+/// reads `_policy`; the argument stays so that existing callers keep
+/// compiling.
 ///
 /// # Errors
 ///
@@ -246,7 +206,6 @@ where
 mod tests {
     use super::*;
     use crate::config::SchemeParams;
-    use crate::montecarlo::run_protocol_trials;
     use crate::path::construct_paths;
     use crate::protocol::AttackMode;
     use crate::substrate::{AnalyticSubstrate, OverlayConfig};
@@ -276,33 +235,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn empty_plan_reproduces_the_plain_runner_bit_for_bit() {
-        let spec = share_spec();
-        let factory = |s| AnalyticSubstrate::build(world(150, 0.3), s);
-        let plain = run_protocol_trials(&spec, 12, 5, factory).unwrap();
-        let faulted = run_faulted_trials(&spec, &FaultPlan::none(), 12, 5, factory).unwrap();
-        assert_eq!(plain.fingerprint, faulted.base.fingerprint);
-        assert_eq!(plain.released, faulted.base.released);
-        assert_eq!(plain.clean, faulted.base.clean);
-        assert_eq!(faulted.disrupted.successes(), 0);
-        assert_eq!(faulted.degraded.successes(), 0);
-        assert_eq!(
-            faulted.clean_of_faults.successes(),
-            plain.released.successes()
-        );
+    /// `trials` trials of `spec` under `plan` from index 0, on `cfg` worlds.
+    fn faulted(
+        spec: &ProtocolTrialSpec,
+        plan: &FaultPlan,
+        trials: usize,
+        seed: u64,
+        cfg: OverlayConfig,
+    ) -> FaultyMcResults {
+        run_faulted_trial_range(
+            spec,
+            plan,
+            RecoveryPolicy::default(),
+            0,
+            trials,
+            seed,
+            |s| AnalyticSubstrate::build(cfg, s),
+        )
+        .unwrap()
     }
 
     #[test]
     fn faulted_runs_are_deterministic() {
         let spec = share_spec();
         let plan = Scenario::CrashStorm.plan(150_000, 4_000, 0xFA);
-        let run = || {
-            run_faulted_trials(&spec, &plan, 10, 7, |s| {
-                AnalyticSubstrate::build(world(150, 0.3), s)
-            })
-            .unwrap()
-        };
+        let run = || faulted(&spec, &plan, 10, 7, world(150, 0.3));
         let (a, b) = (run(), run());
         assert_eq!(a.base.fingerprint, b.base.fingerprint);
         assert_eq!(a.fault_fingerprint, b.fault_fingerprint);
@@ -325,10 +282,7 @@ mod tests {
                 },
             }],
         );
-        let r = run_faulted_trials(&spec, &blackout, 6, 2, |s| {
-            AnalyticSubstrate::build(world(150, 0.0), s)
-        })
-        .unwrap();
+        let r = faulted(&spec, &blackout, 6, 2, world(150, 0.0));
         assert_eq!(
             r.base.released.successes(),
             0,
@@ -339,10 +293,7 @@ mod tests {
         // A mild loss burst on a benign world: most trials still release,
         // and the ones that saw faults count as degraded, not clean.
         let mild = Scenario::LossBurst.plan(60_000, 4_000, 2);
-        let r = run_faulted_trials(&spec, &mild, 20, 2, |s| {
-            AnalyticSubstrate::build(world(150, 0.0), s)
-        })
-        .unwrap();
+        let r = faulted(&spec, &mild, 20, 2, world(150, 0.0));
         assert!(
             r.base.released.value() > 0.5,
             "mild loss must not collapse release: {}",
@@ -362,10 +313,7 @@ mod tests {
         // bypass the fault plane.
         let spec = share_spec();
         let plan = Scenario::CrashStorm.plan(400_000, 4_000, 9);
-        let r = run_faulted_trials(&spec, &plan, 15, 6, |s| {
-            AnalyticSubstrate::build(world(150, 0.0), s)
-        })
-        .unwrap();
+        let r = faulted(&spec, &plan, 15, 6, world(150, 0.0));
         assert_eq!(r.base.reconstructed_early.successes(), 0);
         assert!(r.disrupted.successes() > 0, "storm must actually disrupt");
     }

@@ -31,9 +31,11 @@
 //!   truth)
 //! * [`faults`] — the [`faults::FaultySubstrate`] wrapper applying a
 //!   seeded fault plan at the substrate's hand-off contacts, and the
-//!   fault-aware Monte-Carlo runners
+//!   wire protocol's factory trial loop, whose empty-plan case is the
+//!   plain run
 //! * [`montecarlo`] — the paper-scale experiment engine (10000 nodes ×
-//!   1000 trials), timeline-based and substrate-backed
+//!   1000 trials): one range call each for the timeline model and the
+//!   wire protocol, for `emerge_sim::shard::run_sharded` to drive
 //! * [`emergence`] — the high-level sender/receiver API
 //! * [`error`], [`math`] — support
 //!

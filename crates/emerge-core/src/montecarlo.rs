@@ -19,6 +19,7 @@
 use crate::adversary::{CentralTrial, HolderTimeline, KeyedTrial, ShareTrial};
 use crate::config::SchemeParams;
 use crate::error::EmergeError;
+use crate::faults::run_faulted_trial_range;
 use crate::package::{
     build_keyed_packages, build_share_packages_into, KeySchedule, PackageScratch, SharePackages,
 };
@@ -29,6 +30,7 @@ use crate::protocol::{
 };
 use crate::substrate::HolderSubstrate;
 use emerge_crypto::keys::SymmetricKey;
+use emerge_faults::{FaultPlan, RecoveryPolicy};
 use emerge_obs::trace::{span, SpanId};
 use emerge_sim::metrics::{Rate, Summary};
 use emerge_sim::rng::SeedSource;
@@ -111,16 +113,36 @@ impl McResults {
     }
 }
 
-/// Runs `trials` independent trials of `spec`, deterministically from
-/// `seed`.
+impl Merge for McResults {
+    fn merge(&mut self, other: &Self) {
+        self.release_resilience.merge(&other.release_resilience);
+        self.drop_resilience.merge(&other.drop_resilience);
+        self.combined_resilience.merge(&other.combined_resilience);
+        self.strict_release_resilience
+            .merge(&other.strict_release_resilience);
+    }
+}
+
+/// Runs the contiguous trial range `[first_trial, first_trial + count)`
+/// of a model batch of `spec`, deterministically from `seed`.
+///
+/// Every trial draws from its own `SeedSource::stream_n("mc-trial",
+/// trial_idx)` stream keyed by the *global* trial index, so range results
+/// merge exactly: [`emerge_sim::shard::run_sharded`] over any thread
+/// count equals one range over `[0, trials)` on every [`Rate`].
 ///
 /// # Errors
 ///
 /// Returns [`EmergeError::InvalidParameters`] when the scheme parameters,
 /// malicious rate, churn intensity or unavailability are out of range, and
 /// [`EmergeError::InsufficientNodes`] when the scheme structure needs more
-/// holders than the population provides.
-pub fn run_trials(spec: &TrialSpec, trials: usize, seed: u64) -> Result<McResults, EmergeError> {
+/// holders than the population provides — for an empty range too.
+pub fn run_model_trial_range(
+    spec: &TrialSpec,
+    first_trial: usize,
+    count: usize,
+    seed: u64,
+) -> Result<McResults, EmergeError> {
     spec.params.validate()?;
     let cost = spec.params.node_cost();
     if cost > spec.population {
@@ -151,7 +173,7 @@ pub fn run_trials(spec: &TrialSpec, trials: usize, seed: u64) -> Result<McResult
 
     let seeds = SeedSource::new(seed);
     let mut results = McResults::default();
-    for trial_idx in 0..trials {
+    for trial_idx in first_trial..first_trial + count {
         let mut rng = seeds.stream_n("mc-trial", trial_idx as u64);
         let outcome = run_one_trial(spec, &mut rng);
         results.release_resilience.record(!outcome.release);
@@ -327,39 +349,17 @@ impl Merge for ProtocolMcResults {
     }
 }
 
-/// Runs `trials` wire-protocol trials of `spec`, deterministically from
-/// `seed`, building a fresh substrate world per trial via
-/// `substrate_factory` (which receives the trial's world seed).
-///
-/// Equivalent to [`run_protocol_trial_range`] over `[0, trials)`.
-///
-/// # Errors
-///
-/// Propagates construction failures, e.g.
-/// [`EmergeError::InsufficientNodes`] when the structure does not fit the
-/// factory's worlds.
-pub fn run_protocol_trials<S, F>(
-    spec: &ProtocolTrialSpec,
-    trials: usize,
-    seed: u64,
-    substrate_factory: F,
-) -> Result<ProtocolMcResults, EmergeError>
-where
-    S: HolderSubstrate,
-    F: FnMut(u64) -> S,
-{
-    run_protocol_trial_range(spec, 0, trials, seed, substrate_factory)
-}
-
 /// Runs the contiguous trial range `[first_trial, first_trial + count)`
 /// of a wire-protocol Monte-Carlo batch, building a fresh substrate world
 /// per trial via `substrate_factory` (which receives the trial's world
 /// seed).
 ///
-/// Every trial draws its randomness from its own
-/// `SeedSource::stream_n("protocol-trial", trial_idx)` stream keyed by
-/// the *global* trial index, so a range run is bit-identical to the same
-/// trials inside a serial [`run_protocol_trials`] batch — no stream
+/// This is [`run_faulted_trial_range`] under [`FaultPlan::none`]: an
+/// empty plan arms an injector that disrupts nothing, so the plain run
+/// and the faulted loop are one loop. Every trial draws its randomness
+/// from its own `SeedSource::stream_n("protocol-trial", trial_idx)`
+/// stream keyed by the *global* trial index, so a range run is
+/// bit-identical to the same trials inside any other range — no stream
 /// replay, no cross-trial coupling. [`emerge_sim::shard::run_sharded`]
 /// runs one range per worker and merges the partial results.
 ///
@@ -373,33 +373,22 @@ pub fn run_protocol_trial_range<S, F>(
     first_trial: usize,
     count: usize,
     seed: u64,
-    mut substrate_factory: F,
+    substrate_factory: F,
 ) -> Result<ProtocolMcResults, EmergeError>
 where
     S: HolderSubstrate,
     F: FnMut(u64) -> S,
 {
-    spec.params.validate()?;
-    let seeds = SeedSource::new(seed);
-    let mut ws = TrialWorkspace::new();
-    let mut results = ProtocolMcResults::default();
-    for trial_idx in first_trial..first_trial + count {
-        let mut trial_rng = seeds.stream_n("protocol-trial", trial_idx as u64);
-        let world_seed = trial_rng.next_u64();
-        let mut substrate = {
-            let _phase = span(&SPAN_WORLD_REBUILD);
-            substrate_factory(world_seed)
-        };
-        run_trial(
-            spec,
-            &mut substrate,
-            &mut trial_rng,
-            trial_idx,
-            &mut ws,
-            &mut results,
-        )?;
-    }
-    Ok(results)
+    let plain = run_faulted_trial_range(
+        spec,
+        &FaultPlan::none(),
+        RecoveryPolicy::default(),
+        first_trial,
+        count,
+        seed,
+        substrate_factory,
+    )?;
+    Ok(plain.base)
 }
 
 /// Every reusable buffer a wire-protocol trial needs: the path plan, the
@@ -702,6 +691,7 @@ mod tests {
     use super::*;
     use crate::analysis;
     use crate::substrate::{AnalyticSubstrate, OverlayConfig};
+    use emerge_sim::shard::run_sharded;
 
     fn protocol_spec(params: SchemeParams, attack: AttackMode) -> ProtocolTrialSpec {
         ProtocolTrialSpec {
@@ -722,7 +712,7 @@ mod tests {
     #[test]
     fn protocol_trials_clean_network_always_clean() {
         let spec = protocol_spec(SchemeParams::Joint { k: 2, l: 3 }, AttackMode::Passive);
-        let r = run_protocol_trials(&spec, 25, 7, |s| {
+        let r = run_protocol_trial_range(&spec, 0, 25, 7, |s| {
             AnalyticSubstrate::build(world_config(120, 0.0), s)
         })
         .unwrap();
@@ -736,7 +726,7 @@ mod tests {
     fn protocol_trials_are_deterministic() {
         let spec = protocol_spec(SchemeParams::Disjoint { k: 2, l: 2 }, AttackMode::Drop);
         let run = || {
-            run_protocol_trials(&spec, 20, 11, |s| {
+            run_protocol_trial_range(&spec, 0, 20, 11, |s| {
                 AnalyticSubstrate::build(world_config(100, 0.3), s)
             })
             .unwrap()
@@ -832,7 +822,7 @@ mod tests {
                 let spec = protocol_spec(params.clone(), attack);
                 let serial = fresh_per_trial(&spec, 10, 5, cfg);
                 let factory =
-                    run_protocol_trials(&spec, 10, 5, |s| AnalyticSubstrate::build(cfg, s))
+                    run_protocol_trial_range(&spec, 0, 10, 5, |s| AnalyticSubstrate::build(cfg, s))
                         .unwrap();
                 assert_results_identical(&serial, &factory);
                 let mut substrate = AnalyticSubstrate::build(cfg, 0);
@@ -993,7 +983,8 @@ mod tests {
             let spec = protocol_spec(params, attack);
             let fresh = fresh_per_trial(&spec, 10, 5, cfg);
             let factory =
-                run_protocol_trials(&spec, 10, 5, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
+                run_protocol_trial_range(&spec, 0, 10, 5, |s| AnalyticSubstrate::build(cfg, s))
+                    .unwrap();
             assert_results_identical(&fresh, &factory);
             let mut substrate = AnalyticSubstrate::build(cfg, 0);
             let in_place = run_protocol_trial_range_pooled(
@@ -1017,7 +1008,7 @@ mod tests {
         // split any batch without perturbing the outcome.
         let spec = protocol_spec(SchemeParams::Joint { k: 2, l: 3 }, AttackMode::ReleaseAhead);
         let factory = |s| AnalyticSubstrate::build(world_config(120, 0.3), s);
-        let serial = run_protocol_trials(&spec, 5, 21, factory).unwrap();
+        let serial = run_protocol_trial_range(&spec, 0, 5, 21, factory).unwrap();
 
         let ranges = shard_ranges(5, 9);
         assert_eq!(ranges.len(), 9, "empty tail ranges are emitted");
@@ -1074,7 +1065,7 @@ mod tests {
     fn trial_range_reproduces_serial_suffix() {
         let spec = protocol_spec(SchemeParams::Joint { k: 2, l: 2 }, AttackMode::Drop);
         let factory = |s| AnalyticSubstrate::build(world_config(100, 0.3), s);
-        let full = run_protocol_trials(&spec, 10, 3, factory).unwrap();
+        let full = run_protocol_trial_range(&spec, 0, 10, 3, factory).unwrap();
         let head = run_protocol_trial_range(&spec, 0, 4, 3, factory).unwrap();
         let tail = run_protocol_trial_range(&spec, 4, 6, 3, factory).unwrap();
         let mut merged = head.clone();
@@ -1102,10 +1093,10 @@ mod tests {
     fn empty_batch_is_the_merge_identity() {
         let spec = protocol_spec(SchemeParams::Central, AttackMode::Passive);
         let factory = |s| AnalyticSubstrate::build(world_config(80, 0.1), s);
-        let empty = run_protocol_trials(&spec, 0, 1, factory).unwrap();
+        let empty = run_protocol_trial_range(&spec, 0, 0, 1, factory).unwrap();
         assert_eq!(empty.fingerprint, 0);
         assert_eq!(empty.released.trials(), 0);
-        let run = run_protocol_trials(&spec, 6, 1, factory).unwrap();
+        let run = run_protocol_trial_range(&spec, 0, 6, 1, factory).unwrap();
         let mut merged = empty;
         merged.merge(&run);
         assert_results_identical(&run, &merged);
@@ -1114,7 +1105,7 @@ mod tests {
     #[test]
     fn protocol_trials_reject_oversized_structures() {
         let spec = protocol_spec(SchemeParams::Joint { k: 20, l: 20 }, AttackMode::Passive);
-        let err = run_protocol_trials(&spec, 1, 1, |s| {
+        let err = run_protocol_trial_range(&spec, 0, 1, 1, |s| {
             AnalyticSubstrate::build(world_config(50, 0.0), s)
         })
         .unwrap_err();
@@ -1131,10 +1122,83 @@ mod tests {
         }
     }
 
+    /// `trials` model trials of `s`, sharded over two threads the way the
+    /// figure binaries shard theirs.
+    fn model(s: &TrialSpec, trials: usize, seed: u64) -> Result<McResults, EmergeError> {
+        run_sharded(trials, 2, |first, count| {
+            run_model_trial_range(s, first, count, seed)
+        })
+    }
+
+    /// Every rate's exact counts agree.
+    fn assert_model_identical(a: &McResults, b: &McResults) {
+        assert_eq!(a.release_resilience, b.release_resilience, "Rr");
+        assert_eq!(a.drop_resilience, b.drop_resilience, "Rd");
+        assert_eq!(a.combined_resilience, b.combined_resilience, "combined");
+        assert_eq!(
+            a.strict_release_resilience, b.strict_release_resilience,
+            "strict"
+        );
+    }
+
+    #[test]
+    fn model_trial_range_reproduces_serial_suffix() {
+        let s = spec(SchemeParams::Joint { k: 2, l: 3 }, 500, 0.3, Some(2.0));
+        let full = run_model_trial_range(&s, 0, 10, 3).unwrap();
+        let head = run_model_trial_range(&s, 0, 4, 3).unwrap();
+        let tail = run_model_trial_range(&s, 4, 6, 3).unwrap();
+        let mut merged = head.clone();
+        merged.merge(&tail);
+        assert_model_identical(&full, &merged);
+        let mut swapped = tail;
+        swapped.merge(&head);
+        assert_model_identical(&full, &swapped);
+        assert_eq!(full.release_resilience.trials(), 10);
+    }
+
+    mod model_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Any of the four schemes, churn on or off, unavailability 0
+            /// or 0.2, 1–7 threads and 0–40 trials (surplus threads run
+            /// empty ranges): the sharded batch equals one serial range.
+            #[test]
+            fn sharded_model_equals_serial_range(
+                scheme in 0usize..4,
+                churn in any::<bool>(),
+                flaky in any::<bool>(),
+                threads in 1usize..=7,
+                trials in 0usize..=40,
+                seed in any::<u64>(),
+            ) {
+                let params = [
+                    SchemeParams::Central,
+                    SchemeParams::Disjoint { k: 2, l: 3 },
+                    SchemeParams::Joint { k: 3, l: 2 },
+                    SchemeParams::Share { k: 2, l: 3, n: 4, m: vec![2, 3] },
+                ][scheme]
+                    .clone();
+                let mut s = spec(params, 200, 0.3, churn.then_some(2.0));
+                s.unavailability = if flaky { 0.2 } else { 0.0 };
+                let serial = run_model_trial_range(&s, 0, trials, seed).unwrap();
+                let sharded = run_sharded(trials, threads, |first, count| {
+                    run_model_trial_range(&s, first, count, seed)
+                })
+                .unwrap();
+                assert_model_identical(&serial, &sharded);
+                prop_assert_eq!(sharded.release_resilience.trials(), trials as u64);
+            }
+        }
+    }
+
     #[test]
     fn central_matches_one_minus_p() {
         let s = spec(SchemeParams::Central, 10_000, 0.3, None);
-        let r = run_trials(&s, 4000, 1).unwrap();
+        let r = model(&s, 4000, 1).unwrap();
         let rr = r.release_resilience.value();
         assert!((rr - 0.7).abs() < 0.02, "measured {rr}, analytic 0.7");
         assert_eq!(
@@ -1148,7 +1212,7 @@ mod tests {
     fn disjoint_matches_equations_1_and_2() {
         let (k, l, p) = (3usize, 4usize, 0.2f64);
         let s = spec(SchemeParams::Disjoint { k, l }, 10_000, p, None);
-        let r = run_trials(&s, 6000, 2).unwrap();
+        let r = model(&s, 6000, 2).unwrap();
         let analytic = analysis::disjoint(p, k, l);
         assert!(
             (r.release_resilience.value() - analytic.release).abs() < 0.02,
@@ -1168,7 +1232,7 @@ mod tests {
     fn joint_matches_equations_1_and_3() {
         let (k, l, p) = (3usize, 4usize, 0.25f64);
         let s = spec(SchemeParams::Joint { k, l }, 10_000, p, None);
-        let r = run_trials(&s, 6000, 3).unwrap();
+        let r = model(&s, 6000, 3).unwrap();
         let analytic = analysis::joint(p, k, l);
         assert!(
             (r.release_resilience.value() - analytic.release).abs() < 0.02,
@@ -1192,7 +1256,7 @@ mod tests {
         // malicious spread over 20 cells, outcomes are hypergeometric, not
         // Bernoulli — the test just checks we run and stay in bounds.
         let s = spec(SchemeParams::Joint { k: 4, l: 5 }, 20, 0.25, None);
-        let r = run_trials(&s, 2000, 4).unwrap();
+        let r = model(&s, 2000, 4).unwrap();
         let rr = r.release_resilience.value();
         assert!((0.0..=1.0).contains(&rr));
         // Bernoulli analytic would be eq(1) with p=0.25; hypergeometric
@@ -1204,14 +1268,14 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let s = spec(SchemeParams::Joint { k: 2, l: 3 }, 1000, 0.3, Some(2.0));
-        let a = run_trials(&s, 500, 42).unwrap();
-        let b = run_trials(&s, 500, 42).unwrap();
+        let a = model(&s, 500, 42).unwrap();
+        let b = model(&s, 500, 42).unwrap();
         assert_eq!(
             a.release_resilience.successes(),
             b.release_resilience.successes()
         );
         assert_eq!(a.drop_resilience.successes(), b.drop_resilience.successes());
-        let c = run_trials(&s, 500, 43).unwrap();
+        let c = model(&s, 500, 43).unwrap();
         // Overwhelmingly likely to differ.
         assert_ne!(
             (
@@ -1229,8 +1293,8 @@ mod tests {
     fn churn_degrades_keyed_schemes() {
         let params = SchemeParams::Joint { k: 4, l: 8 };
         let p = 0.2;
-        let no_churn = run_trials(&spec(params.clone(), 10_000, p, None), 2000, 5).unwrap();
-        let churned = run_trials(&spec(params, 10_000, p, Some(3.0)), 2000, 5).unwrap();
+        let no_churn = model(&spec(params.clone(), 10_000, p, None), 2000, 5).unwrap();
+        let churned = model(&spec(params, 10_000, p, Some(3.0)), 2000, 5).unwrap();
         assert!(
             churned.release_resilience.value() < no_churn.release_resilience.value() - 0.05,
             "churn must hurt release resilience: {} vs {}",
@@ -1251,7 +1315,7 @@ mod tests {
             n: a.n,
             m: a.m.clone(),
         };
-        let r = run_trials(&spec(params, 10_000, p, Some(3.0)), 300, 6).unwrap();
+        let r = model(&spec(params, 10_000, p, Some(3.0)), 300, 6).unwrap();
         assert!(
             r.release_resilience.value() > 0.95,
             "share Rr under churn: {}",
@@ -1269,21 +1333,21 @@ mod tests {
         // The strict metric counts strictly more adversary wins for keyed
         // schemes, so its resilience is <= the paper metric's.
         let s = spec(SchemeParams::Joint { k: 3, l: 5 }, 5000, 0.3, None);
-        let r = run_trials(&s, 2000, 7).unwrap();
+        let r = model(&s, 2000, 7).unwrap();
         assert!(r.strict_release_resilience.value() <= r.release_resilience.value() + 1e-9);
     }
 
     #[test]
     fn combined_is_at_most_min() {
         let s = spec(SchemeParams::Disjoint { k: 2, l: 4 }, 5000, 0.35, None);
-        let r = run_trials(&s, 2000, 8).unwrap();
+        let r = model(&s, 2000, 8).unwrap();
         assert!(r.combined_resilience.value() <= r.r_min() + 1e-9);
     }
 
     #[test]
     fn oversized_structure_is_an_error() {
         let s = spec(SchemeParams::Joint { k: 50, l: 50 }, 100, 0.1, None);
-        let err = run_trials(&s, 1, 9).unwrap_err();
+        let err = model(&s, 1, 9).unwrap_err();
         assert!(matches!(
             err,
             EmergeError::InsufficientNodes {
@@ -1297,17 +1361,17 @@ mod tests {
     fn out_of_range_inputs_are_errors_not_panics() {
         let mut bad_p = spec(SchemeParams::Central, 100, 1.5, None);
         assert!(matches!(
-            run_trials(&bad_p, 1, 9),
+            model(&bad_p, 1, 9),
             Err(EmergeError::InvalidParameters(_))
         ));
         bad_p.p = f64::NAN;
         assert!(matches!(
-            run_trials(&bad_p, 1, 9),
+            model(&bad_p, 1, 9),
             Err(EmergeError::InvalidParameters(_))
         ));
         let bad_alpha = spec(SchemeParams::Central, 100, 0.1, Some(-1.0));
         assert!(matches!(
-            run_trials(&bad_alpha, 1, 9),
+            model(&bad_alpha, 1, 9),
             Err(EmergeError::InvalidParameters(_))
         ));
     }
@@ -1318,8 +1382,8 @@ mod tests {
         let base = spec(params.clone(), 5000, 0.1, None);
         let mut flaky = base.clone();
         flaky.unavailability = 0.2;
-        let r0 = run_trials(&base, 3000, 10).unwrap();
-        let r1 = run_trials(&flaky, 3000, 10).unwrap();
+        let r0 = model(&base, 3000, 10).unwrap();
+        let r1 = model(&flaky, 3000, 10).unwrap();
         assert!(
             r1.drop_resilience.value() < r0.drop_resilience.value() - 0.05,
             "20% offline probability must hurt disjoint delivery: {} vs {}",
@@ -1339,14 +1403,8 @@ mod tests {
         joint.unavailability = u;
         let mut disjoint = spec(SchemeParams::Disjoint { k, l }, 5000, p, None);
         disjoint.unavailability = u;
-        let rj = run_trials(&joint, 3000, 11)
-            .unwrap()
-            .drop_resilience
-            .value();
-        let rd = run_trials(&disjoint, 3000, 11)
-            .unwrap()
-            .drop_resilience
-            .value();
+        let rj = model(&joint, 3000, 11).unwrap().drop_resilience.value();
+        let rd = model(&disjoint, 3000, 11).unwrap().drop_resilience.value();
         assert!(
             rj > rd + 0.1,
             "column-complete forwarding must mask offline holders: joint={rj} disjoint={rd}"
@@ -1364,7 +1422,7 @@ mod tests {
         };
         let mut s = spec(params, 5000, 0.1, None);
         s.unavailability = 0.15;
-        let r = run_trials(&s, 500, 12).unwrap();
+        let r = model(&s, 500, 12).unwrap();
         assert!(
             r.drop_resilience.value() > 0.95,
             "thresholds sized with slack must absorb 15% offline: {}",
@@ -1377,7 +1435,7 @@ mod tests {
         let mut s = spec(SchemeParams::Central, 100, 0.1, None);
         s.unavailability = 1.0;
         assert!(matches!(
-            run_trials(&s, 1, 13),
+            model(&s, 1, 13),
             Err(EmergeError::InvalidParameters(_))
         ));
     }

@@ -302,25 +302,9 @@ pub fn execute_share<S: HolderSubstrate + ?Sized>(
     Ok(report.to_report())
 }
 
-/// Executes the centralized scheme: one holder stores the secret for the
-/// whole period.
-///
-/// # Errors
-///
-/// Returns [`EmergeError::InvalidParameters`] for a plan that is not a
-/// single holder.
-pub fn execute_central<S: HolderSubstrate + ?Sized>(
-    substrate: &mut S,
-    plan: &PathPlan,
-    secret: &[u8],
-    config: &RunConfig,
-) -> Result<RunReport, EmergeError> {
-    let mut report = PooledRunReport::default();
-    run_central(substrate, plan, secret, config, &mut report)?;
-    Ok(report.to_report())
-}
-
-/// The centralized executor, writing its outcome into `out`.
+/// Executes the centralized scheme, writing its outcome into `out`: one
+/// holder stores the secret for the whole period. A plan that is not a
+/// single holder is [`EmergeError::InvalidParameters`].
 pub(crate) fn run_central<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
     plan: &PathPlan,
@@ -1251,18 +1235,20 @@ mod tests {
             let mut overlay = overlay_with(50, p, seed);
             let sender_seed = SymmetricKey::from_bytes([seed as u8; 32]);
             let plan = construct_paths(&overlay, &SchemeParams::Central, &sender_seed).unwrap();
-            let report = execute_central(
+            let mut report = PooledRunReport::default();
+            run_central(
                 &mut overlay,
                 &plan,
                 SECRET,
                 &run_config(AttackMode::ReleaseAhead),
+                &mut report,
             )
             .unwrap();
             if p == 0.0 {
-                assert!(report.adversary_reconstruction.is_none());
-                assert!(report.released.is_some());
+                assert!(report.adversary_at.is_none());
+                assert!(report.released_at.is_some());
             } else {
-                assert!(report.adversary_reconstruction.is_some());
+                assert!(report.adversary_at.is_some());
             }
         }
     }
@@ -1319,9 +1305,16 @@ mod tests {
         let err = execute_keyed(&mut overlay, &narrow_plan, &wide, &narrow_pkgs, &config);
         assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
         // The centralized scheme needs a one-holder plan.
-        let err = execute_central(&mut overlay, &wide_plan, SECRET, &config);
+        let mut report = PooledRunReport::default();
+        let err = run_central(&mut overlay, &wide_plan, SECRET, &config, &mut report);
         assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
-        let err = execute_central(&mut overlay, &PathPlan::default(), SECRET, &config);
+        let err = run_central(
+            &mut overlay,
+            &PathPlan::default(),
+            SECRET,
+            &config,
+            &mut report,
+        );
         assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
     }
 

@@ -94,11 +94,6 @@ impl KeyShare {
     pub fn new(index: u8, data: Vec<u8>) -> Self {
         KeyShare { index, data }
     }
-
-    /// The length of the underlying secret this share contributes to.
-    pub fn secret_len(&self) -> usize {
-        self.data.len()
-    }
 }
 
 impl fmt::Debug for KeyShare {

@@ -44,12 +44,6 @@ impl Writer {
         self
     }
 
-    /// Appends a little-endian u64.
-    pub fn put_u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
     /// Appends raw bytes with no length prefix.
     pub fn put_raw(&mut self, bytes: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(bytes);
@@ -158,14 +152,6 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
-    /// Reads a little-endian u64.
-    pub fn get_u64(&mut self) -> Result<u64, CryptoError> {
-        let s = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-
     /// Reads `n` raw bytes.
     pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], CryptoError> {
         self.take(n, "raw bytes")
@@ -230,7 +216,6 @@ mod tests {
         w.put_u8(7)
             .put_u16(0x1234)
             .put_u32(0xDEAD_BEEF)
-            .put_u64(0x0102_0304_0506_0708)
             .put_bytes(b"hello")
             .put_raw(b"xyz");
         let bytes = w.into_bytes();
@@ -239,7 +224,6 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u16().unwrap(), 0x1234);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64().unwrap(), 0x0102_0304_0506_0708);
         assert_eq!(r.get_bytes().unwrap(), b"hello");
         assert_eq!(r.get_raw(3).unwrap(), b"xyz");
         assert!(r.expect_end().is_ok());
@@ -329,15 +313,15 @@ mod tests {
 
         #[test]
         fn interleaved_roundtrip(
-            a: u64,
+            a: u32,
             b in proptest::collection::vec(any::<u8>(), 0..50),
             c: u16,
         ) {
             let mut w = Writer::new();
-            w.put_u64(a).put_bytes(&b).put_u16(c);
+            w.put_u32(a).put_bytes(&b).put_u16(c);
             let buf = w.into_bytes();
             let mut r = Reader::new(&buf);
-            prop_assert_eq!(r.get_u64().unwrap(), a);
+            prop_assert_eq!(r.get_u32().unwrap(), a);
             prop_assert_eq!(r.get_bytes().unwrap(), &b[..]);
             prop_assert_eq!(r.get_u16().unwrap(), c);
         }

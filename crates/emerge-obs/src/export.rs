@@ -19,7 +19,7 @@ fn prometheus_name(s: &str) -> String {
 
 impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (v0.0.4): counters and gauges as single samples, histograms as
+    /// (v0.0.4): counters as single samples, histograms as
     /// cumulative `_bucket{le="…"}` series plus `_sum` and `_count`.
     /// Dots in metric names become underscores.
     pub fn to_prometheus(&self) -> String {
@@ -27,10 +27,6 @@ impl MetricsSnapshot {
         for c in &self.counters {
             let name = prometheus_name(&c.name);
             out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.value));
-        }
-        for g in &self.gauges {
-            let name = prometheus_name(&g.name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.current));
         }
         for h in &self.histograms {
             let name = prometheus_name(&h.name);
@@ -55,23 +51,20 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use crate::collector::{install, take, Collector};
-    use crate::metrics::{CounterId, GaugeId, HistogramId};
+    use crate::metrics::{CounterId, HistogramId};
 
     #[test]
     fn exports_cover_every_metric_kind() {
         static CALLS: CounterId = CounterId::new("test.export.calls");
-        static LEVEL: GaugeId = GaugeId::new("test.export.level");
         static LAT: HistogramId = HistogramId::new("test.export.lat");
         assert!(install(Collector::new()).is_none());
         CALLS.add(7);
-        LEVEL.set(-2);
         LAT.record(3);
         LAT.record(900);
         let snap = take().expect("collector installed").snapshot();
 
         let prom = snap.to_prometheus();
         assert!(prom.contains("# TYPE test_export_calls counter\ntest_export_calls 7\n"));
-        assert!(prom.contains("test_export_level -2\n"));
         assert!(
             prom.contains("test_export_lat_bucket{le=\"1023\"} 2\n"),
             "{prom}"

@@ -3,8 +3,8 @@
 //! An air-gapped stand-in for the `tracing`/`metrics` ecosystem, built
 //! on three pillars:
 //!
-//! * **Metrics** ([`metrics`]): fixed-capacity counters, gauges, and
-//!   log-bucketed histograms in a preallocated [`metrics::MetricsRegistry`].
+//! * **Metrics** ([`metrics`]): fixed-capacity counters and log-bucketed
+//!   histograms in a preallocated [`metrics::MetricsRegistry`].
 //!   Steady-state recording is an index + array write — zero heap
 //!   allocations — and cold-path [`metrics::MetricsSnapshot`]s merge with
 //!   an associative, commutative `merge`, exactly like the Monte-Carlo
@@ -54,6 +54,6 @@ pub mod stopwatch;
 pub mod trace;
 
 pub use collector::Collector;
-pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{CounterId, HistogramId, MetricsRegistry, MetricsSnapshot};
 pub use stopwatch::Stopwatch;
 pub use trace::{event, span, EventId, SpanId};

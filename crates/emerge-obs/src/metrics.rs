@@ -1,5 +1,5 @@
-//! Fixed-capacity, mergeable metrics: counters, gauges, and log-bucketed
-//! latency histograms.
+//! Fixed-capacity, mergeable metrics: counters and log-bucketed latency
+//! histograms.
 //!
 //! The design goal is the same "sharded == serial" discipline as
 //! `emerge_sim::metrics::{Rate, Summary}`: every metric lives in a
@@ -8,7 +8,7 @@
 //! [`MetricsSnapshot`] merges with an associative, commutative `merge`
 //! so per-shard registries combine into exactly the serial totals.
 //!
-//! Metric handles ([`CounterId`], [`GaugeId`], [`HistogramId`]) are
+//! Metric handles ([`CounterId`], [`HistogramId`]) are
 //! `static`s built from `&'static str` names. The slot index behind a
 //! name is interned once into a global fixed-capacity table and cached
 //! in the handle; two handles with equal names (even across crates)
@@ -22,8 +22,6 @@ use crate::collector;
 
 /// Capacity of the counter intern table (workspace-wide distinct names).
 pub const MAX_COUNTERS: usize = 64;
-/// Capacity of the gauge intern table.
-pub const MAX_GAUGES: usize = 16;
 /// Capacity of the histogram intern table.
 pub const MAX_HISTOGRAMS: usize = 24;
 /// Histogram bucket count: bucket `b` holds values whose bit length is
@@ -89,13 +87,11 @@ impl<const N: usize> InternSpace<N> {
 
 struct Interns {
     counters: InternSpace<MAX_COUNTERS>,
-    gauges: InternSpace<MAX_GAUGES>,
     histograms: InternSpace<MAX_HISTOGRAMS>,
 }
 
 static INTERNS: Mutex<Interns> = Mutex::new(Interns {
     counters: InternSpace::new(),
-    gauges: InternSpace::new(),
     histograms: InternSpace::new(),
 });
 
@@ -203,82 +199,6 @@ impl CounterId {
     }
 }
 
-/// One gauge's registry cell: last-set value plus min/max/sample-count
-/// so merged snapshots keep an honest envelope.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct GaugeCell {
-    pub(crate) current: i64,
-    pub(crate) min: i64,
-    pub(crate) max: i64,
-    pub(crate) samples: u64,
-}
-
-impl GaugeCell {
-    fn observe(&mut self, v: i64) {
-        if self.samples == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.current = v;
-        self.samples = self.samples.wrapping_add(1);
-    }
-}
-
-/// Handle for an `i64` gauge (point-in-time level: queue depth, pool
-/// occupancy). Tracks current/min/max/samples.
-pub struct GaugeId {
-    name: &'static str,
-    cached: AtomicU32,
-}
-
-impl GaugeId {
-    /// A gauge handle with the given name.
-    pub const fn new(name: &'static str) -> Self {
-        GaugeId {
-            name,
-            cached: AtomicU32::new(0),
-        }
-    }
-
-    fn slot(&self) -> Option<usize> {
-        resolve_slot(
-            &self.cached,
-            InternKey {
-                name: self.name,
-                suffix: "",
-            },
-            |t| &mut t.gauges,
-        )
-    }
-
-    /// Sets the gauge to `v`.
-    pub fn set(&self, v: i64) {
-        collector::with_metrics(|reg| {
-            if let Some(i) = self.slot() {
-                reg.gauges[i].observe(v);
-            }
-        });
-    }
-
-    /// Adjusts the gauge by `delta` from its current value.
-    pub fn add(&self, delta: i64) {
-        collector::with_metrics(|reg| {
-            if let Some(i) = self.slot() {
-                let next = reg.gauges[i].current.wrapping_add(delta);
-                reg.gauges[i].observe(next);
-            }
-        });
-    }
-
-    /// Current value in the installed collector (0 if none installed).
-    pub fn value(&self) -> i64 {
-        collector::with_metrics(|reg| self.slot().map_or(0, |i| reg.gauges[i].current)).unwrap_or(0)
-    }
-}
-
 /// One histogram's registry cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct HistCell {
@@ -366,7 +286,6 @@ impl HistogramId {
 /// index + array write with no allocation.
 pub struct MetricsRegistry {
     pub(crate) counters: [u64; MAX_COUNTERS],
-    pub(crate) gauges: [GaugeCell; MAX_GAUGES],
     pub(crate) histograms: [HistCell; MAX_HISTOGRAMS],
 }
 
@@ -375,12 +294,6 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             counters: [0; MAX_COUNTERS],
-            gauges: [GaugeCell {
-                current: 0,
-                min: 0,
-                max: 0,
-                samples: 0,
-            }; MAX_GAUGES],
             histograms: [HistCell::EMPTY; MAX_HISTOGRAMS],
         }
     }
@@ -389,12 +302,6 @@ impl MetricsRegistry {
     /// measurement passes).
     pub fn clear(&mut self) {
         self.counters = [0; MAX_COUNTERS];
-        self.gauges = [GaugeCell {
-            current: 0,
-            min: 0,
-            max: 0,
-            samples: 0,
-        }; MAX_GAUGES];
         self.histograms = [HistCell::EMPTY; MAX_HISTOGRAMS];
     }
 
@@ -411,20 +318,6 @@ impl MetricsRegistry {
                     counters.push(CounterSnap {
                         name: key.full_name(),
                         value: v,
-                    });
-                }
-            }
-        }
-        let mut gauges = Vec::new();
-        for (i, g) in self.gauges.iter().enumerate() {
-            if g.samples != 0 {
-                if let Some(key) = interns.gauges.key_at(i) {
-                    gauges.push(GaugeSnap {
-                        name: key.full_name(),
-                        current: g.current,
-                        min: g.min,
-                        max: g.max,
-                        samples: g.samples,
                     });
                 }
             }
@@ -446,11 +339,9 @@ impl MetricsRegistry {
         }
         drop(interns);
         counters.sort_by(|a, b| a.name.cmp(&b.name));
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
         histograms.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -469,23 +360,6 @@ pub struct CounterSnap {
     pub name: String,
     /// Accumulated value.
     pub value: u64,
-}
-
-/// One gauge in a snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GaugeSnap {
-    /// Full metric name.
-    pub name: String,
-    /// Last value set. After a merge this is the *sum* of the shards'
-    /// current values (fleet total), matching gauge semantics for
-    /// capacity-style levels.
-    pub current: i64,
-    /// Minimum value ever set.
-    pub min: i64,
-    /// Maximum value ever set.
-    pub max: i64,
-    /// Number of `set`/`add` observations.
-    pub samples: u64,
 }
 
 /// One histogram in a snapshot.
@@ -536,8 +410,6 @@ impl HistogramSnap {
 pub struct MetricsSnapshot {
     /// Counters, sorted by name.
     pub counters: Vec<CounterSnap>,
-    /// Gauges, sorted by name.
-    pub gauges: Vec<GaugeSnap>,
     /// Histograms, sorted by name.
     pub histograms: Vec<HistogramSnap>,
 }
@@ -578,8 +450,7 @@ fn merge_by_name<T: Clone>(
 
 impl MetricsSnapshot {
     /// Merges `other` into `self` with exact integer arithmetic:
-    /// counters add (wrapping), gauge `current`/`samples` add with
-    /// min/min and max/max envelopes, histograms add bucketwise. The
+    /// counters add (wrapping), histograms add bucketwise. The
     /// operation is associative and commutative, so any merge tree over
     /// per-shard snapshots reproduces the serial snapshot exactly.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
@@ -590,18 +461,6 @@ impl MetricsSnapshot {
             |x, y| CounterSnap {
                 name: x.name.clone(),
                 value: x.value.wrapping_add(y.value),
-            },
-        );
-        self.gauges = merge_by_name(
-            &self.gauges,
-            &other.gauges,
-            |g| &g.name,
-            |x, y| GaugeSnap {
-                name: x.name.clone(),
-                current: x.current.wrapping_add(y.current),
-                min: x.min.min(y.min),
-                max: x.max.max(y.max),
-                samples: x.samples.wrapping_add(y.samples),
             },
         );
         self.histograms = merge_by_name(
@@ -627,7 +486,7 @@ impl MetricsSnapshot {
 
     /// True when no metric was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Looks up a counter's value by full name.
@@ -636,11 +495,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value)
-    }
-
-    /// Looks up a gauge by full name.
-    pub fn gauge(&self, name: &str) -> Option<&GaugeSnap> {
-        self.gauges.iter().find(|g| g.name == name)
     }
 
     /// Looks up a histogram by full name.
@@ -717,19 +571,6 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn gauges_track_envelope() {
-        static DEPTH: GaugeId = GaugeId::new("test.depth");
-        let ((), snap) = with_collector(|| {
-            DEPTH.set(5);
-            DEPTH.add(-8);
-            DEPTH.set(2);
-            assert_eq!(DEPTH.value(), 2);
-        });
-        let g = snap.gauge("test.depth").expect("gauge recorded");
-        assert_eq!((g.current, g.min, g.max, g.samples), (2, -3, 5, 3));
     }
 
     #[test]

@@ -24,20 +24,6 @@ impl Stopwatch {
     pub fn elapsed_secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
-
-    /// Nanoseconds elapsed since the start, saturating at `u64::MAX`.
-    pub fn elapsed_nanos(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Restarts the stopwatch and returns the seconds elapsed up to the
-    /// restart — one lap of a repeated measurement loop.
-    pub fn lap_secs(&mut self) -> f64 {
-        let now = Instant::now();
-        let secs = now.duration_since(self.started).as_secs_f64();
-        self.started = now;
-        secs
-    }
 }
 
 #[cfg(test)]
@@ -46,13 +32,9 @@ mod tests {
 
     #[test]
     fn elapsed_is_monotonic() {
-        let mut sw = Stopwatch::start();
+        let sw = Stopwatch::start();
         let a = sw.elapsed_secs();
         let b = sw.elapsed_secs();
         assert!(a >= 0.0 && b >= a);
-        assert!(sw.elapsed_nanos() > 0 || sw.elapsed_secs() == 0.0);
-        let lap = sw.lap_secs();
-        assert!(lap >= 0.0);
-        assert!(sw.elapsed_secs() <= lap + 1.0, "lap restarts the clock");
     }
 }

@@ -4,7 +4,7 @@
 //! in any tree order and still reproducing the serial totals.
 
 use emerge_obs::metrics::{
-    bucket_index, CounterSnap, GaugeSnap, HistogramSnap, MetricsSnapshot, HIST_BUCKETS,
+    bucket_index, CounterSnap, HistogramSnap, MetricsSnapshot, HIST_BUCKETS,
 };
 use proptest::prelude::*;
 
@@ -20,22 +20,10 @@ fn snapshot_from(picks: &[usize], values: &[u64]) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
     for (slot, (&pick, &v)) in picks.iter().zip(values.iter()).enumerate() {
         let name = NAMES[pick % NAMES.len()].to_string();
-        match slot % 3 {
+        match slot % 2 {
             0 => {
                 if !snap.counters.iter().any(|c| c.name == name) {
                     snap.counters.push(CounterSnap { name, value: v });
-                }
-            }
-            1 => {
-                if !snap.gauges.iter().any(|g| g.name == name) {
-                    let signed = v as i64;
-                    snap.gauges.push(GaugeSnap {
-                        name,
-                        current: signed,
-                        min: signed.min(0),
-                        max: signed.max(0),
-                        samples: 1 + v % 7,
-                    });
                 }
             }
             _ => {
@@ -56,7 +44,6 @@ fn snapshot_from(picks: &[usize], values: &[u64]) -> MetricsSnapshot {
         }
     }
     snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
-    snap.gauges.sort_by(|a, b| a.name.cmp(&b.name));
     snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
     snap
 }

@@ -1,16 +1,13 @@
-//! Churn models: node lifetimes, deaths and transient unavailability.
+//! Churn model: exponential node lifetimes.
 //!
 //! The paper (citing Bhagwan et al., "Replication strategies for highly
 //! available peer-to-peer storage") models node death as an exponential
 //! decay process: the probability that a node dies within a holding period
 //! `th` is `pdead = 1 − e^(−th/λ)` where `λ` is the mean node lifetime.
-//! This module provides exponential sampling plus the two churn flavours
-//! discussed in Section II-C:
-//!
-//! * **node death** — permanent departure; stored state is lost (or handed
-//!   to a replacement node by DHT replication),
-//! * **node unavailability** — transient departure and return, modelled as
-//!   an ON/OFF alternating renewal process.
+//! [`LifetimeModel`] samples the tenant lifetimes from which the DHT
+//! world builds its churn generations. Section II-C's second flavour,
+//! transient unavailability, is a per-holder draw in the Monte-Carlo
+//! model (`TrialSpec::unavailability`) and is not modelled here.
 
 use crate::time::SimDuration;
 use rand::Rng;
@@ -41,11 +38,6 @@ impl Exponential {
         Exponential { mean }
     }
 
-    /// The mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Samples one value.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Inverse CDF: -mean * ln(U) with U in (0, 1].
@@ -65,12 +57,6 @@ impl Exponential {
         };
         SimDuration::from_ticks(ticks)
     }
-
-    /// The probability that an event occurs within `window`, i.e.
-    /// `1 − e^(−window/mean)` — the paper's `pdead` for `window = th`.
-    pub fn prob_within(&self, window: SimDuration) -> f64 {
-        1.0 - (-(window.ticks() as f64) / self.mean).exp()
-    }
 }
 
 /// Lifetime model for DHT nodes: exponential death clock.
@@ -87,93 +73,12 @@ impl LifetimeModel {
         }
     }
 
-    /// Mean lifetime in ticks.
-    pub fn mean_lifetime(&self) -> f64 {
-        self.dist.mean()
-    }
-
     /// Samples a node's remaining lifetime. By the memoryless property this
     /// is valid at any observation instant, which is why the per-holding-
     /// period death probability is simply `1 − e^(−th/λ)` regardless of how
     /// long the node has already been alive.
     pub fn sample_lifetime<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
         self.dist.sample_duration(rng)
-    }
-
-    /// Probability a node dies within the window (the paper's `pdead`).
-    pub fn death_probability(&self, window: SimDuration) -> f64 {
-        self.dist.prob_within(window)
-    }
-
-    /// Draws whether a node dies within the window.
-    pub fn dies_within<R: Rng + ?Sized>(&self, window: SimDuration, rng: &mut R) -> bool {
-        rng.gen::<f64>() < self.death_probability(window)
-    }
-
-    /// Samples the number of deaths-and-replacements of a continuously
-    /// replicated slot over `window`: the count of renewals of an
-    /// exponential process, which is Poisson(window/λ) in expectation.
-    ///
-    /// Used by the churn model for the first three schemes, where every
-    /// death hands the stored key to a fresh (possibly malicious) node.
-    pub fn sample_replacements<R: Rng + ?Sized>(&self, window: SimDuration, rng: &mut R) -> u32 {
-        let mut remaining = window.ticks() as f64;
-        let mut count = 0u32;
-        loop {
-            let life = self.dist.sample(rng);
-            if life >= remaining {
-                return count;
-            }
-            remaining -= life;
-            count += 1;
-            // Guard against pathological parameter choices.
-            if count == u32::MAX {
-                return count;
-            }
-        }
-    }
-}
-
-/// ON/OFF availability model for transient departures (Section II-C's
-/// "node unavailability").
-///
-/// A node alternates between available periods (mean `mean_up`) and
-/// unavailable periods (mean `mean_down`), both exponential.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AvailabilityModel {
-    up: Exponential,
-    down: Exponential,
-}
-
-impl AvailabilityModel {
-    /// Creates a model with the given mean up and down durations.
-    pub fn new(mean_up: SimDuration, mean_down: SimDuration) -> Self {
-        AvailabilityModel {
-            up: Exponential::with_mean(mean_up.ticks() as f64),
-            down: Exponential::with_mean(mean_down.ticks() as f64),
-        }
-    }
-
-    /// Long-run fraction of time the node is available:
-    /// `mean_up / (mean_up + mean_down)`.
-    pub fn steady_state_availability(&self) -> f64 {
-        self.up.mean() / (self.up.mean() + self.down.mean())
-    }
-
-    /// Samples the next up-period duration.
-    pub fn sample_up<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
-        self.up.sample_duration(rng)
-    }
-
-    /// Samples the next down-period duration.
-    pub fn sample_down<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
-        self.down.sample_duration(rng)
-    }
-
-    /// Draws whether the node is available at a uniformly random instant
-    /// (steady state).
-    pub fn is_available_now<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen::<f64>() < self.steady_state_availability()
     }
 }
 
@@ -193,55 +98,6 @@ mod tests {
             (mean - 100.0).abs() < 2.0,
             "sample mean {mean} too far from 100"
         );
-    }
-
-    #[test]
-    fn prob_within_matches_closed_form() {
-        let dist = Exponential::with_mean(1000.0);
-        let p = dist.prob_within(SimDuration::from_ticks(1000));
-        assert!((p - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-        // And empirically.
-        let mut rng = SeedSource::new(2).stream("exp");
-        let n = 100_000;
-        let hits = (0..n).filter(|_| dist.sample(&mut rng) < 1000.0).count();
-        let emp = hits as f64 / n as f64;
-        assert!((emp - p).abs() < 0.01, "empirical {emp} vs analytic {p}");
-    }
-
-    #[test]
-    fn death_probability_monotone_in_window() {
-        let m = LifetimeModel::new(SimDuration::from_ticks(500));
-        let p1 = m.death_probability(SimDuration::from_ticks(100));
-        let p2 = m.death_probability(SimDuration::from_ticks(200));
-        let p5 = m.death_probability(SimDuration::from_ticks(500));
-        assert!(0.0 < p1 && p1 < p2 && p2 < p5 && p5 < 1.0);
-    }
-
-    #[test]
-    fn replacements_mean_is_window_over_lambda() {
-        // Renewal process: E[count over window] = window / mean lifetime.
-        let m = LifetimeModel::new(SimDuration::from_ticks(100));
-        let mut rng = SeedSource::new(3).stream("repl");
-        let n = 20_000;
-        let total: u64 = (0..n)
-            .map(|_| m.sample_replacements(SimDuration::from_ticks(300), &mut rng) as u64)
-            .sum();
-        let mean = total as f64 / n as f64;
-        assert!(
-            (mean - 3.0).abs() < 0.1,
-            "mean replacements {mean}, expected ~3"
-        );
-    }
-
-    #[test]
-    fn availability_steady_state() {
-        let a = AvailabilityModel::new(SimDuration::from_ticks(900), SimDuration::from_ticks(100));
-        assert!((a.steady_state_availability() - 0.9).abs() < 1e-12);
-        let mut rng = SeedSource::new(4).stream("avail");
-        let n = 50_000;
-        let up = (0..n).filter(|_| a.is_available_now(&mut rng)).count();
-        let frac = up as f64 / n as f64;
-        assert!((frac - 0.9).abs() < 0.01);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`time`] — virtual instants and durations (integer ticks).
 //! * [`rng`] — labelled random streams forked off one root seed, so
 //!   identical seeds produce identical runs.
-//! * [`churn`] — node lifetime and replacement models.
+//! * [`churn`] — the exponential node-lifetime model.
 //! * [`metrics`] — mergeable rates and summaries.
 //! * [`shard`] — the one Monte-Carlo driver: contiguous trial ranges run
 //!   on worker threads and merged in range order.

@@ -1,8 +1,9 @@
 //! The one Monte-Carlo driver and the machinery it rests on.
 //!
-//! Every engine (the wire-protocol loops of `emerge-core`, the bonded
-//! loops of `emerge-contract`) exposes a *range call* that runs trials
-//! `[first_trial, first_trial + count)`, each keyed by its global index.
+//! Every trial kind (the model and the wire protocol of `emerge-core`,
+//! the bonded mode of `emerge-contract`) exposes a *range call* that
+//! runs trials `[first_trial, first_trial + count)`, each keyed by its
+//! global index, and no whole-batch form.
 //! [`run_sharded`] is the one place that splits a batch into such ranges
 //! ([`shard_ranges`]), runs them on worker threads
 //! ([`parallel_map_workers`]) and folds the partials back together
@@ -187,9 +188,9 @@ impl TrialDigest {
 /// any shard count — the "sharded == serial" guarantee extended from
 /// trial outcomes to telemetry.
 ///
-/// Gauges and histograms are deliberately excluded: span histograms
-/// carry wall-clock nanoseconds, which no two runs reproduce. (Counters
-/// that record environment-dependent quantities — e.g. `.allocs` from
+/// Histograms are deliberately excluded: span histograms carry
+/// wall-clock nanoseconds, which no two runs reproduce. (Counters that
+/// record environment-dependent quantities — e.g. `.allocs` from
 /// per-shard pool warm-ups under a counting allocator — are likewise
 /// shard-dependent; the digest is only as stable as the counters fed
 /// into it.)
@@ -238,7 +239,6 @@ mod tests {
                     value,
                 })
                 .collect(),
-            gauges: Vec::new(),
             histograms: Vec::new(),
         }
     }

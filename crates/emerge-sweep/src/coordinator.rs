@@ -133,7 +133,6 @@ impl SweepStats {
         counters.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot {
             counters,
-            gauges: Vec::new(),
             histograms: Vec::new(),
         }
     }

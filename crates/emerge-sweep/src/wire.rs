@@ -403,7 +403,6 @@ pub fn decode_worker_line(line: &str) -> Result<WorkerReply, SweepError> {
                 results,
                 counters: MetricsSnapshot {
                     counters,
-                    gauges: Vec::new(),
                     histograms: Vec::new(),
                 },
             }))
@@ -463,7 +462,6 @@ mod tests {
                     value: u64::MAX,
                 },
             ],
-            gauges: Vec::new(),
             histograms: Vec::new(),
         };
         let line = encode_result(42, &results, &counters);

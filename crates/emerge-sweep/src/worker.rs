@@ -29,7 +29,6 @@ pub fn filter_env_counters(snapshot: &MetricsSnapshot) -> MetricsSnapshot {
             .filter(|c| !c.name.ends_with(".allocs"))
             .cloned()
             .collect(),
-        gauges: Vec::new(),
         histograms: Vec::new(),
     }
 }

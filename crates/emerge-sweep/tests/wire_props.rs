@@ -129,7 +129,6 @@ proptest! {
                     value,
                 })
                 .collect(),
-            gauges: Vec::new(),
             histograms: Vec::new(),
         };
         let line = encode_result(unit, &results, &counters);

@@ -14,9 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use self_emerging_data::contract::contract::HolderPhase;
 use self_emerging_data::contract::economy::{EconomyParams, HolderStrategy};
-use self_emerging_data::contract::mc::{
-    run_bonded_trial_range, run_bonded_trials, BondedMcResults,
-};
+use self_emerging_data::contract::mc::{run_bonded_trial_range, BondedMcResults};
 use self_emerging_data::contract::release::{run_bonded_release, BondedSpec};
 use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
 use self_emerging_data::contract::ContractError;
@@ -77,7 +75,7 @@ fn bonded_release_sharded_matches_serial() {
     ] {
         let spec = bonded_spec(strategy);
         let cfg = world(150, 0.3);
-        let serial = run_bonded_trials(&spec, 13, 11, contract_factory(cfg)).unwrap();
+        let serial = run_bonded_trial_range(&spec, 0, 13, 11, contract_factory(cfg)).unwrap();
         for threads in SHARD_COUNTS {
             let sharded = run_sharded(13, threads, |first, count| {
                 run_bonded_trial_range(&spec, first, count, 11, contract_factory(cfg))
@@ -233,7 +231,7 @@ proptest! {
             },
             ..bonded_spec(HolderStrategy::Compliant)
         };
-        let r = run_bonded_trials(&bribed, 4, seed, contract_factory(cfg)).unwrap();
+        let r = run_bonded_trial_range(&bribed, 0, 4, seed, contract_factory(cfg)).unwrap();
         prop_assert_eq!(r.released.value(), 0.0, "profitable bribes drop everything");
 
         // Same bribe, bigger bond: deviation no longer pays.
@@ -244,7 +242,7 @@ proptest! {
                 s,
             )
         };
-        let r = run_bonded_trials(&bribed, 4, seed, priced_out).unwrap();
+        let r = run_bonded_trial_range(&bribed, 0, 4, seed, priced_out).unwrap();
         prop_assert_eq!(r.released.value(), 1.0, "bond above bribe restores release");
     }
 }

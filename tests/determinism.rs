@@ -2,10 +2,13 @@
 //! deterministic given a seed — world construction, protocol execution,
 //! Monte-Carlo estimates and whole figure tables.
 
+use emerge_bench::figures::run_cell;
+use emerge_bench::mc_threads;
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
 use self_emerging_data::core::emergence::{SelfEmergingSystem, SendRequest};
-use self_emerging_data::core::montecarlo::{run_trials, TrialSpec};
+use self_emerging_data::core::montecarlo::{run_model_trial_range, TrialSpec};
 use self_emerging_data::dht::{AnalyticSubstrate, OverlayConfig};
+use self_emerging_data::sim::shard::run_sharded;
 use self_emerging_data::sim::time::SimDuration;
 
 #[test]
@@ -69,8 +72,13 @@ fn montecarlo_estimates_are_exact_replicas() {
         alpha: Some(2.0),
         unavailability: 0.1,
     };
-    let a = run_trials(&spec, 400, 31337).unwrap();
-    let b = run_trials(&spec, 400, 31337).unwrap();
+    let run = || {
+        run_sharded(400, mc_threads(), |first, count| {
+            run_model_trial_range(&spec, first, count, 31337)
+        })
+        .unwrap()
+    };
+    let (a, b) = (run(), run());
     assert_eq!(
         a.release_resilience.successes(),
         b.release_resilience.successes()
@@ -98,9 +106,13 @@ fn different_seeds_give_different_worlds() {
 
 #[test]
 fn figure_cells_are_reproducible() {
-    // The figure tables the emerge-bench binaries regenerate depend on this.
+    // The figure tables the emerge-bench binaries regenerate depend on
+    // this: a figure cell, sharded over the binaries' worker count,
+    // equals the same trials as one serial range.
     let spec = TrialSpec::new(SchemeParams::Joint { k: 4, l: 8 }, 10_000, 0.3);
-    let r1 = run_trials(&spec, 200, 0x6A ^ 0x03).unwrap();
-    let r2 = run_trials(&spec, 200, 0x6A ^ 0x03).unwrap();
+    let r1 = run_cell(&spec, 200, 0x6A ^ 0x03).unwrap();
+    let r2 = run_model_trial_range(&spec, 0, 200, 0x6A ^ 0x03).unwrap();
+    assert_eq!(r1.release_resilience, r2.release_resilience);
+    assert_eq!(r1.drop_resilience, r2.drop_resilience);
     assert_eq!(r1.r_min(), r2.r_min());
 }

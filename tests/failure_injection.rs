@@ -14,14 +14,16 @@ use self_emerging_data::contract::mc::run_bonded_trial_range_faulted;
 use self_emerging_data::contract::release::BondedSpec;
 use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
 use self_emerging_data::core::config::SchemeParams;
-use self_emerging_data::core::faults::run_faulted_trials;
-use self_emerging_data::core::montecarlo::ProtocolTrialSpec;
+use self_emerging_data::core::faults::run_faulted_trial_range;
+use self_emerging_data::core::montecarlo::{run_protocol_trial_range, ProtocolTrialSpec};
 use self_emerging_data::core::protocol::AttackMode;
 use self_emerging_data::crypto::keys::SymmetricKey;
 use self_emerging_data::crypto::onion;
 use self_emerging_data::dht::analytic::AnalyticSubstrate;
 use self_emerging_data::dht::overlay::OverlayConfig;
-use self_emerging_data::faults::{FaultEvent, FaultKind, FaultPlan, Scenario, PPM_SCALE};
+use self_emerging_data::faults::{
+    FaultEvent, FaultKind, FaultPlan, RecoveryPolicy, Scenario, PPM_SCALE,
+};
 use self_emerging_data::sim::time::{SimDuration, SimTime};
 
 /// The protocol's active window: fault plans are compiled over the
@@ -58,8 +60,26 @@ fn analytic(seed: u64) -> AnalyticSubstrate {
 #[test]
 fn seeded_loss_burst_replays_bit_identically() {
     let plan = Scenario::LossBurst.plan(400_000, PLAN_HORIZON, 11);
-    let a = run_faulted_trials(&spec(), &plan, 25, 3, analytic).unwrap();
-    let b = run_faulted_trials(&spec(), &plan, 25, 3, analytic).unwrap();
+    let a = run_faulted_trial_range(
+        &spec(),
+        &plan,
+        RecoveryPolicy::default(),
+        0,
+        25,
+        3,
+        analytic,
+    )
+    .unwrap();
+    let b = run_faulted_trial_range(
+        &spec(),
+        &plan,
+        RecoveryPolicy::default(),
+        0,
+        25,
+        3,
+        analytic,
+    )
+    .unwrap();
     assert_eq!(a.base.fingerprint, b.base.fingerprint);
     assert_eq!(a.fault_fingerprint, b.fault_fingerprint);
     assert_eq!(a.disruptions.count(), b.disruptions.count());
@@ -75,15 +95,24 @@ fn correlated_outage_degrades_gracefully_under_m_of_n() {
     // share scheme only needs k-of-m columns, so the release rate bends
     // instead of collapsing — and some successes are degraded ones.
     let plan = Scenario::CorrelatedOutage.plan(160_000, PLAN_HORIZON, 13);
-    let faulted = run_faulted_trials(&spec(), &plan, 40, 9, analytic).unwrap();
-    let plain = run_faulted_trials(&spec(), &FaultPlan::none(), 40, 9, analytic).unwrap();
+    let faulted = run_faulted_trial_range(
+        &spec(),
+        &plan,
+        RecoveryPolicy::default(),
+        0,
+        40,
+        9,
+        analytic,
+    )
+    .unwrap();
+    let plain = run_protocol_trial_range(&spec(), 0, 40, 9, analytic).unwrap();
     assert!(faulted.disrupted.successes() > 0, "outage must fire");
     assert!(
         faulted.base.released.successes() > 0,
         "m-of-n headroom must survive a correlated outage"
     );
     assert!(
-        faulted.base.released.successes() <= plain.base.released.successes(),
+        faulted.base.released.successes() <= plain.released.successes(),
         "injected outages cannot help"
     );
 }
@@ -159,9 +188,15 @@ fn fault_frontier_matches_golden() {
         ] {
             for ppm in [50_000, 150_000, 400_000] {
                 let plan = scenario.plan(ppm, 10_000, FRONTIER_SEED);
-                let r = run_faulted_trials(&spec, &plan, 20, FRONTIER_SEED, |s| {
-                    AnalyticSubstrate::build(FRONTIER_WORLD, s)
-                })
+                let r = run_faulted_trial_range(
+                    &spec,
+                    &plan,
+                    RecoveryPolicy::default(),
+                    0,
+                    20,
+                    FRONTIER_SEED,
+                    |s| AnalyticSubstrate::build(FRONTIER_WORLD, s),
+                )
                 .unwrap();
                 assert_eq!(
                     Some(&[r.base.fingerprint, r.fault_fingerprint]),

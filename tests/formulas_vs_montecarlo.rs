@@ -5,12 +5,22 @@
 //! resilience of each scheme must agree with the paper's formulas in the
 //! churn-free regime, and degrade the way the paper describes under churn.
 
+use emerge_bench::mc_threads;
 use self_emerging_data::core::analysis;
 use self_emerging_data::core::config::SchemeParams;
-use self_emerging_data::core::montecarlo::{run_trials, TrialSpec};
+use self_emerging_data::core::montecarlo::{run_model_trial_range, McResults, TrialSpec};
+use self_emerging_data::sim::shard::run_sharded;
 
 const POPULATION: usize = 10_000;
 const TRIALS: usize = 4_000;
+
+/// `TRIALS` model trials of `spec`, sharded like the figure binaries'.
+fn run(spec: &TrialSpec, seed: u64) -> McResults {
+    run_sharded(TRIALS, mc_threads(), |first, count| {
+        run_model_trial_range(spec, first, count, seed)
+    })
+    .unwrap()
+}
 
 fn measure(params: SchemeParams, p: f64, alpha: Option<f64>, seed: u64) -> (f64, f64) {
     let spec = TrialSpec {
@@ -20,7 +30,7 @@ fn measure(params: SchemeParams, p: f64, alpha: Option<f64>, seed: u64) -> (f64,
         alpha,
         unavailability: 0.0,
     };
-    let r = run_trials(&spec, TRIALS, seed).unwrap();
+    let r = run(&spec, seed);
     (r.release_resilience.value(), r.drop_resilience.value())
 }
 
@@ -184,7 +194,7 @@ fn strict_release_metric_is_stronger_for_keyed_schemes() {
         alpha: None,
         unavailability: 0.0,
     };
-    let r = run_trials(&spec, TRIALS, 800).unwrap();
+    let r = run(&spec, 800);
     assert!(
         r.strict_release_resilience.value() < r.release_resilience.value(),
         "the suffix-chain adversary must win strictly more often: strict={} paper={}",

@@ -22,8 +22,12 @@
 //! before v1 was retired). A fingerprint change here after a packaging
 //! edit therefore still means real protocol behaviour drifted.
 
+use self_emerging_data::contract::economy::HolderStrategy;
+use self_emerging_data::contract::mc::run_bonded_trial_range;
+use self_emerging_data::contract::release::BondedSpec;
+use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
 use self_emerging_data::core::config::SchemeParams;
-use self_emerging_data::core::montecarlo::{run_protocol_trials, ProtocolTrialSpec};
+use self_emerging_data::core::montecarlo::{run_protocol_trial_range, ProtocolTrialSpec};
 use self_emerging_data::core::protocol::AttackMode;
 use self_emerging_data::core::substrate::{AnalyticSubstrate, OverlayConfig};
 use self_emerging_data::sim::time::SimDuration;
@@ -94,7 +98,7 @@ const GOLDEN: [(&str, u64); 4] = [
 #[test]
 fn analytic_fingerprints_match_golden() {
     for (name, spec) in cells() {
-        let r = run_protocol_trials(&spec, TRIALS, SEED, |s| {
+        let r = run_protocol_trial_range(&spec, 0, TRIALS, SEED, |s| {
             AnalyticSubstrate::build(world_config(), s)
         })
         .unwrap();
@@ -109,4 +113,29 @@ fn analytic_fingerprints_match_golden() {
             r.fingerprint, expected
         );
     }
+}
+
+/// The bonded mode's fingerprint over 24 trials of a (9, 5) release on
+/// the same worlds, with every malicious holder revealing early: all 24
+/// trials release, 9 of them after an early leak. Recorded on the plain
+/// bonded loop before it became the empty-plan case of the faulted one.
+const BONDED_GOLDEN: u64 = 0x7bdd_425a_e938_15ba;
+
+#[test]
+fn bonded_fingerprint_matches_golden() {
+    let spec = BondedSpec {
+        strategy: HolderStrategy::AlwaysRevealEarly,
+        ..BondedSpec::new(9, 5, SimDuration::from_ticks(3_000))
+    };
+    let r = run_bonded_trial_range(&spec, 0, 24, SEED, |s| {
+        ContractSubstrate::build(ContractConfig::over(world_config()), s)
+    })
+    .unwrap();
+    assert_eq!(
+        r.fingerprint, BONDED_GOLDEN,
+        "bonded: fingerprint {:#018x} != golden {BONDED_GOLDEN:#018x}",
+        r.fingerprint
+    );
+    assert_eq!(r.released.successes(), 24);
+    assert_eq!(r.leaked_early.successes(), 9);
 }

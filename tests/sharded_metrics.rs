@@ -21,8 +21,8 @@ use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate}
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
 use self_emerging_data::core::faults::run_faulted_trial_range;
 use self_emerging_data::core::montecarlo::{
-    run_protocol_trial_range, run_protocol_trial_range_pooled, run_protocol_trials,
-    ProtocolMcResults, ProtocolTrialSpec, TrialWorkspace,
+    run_protocol_trial_range, run_protocol_trial_range_pooled, ProtocolMcResults,
+    ProtocolTrialSpec, TrialWorkspace,
 };
 use self_emerging_data::core::protocol::AttackMode;
 use self_emerging_data::core::substrate::{AnalyticSubstrate, OverlayConfig};
@@ -128,7 +128,7 @@ fn assert_telemetry_identical(label: &str, serial: &MetricsSnapshot, sharded: &M
 fn pooled_profiled_telemetry_is_thread_count_invariant() {
     let spec = share_spec();
     let trials = 12;
-    let outcome_reference = run_protocol_trials(&spec, trials, 9, |s| {
+    let outcome_reference = run_protocol_trial_range(&spec, 0, trials, 9, |s| {
         AnalyticSubstrate::build(world(0.3), s)
     })
     .unwrap();

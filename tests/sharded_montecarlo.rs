@@ -9,14 +9,12 @@
 //! pass equals its 1-thread pass, and it is the invariant CI's
 //! `EMERGE_MC_THREADS` matrix guards.
 
-use emerge_bench::parallel::mc_threads;
+use emerge_bench::mc_threads;
 use proptest::prelude::*;
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
-use self_emerging_data::core::faults::{
-    run_faulted_trial_range, run_faulted_trials, FaultyMcResults,
-};
+use self_emerging_data::core::faults::{run_faulted_trial_range, FaultyMcResults};
 use self_emerging_data::core::montecarlo::{
-    run_protocol_trial_range, run_protocol_trials, ProtocolMcResults, ProtocolTrialSpec,
+    run_protocol_trial_range, ProtocolMcResults, ProtocolTrialSpec,
 };
 use self_emerging_data::core::protocol::AttackMode;
 use self_emerging_data::core::substrate::{AnalyticSubstrate, HolderSubstrate, OverlayConfig};
@@ -135,7 +133,8 @@ fn sharded_matches_serial_for_all_schemes() {
         let spec = spec_for(kind, AttackMode::ReleaseAhead);
         let cfg = world(150, 0.3);
         let serial =
-            run_protocol_trials(&spec, 12, 9, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
+            run_protocol_trial_range(&spec, 0, 12, 9, |s| AnalyticSubstrate::build(cfg, s))
+                .unwrap();
         // The deployment thread count (EMERGE_MC_THREADS or the
         // available parallelism) must agree too, whatever it is.
         for threads in SHARD_COUNTS.into_iter().chain([mc_threads()]) {
@@ -170,7 +169,10 @@ fn faulted_sharded_matches_serial() {
         let spec = spec_for(kind, AttackMode::ReleaseAhead);
         let cfg = world(150, 0.3);
         let serial =
-            run_faulted_trials(&spec, &plan, 12, 9, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
+            run_faulted_trial_range(&spec, &plan, RecoveryPolicy::default(), 0, 12, 9, |s| {
+                AnalyticSubstrate::build(cfg, s)
+            })
+            .unwrap();
         for threads in SHARD_COUNTS {
             let sharded = run_faulted_threaded(&spec, &plan, 12, 9, threads, cfg);
             assert_identical(
@@ -211,7 +213,7 @@ proptest! {
         let cfg = world(120, p);
         for kind in SchemeKind::ALL {
             let spec = spec_for(kind, attack);
-            let serial = run_protocol_trials(&spec, trials, seed, |s| {
+            let serial = run_protocol_trial_range(&spec, 0, trials, seed, |s| {
                 AnalyticSubstrate::build(cfg, s)
             })
             .unwrap();
@@ -240,7 +242,7 @@ proptest! {
         let spec = spec_for(SchemeKind::Share, AttackMode::ReleaseAhead);
         let cfg = world(120, 0.2);
         let plan = storm_plan(plan_seed);
-        let serial = run_faulted_trials(&spec, &plan, trials, mc_seed, |s| {
+        let serial = run_faulted_trial_range(&spec, &plan, RecoveryPolicy::default(), 0, trials, mc_seed, |s| {
             AnalyticSubstrate::build(cfg, s)
         })
         .unwrap();
