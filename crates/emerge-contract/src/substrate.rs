@@ -15,7 +15,7 @@
 //! Account layout: slot `s` owns ledger account `s`; the depositor
 //! (sender) owns account `n_nodes`.
 
-use crate::clock::{BlockClock, BlockHeight};
+use crate::clock::BlockClock;
 use crate::contract::ReleaseContract;
 use crate::economy::EconomyParams;
 use crate::ledger::{AccountId, Ledger};
@@ -95,11 +95,6 @@ impl ContractSubstrate {
     /// The block clock mapping simulated time onto chain height.
     pub fn clock(&self) -> BlockClock {
         self.clock
-    }
-
-    /// The chain height at the current simulated time.
-    pub fn block_height(&self) -> BlockHeight {
-        self.clock.height_at(self.inner.now())
     }
 
     /// The ledger account owned by population slot `slot`.
@@ -211,12 +206,14 @@ mod tests {
 
     #[test]
     fn block_height_tracks_the_clock() {
+        // Heights are read as the bonded release reads them: through
+        // the clock, at the substrate's current time.
         let mut sub = ContractSubstrate::build(config(16), 1);
-        assert_eq!(sub.block_height(), 0);
+        assert_eq!(sub.clock().height_at(sub.now()), 0);
         sub.advance_to(SimTime::from_ticks(251));
-        assert_eq!(sub.block_height(), 1);
+        assert_eq!(sub.clock().height_at(sub.now()), 1);
         sub.advance_to(SimTime::from_ticks(1_000));
-        assert_eq!(sub.block_height(), 4);
+        assert_eq!(sub.clock().height_at(sub.now()), 4);
     }
 
     #[test]

@@ -965,7 +965,8 @@ pub fn build_share_packages_into(
     let mut rng = schedule.shamir_rng();
 
     // Shares of every column's keys (columns 1..l), split into recycled
-    // slabs with the exact RNG draw order of `split_many` + `split`.
+    // slabs. Per column, the n row keys are drawn first, then the core
+    // key: the RNG order of one `shamir::split` per key in that order.
     while scratch.row_slabs.len() < l - 1 {
         scratch.row_slabs.push(shamir::ShareSlab::new());
         scratch.core_slabs.push(shamir::ShareSlab::new());
@@ -1056,8 +1057,8 @@ pub fn build_share_packages_into(
     scratch
         .core_keys
         .extend((0..l).map(|c| schedule.core_key(c)));
-    emerge_crypto::onion::build_onion_empty_into(
-        &scratch.core_keys,
+    emerge_crypto::onion::build_onion_into(
+        scratch.core_keys.iter().map(|key| (key, &[][..])),
         secret,
         &mut out.core_onion,
         &mut scratch.onion_scratch,
@@ -1535,6 +1536,38 @@ mod tests {
             }
         }
         assert_eq!(digest.finish(), FROZEN, "delivered key material drifted");
+    }
+
+    #[test]
+    fn keyed_packages_match_frozen_digest() {
+        // Digest every onion byte and every column key of disjoint and
+        // joint builds over several sender seeds, single-layer onions
+        // included. The round-trip tests cannot see a framing change that
+        // the builder and the peeler make together; this constant can.
+        const FROZEN: u64 = 0xa658_745b_c0e6_c61e;
+        let ov = overlay(120);
+        let mut digest = TrialDigest::new();
+        for seed in 0..4u8 {
+            let sender = SymmetricKey::from_bytes([0x60 + seed; 32]);
+            for params in [
+                SchemeParams::Disjoint { k: 2, l: 3 },
+                SchemeParams::Joint { k: 3, l: 4 },
+                SchemeParams::Disjoint { k: 1, l: 1 },
+                SchemeParams::Joint { k: 2, l: 2 },
+            ] {
+                let plan = construct_paths(&ov, &params, &sender).unwrap();
+                let sched = KeySchedule::new(sender.clone());
+                let pkgs = build_keyed_packages(&plan, &params, &sched, b"KEYED").unwrap();
+                for onion in &pkgs.onions {
+                    digest.eat(&(onion.len() as u64).to_le_bytes());
+                    digest.eat(onion);
+                }
+                for key in &pkgs.column_keys {
+                    digest.eat(key.as_bytes());
+                }
+            }
+        }
+        assert_eq!(digest.finish(), FROZEN, "keyed packages drifted");
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! all-or-nothing: any tampering with ciphertext or associated data yields
 //! [`CryptoError::AuthenticationFailed`].
 //!
+//! Each direction has one implementation, in place on a caller's buffer
+//! ([`seal_in_place`], [`open_in_place`]); [`seal`] and [`open`] run it on
+//! a fresh copy.
+//!
 //! ```
 //! use emerge_crypto::aead::{seal, open};
 //! use emerge_crypto::keys::SymmetricKey;
@@ -55,7 +59,8 @@ pub fn seal(key: &SymmetricKey, nonce: &[u8; NONCE_LEN], plaintext: &[u8], aad: 
 }
 
 /// Encrypts the plaintext already sitting in `buf` and appends the 16-byte
-/// tag, leaving `buf` exactly as [`seal`] would have returned it.
+/// tag, leaving `buf` exactly as [`seal`] would have returned it: the one
+/// seal path.
 ///
 /// The in-place form lets pooled callers reuse one buffer across trials:
 /// once `buf`'s capacity covers `len + OVERHEAD` no allocation occurs.
@@ -67,7 +72,8 @@ pub fn seal_in_place(key: &SymmetricKey, nonce: &[u8; NONCE_LEN], buf: &mut Vec<
     buf.extend_from_slice(&tag);
 }
 
-/// Decrypts and verifies `ciphertext` (as produced by [`seal`]).
+/// Decrypts and verifies `ciphertext` (as produced by [`seal`]):
+/// [`open_in_place`] on a copy.
 ///
 /// # Errors
 ///
@@ -79,32 +85,15 @@ pub fn open(
     ciphertext: &[u8],
     aad: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    if ciphertext.len() < TAG_LEN {
-        OPEN_REJECTS.incr();
-        return Err(CryptoError::InvalidLength {
-            context: "AEAD ciphertext",
-            expected: TAG_LEN,
-            actual: ciphertext.len(),
-        });
-    }
-    let (body, tag) = ciphertext.split_at(ciphertext.len() - TAG_LEN);
-    let expected = compute_tag(key, nonce, body, aad);
-    if !verify_tag(&expected, tag) {
-        OPEN_REJECTS.incr();
-        return Err(CryptoError::AuthenticationFailed);
-    }
-    let mut out = body.to_vec();
-    ChaCha20::new(key.as_bytes(), nonce, 1).apply_keystream(&mut out);
-    OPEN_CALLS.incr();
-    OPEN_BYTES.add(out.len() as u64);
+    let mut out = ciphertext.to_vec();
+    open_in_place(key, nonce, &mut out, aad)?;
     Ok(out)
 }
 
 /// Verifies and decrypts the ciphertext sitting in `buf` in place,
-/// truncating the tag, so `buf` ends up holding the plaintext.
-///
-/// Allocation-free counterpart of [`open`] for pooled buffers; the tag is
-/// still verified *before* any decryption touches the bytes.
+/// truncating the tag, so `buf` ends up holding the plaintext: the one
+/// open path, allocation-free for pooled buffers. The tag is verified
+/// *before* any decryption touches the bytes.
 ///
 /// # Errors
 ///

@@ -3,11 +3,12 @@
 //!
 //! This field underlies the Shamir secret sharing in [`crate::shamir`].
 //! Scalar multiplication uses log/antilog tables over the generator 3,
-//! built once at first use; the slice kernels
-//! ([`mul_slice_assign`], [`mul_acc_slice`]) instead use a branchless
-//! xtime ladder with no data-dependent loads, which LLVM auto-vectorizes
-//! to full SIMD width (identical results — the property suite compares
-//! every kernel against scalar [`mul`]).
+//! built once at first use. The two slice kernels that sharing runs,
+//! [`horner_step_slice`] (split) and [`mul_acc_slice`] (combine), use the
+//! GFNI `gf2p8mul` instruction where the CPU has it and otherwise a
+//! branchless xtime ladder with no data-dependent loads, which LLVM
+//! auto-vectorizes to full SIMD width. The property suite compares both
+//! paths against scalar [`mul`].
 
 use std::sync::OnceLock;
 
@@ -40,29 +41,6 @@ fn tables() -> &'static Tables {
     })
 }
 
-/// Full 256x256 product table: `MUL[a][b] = mul(a, b)`. 64 KiB, built once
-/// at first use. A per-scalar row turns slice multiplication into a single
-/// indexed load per byte — no zero branch, no log/antilog double lookup —
-/// which is what makes the Shamir slab kernels fast.
-fn mul_table() -> &'static [[u8; 256]; 256] {
-    static MUL: OnceLock<Box<[[u8; 256]; 256]>> = OnceLock::new();
-    MUL.get_or_init(|| {
-        let mut table = Box::new([[0u8; 256]; 256]);
-        for a in 0..256 {
-            for b in 0..256 {
-                table[a][b] = mul(a as u8, b as u8);
-            }
-        }
-        table
-    })
-}
-
-/// The 256-entry multiplication row of `scalar`: `row[b] = mul(scalar, b)`.
-#[inline]
-pub fn mul_row(scalar: u8) -> &'static [u8; 256] {
-    &mul_table()[scalar as usize]
-}
-
 /// Lane width of the branchless slice kernels. 64 bytes fills one AVX-512
 /// register or two AVX2 registers per operation.
 const GF_CHUNK: usize = 64;
@@ -72,11 +50,12 @@ const GF_CHUNK: usize = 64;
 ///
 /// Eight fixed iterations of mask-select and conditional-reduce, all
 /// expressible as byte-wise AND/XOR/shift — the shape LLVM auto-vectorizes
-/// into full-width SIMD. Unlike the table row walk this issues **no
+/// into full-width SIMD. Unlike a table walk this issues **no
 /// data-dependent loads**, which both avoids the vectorizer's slow-gather
 /// lowering on wide targets and runs at a few tenths of a cycle per byte.
 /// The arithmetic is the textbook GF(2^8) double-and-add, so results are
-/// bit-identical to the table path (the property suite compares them).
+/// bit-identical to the log/antilog [`mul`] (the property suite compares
+/// them).
 #[inline(always)]
 fn mul_acc_chunk(acc: &mut [u8; GF_CHUNK], cur: &mut [u8; GF_CHUNK], scalar: u8) {
     let mut s = scalar;
@@ -94,48 +73,6 @@ fn mul_acc_chunk(acc: &mut [u8; GF_CHUNK], cur: &mut [u8; GF_CHUNK], scalar: u8)
             let hi = (*c >> 7).wrapping_neg(); // 0xFF where reduction is needed
             *c = (*c << 1) ^ (hi & 0x1b);
         }
-    }
-}
-
-/// Multiplies every byte of `dst` by `scalar` in place.
-///
-/// Slice form of [`mul`]: `dst[i] = mul(dst[i], scalar)` for all `i`, via
-/// the GFNI `gf2p8mul` instruction where the CPU has it (this field uses
-/// the AES polynomial `0x11b` — exactly the reduction GFNI implements in
-/// hardware) and the vector-friendly branchless xtime ladder otherwise
-/// (see `mul_acc_chunk`).
-pub fn mul_slice_assign(dst: &mut [u8], scalar: u8) {
-    match scalar {
-        0 => dst.fill(0),
-        1 => {}
-        _ => {
-            #[cfg(target_arch = "x86_64")]
-            if gfni::available() {
-                // SAFETY: `available()` just confirmed via cpuid the GFNI and
-                // AVX-512 F/BW features the kernel's `#[target_feature]`
-                // requires; slices pass through unchanged, so the kernel's
-                // bounds contract is the safe signature's own.
-                #[allow(unsafe_code)]
-                unsafe {
-                    gfni::mul_slice_assign(dst, scalar);
-                };
-                return;
-            }
-            mul_slice_assign_ladder(dst, scalar);
-        }
-    }
-}
-
-/// Portable chunk-ladder body of [`mul_slice_assign`] — the fallback on
-/// CPUs without GFNI and the bit-identity oracle for the GFNI path.
-fn mul_slice_assign_ladder(dst: &mut [u8], scalar: u8) {
-    for chunk in dst.chunks_mut(GF_CHUNK) {
-        let n = chunk.len();
-        let mut cur = [0u8; GF_CHUNK];
-        cur[..n].copy_from_slice(chunk);
-        let mut acc = [0u8; GF_CHUNK];
-        mul_acc_chunk(&mut acc, &mut cur, scalar);
-        chunk.copy_from_slice(&acc[..n]);
     }
 }
 
@@ -196,8 +133,8 @@ fn mul_acc_slice_ladder(dst: &mut [u8], src: &[u8], scalar: u8) {
 /// The Shamir share evaluation's inner loop is exactly this recurrence;
 /// fusing it halves the memory passes of a separate multiply-then-add
 /// (the accumulator is read, laddered, combined with the row, and
-/// written once). Field math identical to
-/// `mul_slice_assign` + `add_slice_assign` (the property suite pins it).
+/// written once). The property suite pins it to scalar [`mul`] and
+/// [`add`].
 ///
 /// # Panics
 ///
@@ -264,24 +201,13 @@ pub fn add_slice_assign(dst: &mut [u8], src: &[u8]) {
 /// Lagrange basis coefficients at x = 0 for the evaluation points `xs`:
 /// `weights[i] = L_i(0) = prod_{j != i} x_j / (x_j - x_i)`.
 ///
-/// Computing the weights **once per share set** (instead of once per byte,
-/// as the naive [`interpolate_at_zero`] loop does) turns interpolation of
-/// an s-byte secret from `O(s * m^2)` field ops into `O(m^2 + s * m)`.
-/// The per-weight arithmetic is identical to the scalar path, so results
-/// are bit-for-bit the same.
-///
-/// # Panics
-///
-/// Panics if any `x_i` is repeated (division by zero).
-pub fn lagrange_weights_at_zero(xs: &[u8]) -> Vec<u8> {
-    let mut weights = Vec::with_capacity(xs.len());
-    lagrange_weights_at_zero_into(xs, &mut weights);
-    weights
-}
-
-/// [`lagrange_weights_at_zero`] into a caller-held buffer (cleared first)
-/// — the reconstruction hot loop's form, which reuses one weights vector
-/// across every share set of a run.
+/// Written into a caller-held buffer (cleared first), so one weights
+/// vector serves every share set of a run. Computing the weights **once
+/// per share set** (instead of once per byte, as the naive
+/// [`interpolate_at_zero`] loop does) turns interpolation of an s-byte
+/// secret from `O(s * m^2)` field ops into `O(m^2 + s * m)`. The
+/// per-weight arithmetic is identical to the scalar path, so results are
+/// bit-for-bit the same.
 ///
 /// # Panics
 ///
@@ -325,38 +251,6 @@ mod gfni {
         is_x86_feature_detected!("gfni")
             && is_x86_feature_detected!("avx512f")
             && is_x86_feature_detected!("avx512bw")
-    }
-
-    /// `dst[i] = dst[i] * scalar` over the field.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have confirmed [`available`] on this CPU.
-    #[target_feature(enable = "gfni,avx512f,avx512bw")]
-    pub unsafe fn mul_slice_assign(dst: &mut [u8], scalar: u8) {
-        // SAFETY: caller upholds the `available()` contract (GFNI + AVX-512 F/BW
-        // confirmed by cpuid), so every intrinsic here is supported. All loads and
-        // stores are the explicitly unaligned `loadu`/`storeu` forms (no alignment
-        // precondition), and the 64-lane pointer arithmetic stays in bounds: full
-        // vectors only while `i + 64 <= dst.len()`, and the tail uses a
-        // `(1 << rem) - 1` byte mask so masked lanes never touch memory.
-        unsafe {
-            let vs = _mm512_set1_epi8(scalar as i8);
-            let mut i = 0;
-            while i + 64 <= dst.len() {
-                let p = dst.as_mut_ptr().add(i);
-                let v = _mm512_loadu_epi8(p.cast());
-                _mm512_storeu_epi8(p.cast(), _mm512_gf2p8mul_epi8(v, vs));
-                i += 64;
-            }
-            let rem = dst.len() - i;
-            if rem > 0 {
-                let mask: __mmask64 = (1u64 << rem) - 1;
-                let p = dst.as_mut_ptr().add(i);
-                let v = _mm512_maskz_loadu_epi8(mask, p.cast());
-                _mm512_mask_storeu_epi8(p.cast(), mask, _mm512_gf2p8mul_epi8(v, vs));
-            }
-        }
     }
 
     /// `dst[i] ^= src[i] * scalar` over the field. Lengths must match
@@ -460,19 +354,6 @@ pub fn mul(a: u8, b: u8) -> u8 {
     t.exp[t.log[a as usize] as usize + t.log[b as usize] as usize]
 }
 
-/// Computes the multiplicative inverse of `a`.
-///
-/// # Panics
-///
-/// Panics if `a == 0`; zero has no inverse.
-#[inline]
-pub fn inv(a: u8) -> u8 {
-    // LINT-WAIVER(panic): documented # Panics contract: zero has no inverse in the field
-    assert!(a != 0, "zero has no multiplicative inverse in GF(256)");
-    let t = tables();
-    t.exp[255 - t.log[a as usize] as usize]
-}
-
 /// Divides `a` by `b`.
 ///
 /// # Panics
@@ -543,19 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn inv_round_trips() {
-        for a in 1..=255u8 {
-            assert_eq!(mul(a, inv(a)), 1, "a = {a}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "zero has no multiplicative inverse")]
-    fn inv_zero_panics() {
-        let _ = inv(0);
-    }
-
-    #[test]
     #[should_panic(expected = "division by zero")]
     fn div_by_zero_panics() {
         let _ = div(3, 0);
@@ -613,17 +481,6 @@ mod tests {
         }
 
         #[test]
-        fn mul_slice_assign_matches_scalar_mul(
-            data in proptest::collection::vec(any::<u8>(), 0..80),
-            scalar: u8,
-        ) {
-            let expected: Vec<u8> = data.iter().map(|&b| mul(b, scalar)).collect();
-            let mut got = data;
-            mul_slice_assign(&mut got, scalar);
-            prop_assert_eq!(got, expected);
-        }
-
-        #[test]
         fn horner_step_matches_separate_mul_then_add(
             acc in proptest::collection::vec(any::<u8>(), 0..200),
             scalar: u8,
@@ -632,9 +489,11 @@ mod tests {
             let row: Vec<u8> = (0..acc.len())
                 .map(|i| (i as u8).wrapping_mul(31).wrapping_add(row_seed))
                 .collect();
-            let mut expected = acc.clone();
-            mul_slice_assign(&mut expected, scalar);
-            add_slice_assign(&mut expected, &row);
+            let expected: Vec<u8> = acc
+                .iter()
+                .zip(&row)
+                .map(|(&a, &r)| add(mul(a, scalar), r))
+                .collect();
             let mut got = acc;
             horner_step_slice(&mut got, &row, scalar);
             prop_assert_eq!(got, expected);
@@ -673,14 +532,6 @@ mod tests {
         }
 
         #[test]
-        fn mul_row_is_the_mul_table_row(scalar: u8) {
-            let row = mul_row(scalar);
-            for b in 0..=255u8 {
-                prop_assert_eq!(row[b as usize], mul(scalar, b));
-            }
-        }
-
-        #[test]
         fn weights_reproduce_interpolation(
             coeffs in proptest::collection::vec(any::<u8>(), 1..6),
             ys in proptest::collection::vec(any::<u8>(), 0..10),
@@ -689,7 +540,8 @@ mod tests {
             // per-byte scalar interpolation for every secret byte.
             let m = coeffs.len();
             let xs: Vec<u8> = (1..=m as u8).collect();
-            let weights = lagrange_weights_at_zero(&xs);
+            let mut weights = Vec::new();
+            lagrange_weights_at_zero_into(&xs, &mut weights);
             for &extra in &ys {
                 let mut c = coeffs.clone();
                 c[0] = extra; // vary the constant term
@@ -717,12 +569,6 @@ mod tests {
             let other: Vec<u8> = (0..data.len())
                 .map(|i| (i as u8).wrapping_mul(97).wrapping_add(other_seed))
                 .collect();
-
-            let mut a = data.clone();
-            mul_slice_assign(&mut a, scalar);
-            let mut b = data.clone();
-            mul_slice_assign_ladder(&mut b, scalar);
-            prop_assert_eq!(&a, &b);
 
             let mut a = data.clone();
             mul_acc_slice(&mut a, &other, scalar);

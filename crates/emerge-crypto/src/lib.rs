@@ -15,10 +15,16 @@
 //! * [`aead`] — ChaCha20-Poly1305 AEAD (RFC 8439)
 //! * [`gf256`] — arithmetic in GF(2^8) with the AES polynomial
 //! * [`shamir`] — Shamir `(m, n)` threshold secret sharing over GF(2^8)
-//! * [`commitments`] — hash commitments making reconstruction robust to
-//!   share pollution
 //! * [`onion`] — the layered onion packaging used by the key-routing schemes
 //! * [`wire`] — small length-prefixed serialization helpers
+//!
+//! Each primitive that a trial runs has one implementation, in place on
+//! caller-owned buffers (`aead::{seal_in_place, open_in_place}`,
+//! `onion::{build_onion_into, peel_in_place}`, `shamir::ShareSlab` and
+//! the reconstruction behind `shamir::combine_slab_cached_into`); the
+//! allocating forms
+//! (`aead::{seal, open}`, `onion::{build_onion, peel, peel_core}`,
+//! `shamir::{split, combine}`) are few-line wrappers over them.
 //!
 //! Everything here is written for clarity and determinism first; it is more
 //! than fast enough for the simulation workloads in this repository (the
@@ -55,7 +61,6 @@
 
 pub mod aead;
 pub mod chacha20;
-pub mod commitments;
 pub mod error;
 pub mod gf256;
 pub mod hkdf;

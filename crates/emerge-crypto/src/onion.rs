@@ -13,6 +13,10 @@
 //! a holder cannot see *or undetectably modify* anything beneath its own
 //! layer.
 //!
+//! One loop seals layers ([`build_onion_into`]) and one parser opens them
+//! ([`peel_in_place`]), both on caller-owned buffers; [`build_onion`],
+//! [`peel`] and [`peel_core`] run them on fresh ones.
+//!
 //! ```
 //! use emerge_crypto::keys::SymmetricKey;
 //! use emerge_crypto::onion::{build_onion, peel, Peeled};
@@ -33,7 +37,7 @@
 use crate::aead;
 use crate::error::CryptoError;
 use crate::keys::SymmetricKey;
-use crate::wire::{Reader, Writer};
+use crate::wire::Reader;
 
 /// Domain separation string authenticated with every onion layer.
 const ONION_AAD: &[u8] = b"emerge-onion-v1";
@@ -63,43 +67,18 @@ pub enum Peeled {
 ///
 /// Layer `j` is decryptable with `layers[j].0`; peeling it yields
 /// `layers[j].1` as the per-hop payload. Peeling the final layer yields
-/// `core`.
-///
-/// An empty `layers` slice produces a single-layer onion — but that layer
-/// still needs a key, so the degenerate "no hops at all" case is expressed
-/// as `build_onion(&[(&key, b"")], core)` with one hop. This function
-/// panics on a truly empty layer list because the result would be
-/// unencrypted.
+/// `core`. This is [`build_onion_into`] into fresh buffers.
 ///
 /// # Panics
 ///
-/// Panics if `layers` is empty.
+/// Panics if `layers` is empty: the result would be unencrypted.
 pub fn build_onion(layers: &[(&SymmetricKey, &[u8])], core: &[u8]) -> Vec<u8> {
-    // LINT-WAIVER(panic): documented # Panics contract: an onion needs at least one layer
-    assert!(
-        !layers.is_empty(),
-        "an onion needs at least one layer key; refusing to emit plaintext"
-    );
-
-    // Innermost layer: the last key wraps the core together with the last
-    // hop's payload.
-    let (last_key, last_payload) = layers[layers.len() - 1];
-    let mut w = Writer::new();
-    w.put_u8(TAG_CORE).put_bytes(last_payload).put_bytes(core);
-    let mut onion = seal_layer(last_key, &w.into_bytes());
-
-    // Wrap outward.
-    for &(key, payload) in layers[..layers.len() - 1].iter().rev() {
-        let mut w = Writer::new();
-        w.put_u8(TAG_INTERMEDIATE)
-            .put_bytes(payload)
-            .put_bytes(&onion);
-        onion = seal_layer(key, &w.into_bytes());
-    }
+    let mut onion = Vec::new();
+    build_onion_into(layers.iter().copied(), core, &mut onion, &mut Vec::new());
     onion
 }
 
-/// Peels one layer of `onion` with `key`.
+/// Peels one layer of `onion` with `key`: [`peel_in_place`] on a copy.
 ///
 /// # Errors
 ///
@@ -107,52 +86,33 @@ pub fn build_onion(layers: &[(&SymmetricKey, &[u8])], core: &[u8]) -> Vec<u8> {
 /// tampered layer, and [`CryptoError::Malformed`] /
 /// [`CryptoError::InvalidLength`] for structurally invalid plaintext.
 pub fn peel(key: &SymmetricKey, onion: &[u8]) -> Result<Peeled, CryptoError> {
-    let nonce = key.derive_nonce(b"onion-layer");
-    let plain = aead::open(key, &nonce, onion, ONION_AAD)?;
-    let mut r = Reader::new(&plain);
-    let tag = r.get_u8()?;
-    match tag {
-        TAG_CORE => {
-            // Core layers also carry a final-hop payload; the caller that
-            // wants just the core reads `payload` of Peeled::Core after the
-            // hop payload. Layout: tag, hop payload, core payload.
-            let _hop_payload = r.get_bytes()?.to_vec();
-            let core = r.get_bytes()?.to_vec();
-            r.expect_end()?;
-            Ok(Peeled::Core { payload: core })
-        }
-        TAG_INTERMEDIATE => {
-            let payload = r.get_bytes()?.to_vec();
-            let inner = r.get_bytes()?.to_vec();
-            r.expect_end()?;
-            Ok(Peeled::Intermediate { payload, inner })
-        }
-        _ => Err(CryptoError::Malformed("unknown onion layer tag")),
-    }
+    let mut rest = onion.to_vec();
+    let mut payload = Vec::new();
+    Ok(match peel_in_place(key, &mut rest, &mut payload)? {
+        LayerKind::Intermediate => Peeled::Intermediate {
+            payload,
+            inner: rest,
+        },
+        LayerKind::Core => Peeled::Core { payload: rest },
+    })
 }
 
 /// Peels the innermost layer, returning both the final hop payload and the
 /// core. Use this when the terminal holder needs its hop payload too.
+///
+/// # Errors
+///
+/// Same contract as [`peel`], plus [`CryptoError::Malformed`] when the
+/// layer is an intermediate one.
 pub fn peel_core(key: &SymmetricKey, onion: &[u8]) -> Result<(Vec<u8>, Vec<u8>), CryptoError> {
-    let nonce = key.derive_nonce(b"onion-layer");
-    let plain = aead::open(key, &nonce, onion, ONION_AAD)?;
-    let mut r = Reader::new(&plain);
-    let tag = r.get_u8()?;
-    // LINT-WAIVER(ct): the layer tag is a public wire discriminant, not secret data; its value is implied by the message shape
-    if tag != TAG_CORE {
-        return Err(CryptoError::Malformed(
+    let mut core = onion.to_vec();
+    let mut payload = Vec::new();
+    match peel_in_place(key, &mut core, &mut payload)? {
+        LayerKind::Core => Ok((payload, core)),
+        LayerKind::Intermediate => Err(CryptoError::Malformed(
             "expected core onion layer, found intermediate",
-        ));
+        )),
     }
-    let hop_payload = r.get_bytes()?.to_vec();
-    let core = r.get_bytes()?.to_vec();
-    r.expect_end()?;
-    Ok((hop_payload, core))
-}
-
-fn seal_layer(key: &SymmetricKey, plaintext: &[u8]) -> Vec<u8> {
-    let nonce = key.derive_nonce(b"onion-layer");
-    aead::seal(key, &nonce, plaintext, ONION_AAD)
 }
 
 /// Which kind of layer [`peel_in_place`] uncovered.
@@ -164,14 +124,14 @@ pub enum LayerKind {
     Core,
 }
 
-/// Peels one layer of the onion in `onion` in place.
+/// Peels one layer of the onion in `onion` in place: the one layer
+/// parser.
 ///
 /// On success the hop payload is copied into `payload` (cleared first) and
 /// `onion` is rewritten to hold the inner onion (for
 /// [`LayerKind::Intermediate`]) or the core payload (for
 /// [`LayerKind::Core`]) — so repeated calls walk the whole path with two
 /// reused buffers and no allocation once their capacities are warm.
-/// Byte-for-byte equivalent to [`peel`] / [`peel_core`].
 ///
 /// # Errors
 ///
@@ -215,37 +175,38 @@ pub fn peel_in_place(
     Ok(kind)
 }
 
-/// Builds the same onion as [`build_onion`] into a caller-owned buffer.
+/// Builds an onion into caller-owned buffers: the one layer-sealing
+/// loop.
 ///
-/// `onion` receives the finished onion; `scratch` is layer plaintext
-/// scratch. Both are cleared and reused, so a warm caller allocates
-/// nothing.
-pub fn build_onion_into(
-    layers: &[(&SymmetricKey, &[u8])],
+/// `layers` yields each layer's key and hop payload, outermost first, as
+/// for [`build_onion`]; the loop walks it from the innermost layer out,
+/// so callers that hold keys and payloads apart zip them instead of
+/// building a layer list. `onion` receives the finished onion; `scratch`
+/// is layer plaintext scratch. Both are cleared and reused, so a warm
+/// caller allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `layers` is empty, like [`build_onion`].
+pub fn build_onion_into<'a>(
+    layers: impl DoubleEndedIterator<Item = (&'a SymmetricKey, &'a [u8])> + ExactSizeIterator,
     core: &[u8],
     onion: &mut Vec<u8>,
     scratch: &mut Vec<u8>,
 ) {
     // LINT-WAIVER(panic): documented # Panics precondition on the onion layer arguments
     assert!(
-        !layers.is_empty(),
+        layers.len() != 0,
         "an onion needs at least one layer key; refusing to emit plaintext"
     );
-    // Innermost layer: the last key wraps the core with the last payload.
-    let (last_key, last_payload) = layers[layers.len() - 1];
+    // The innermost layer wraps the core; every other layer wraps the
+    // onion built so far. Plaintext ping-pongs through `scratch`.
     onion.clear();
-    onion.push(TAG_CORE);
-    onion.extend_from_slice(&(last_payload.len() as u32).to_le_bytes());
-    onion.extend_from_slice(last_payload);
-    onion.extend_from_slice(&(core.len() as u32).to_le_bytes());
     onion.extend_from_slice(core);
-    let nonce = last_key.derive_nonce(b"onion-layer");
-    aead::seal_in_place(last_key, &nonce, onion, ONION_AAD);
-
-    // Wrap outward, ping-ponging plaintext through `scratch`.
-    for &(key, payload) in layers[..layers.len() - 1].iter().rev() {
+    let mut tag = TAG_CORE;
+    for (key, payload) in layers.rev() {
         scratch.clear();
-        scratch.push(TAG_INTERMEDIATE);
+        scratch.push(tag);
         scratch.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         scratch.extend_from_slice(payload);
         scratch.extend_from_slice(&(onion.len() as u32).to_le_bytes());
@@ -253,68 +214,8 @@ pub fn build_onion_into(
         let nonce = key.derive_nonce(b"onion-layer");
         aead::seal_in_place(key, &nonce, scratch, ONION_AAD);
         std::mem::swap(onion, scratch);
+        tag = TAG_INTERMEDIATE;
     }
-}
-
-/// Builds an onion whose per-hop payloads are all empty, into
-/// caller-owned buffers — byte-identical to
-/// `build_onion(&[(k_0, b""), ...], core)` (pinned by test).
-///
-/// This is the share scheme's core-onion shape: the hop data travels in
-/// the segment table, so the onion carries only the layered core. Taking
-/// the keys as a plain slice lets a pooled caller avoid materializing
-/// the `&[(&SymmetricKey, &[u8])]` layer list every trial.
-///
-/// # Panics
-///
-/// Panics if `keys` is empty, like [`build_onion`].
-pub fn build_onion_empty_into(
-    keys: &[SymmetricKey],
-    core: &[u8],
-    onion: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
-) {
-    // LINT-WAIVER(panic): documented # Panics precondition on the onion layer arguments
-    assert!(
-        !keys.is_empty(),
-        "an onion needs at least one layer key; refusing to emit plaintext"
-    );
-    let last_key = &keys[keys.len() - 1];
-    onion.clear();
-    onion.push(TAG_CORE);
-    onion.extend_from_slice(&0u32.to_le_bytes());
-    onion.extend_from_slice(&(core.len() as u32).to_le_bytes());
-    onion.extend_from_slice(core);
-    let nonce = last_key.derive_nonce(b"onion-layer");
-    aead::seal_in_place(last_key, &nonce, onion, ONION_AAD);
-
-    for key in keys[..keys.len() - 1].iter().rev() {
-        scratch.clear();
-        scratch.push(TAG_INTERMEDIATE);
-        scratch.extend_from_slice(&0u32.to_le_bytes());
-        scratch.extend_from_slice(&(onion.len() as u32).to_le_bytes());
-        scratch.extend_from_slice(onion);
-        let nonce = key.derive_nonce(b"onion-layer");
-        aead::seal_in_place(key, &nonce, scratch, ONION_AAD);
-        std::mem::swap(onion, scratch);
-    }
-}
-
-/// Computes the serialized size of an onion with the given per-layer
-/// payload sizes (outermost first) and core size, without building it.
-///
-/// Useful for capacity planning in the schemes and asserted against real
-/// onions in tests.
-pub fn onion_size(payload_sizes: &[usize], core_size: usize) -> usize {
-    // LINT-WAIVER(panic): documented # Panics contract: the size formula needs at least one layer
-    assert!(!payload_sizes.is_empty());
-    // Innermost: tag(1) + len(4) + payload + len(4) + core, plus AEAD tag.
-    let last = payload_sizes[payload_sizes.len() - 1];
-    let mut size = 1 + 4 + last + 4 + core_size + aead::OVERHEAD;
-    for &p in payload_sizes[..payload_sizes.len() - 1].iter().rev() {
-        size = 1 + 4 + p + 4 + size + aead::OVERHEAD;
-    }
-    size
 }
 
 #[cfg(test)]
@@ -416,21 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn onion_size_matches_reality() {
-        let keys = [key(1), key(2), key(3)];
-        let payloads: [&[u8]; 3] = [b"aa", b"bbbb", b"cccccc"];
-        let onion = build_onion(
-            &[
-                (&keys[0], payloads[0]),
-                (&keys[1], payloads[1]),
-                (&keys[2], payloads[2]),
-            ],
-            b"0123456789",
-        );
-        assert_eq!(onion.len(), onion_size(&[2, 4, 6], 10));
-    }
-
-    #[test]
     fn in_place_build_and_peel_match_allocating_forms() {
         let keys = [key(1), key(2), key(3)];
         let layer_refs: [(&SymmetricKey, &[u8]); 3] = [
@@ -439,9 +325,22 @@ mod tests {
             (&keys[2], b"to hop 3"),
         ];
         let reference = build_onion(&layer_refs, b"core secret");
+        // Dirty both buffers with another onion first: reuse must not
+        // leak state into the next build.
         let mut onion = Vec::new();
         let mut scratch = Vec::new();
-        build_onion_into(&layer_refs, b"core secret", &mut onion, &mut scratch);
+        build_onion_into(
+            [(&keys[2], &b"other"[..])].into_iter(),
+            &[7; 300],
+            &mut onion,
+            &mut scratch,
+        );
+        build_onion_into(
+            layer_refs.iter().copied(),
+            b"core secret",
+            &mut onion,
+            &mut scratch,
+        );
         assert_eq!(onion, reference);
 
         let mut payload = Vec::new();
@@ -467,23 +366,6 @@ mod tests {
         let before = sealed.clone();
         assert!(peel_in_place(&keys[1], &mut sealed, &mut payload).is_err());
         assert_eq!(sealed, before);
-    }
-
-    #[test]
-    fn empty_payload_builder_matches_general_builder() {
-        let keys = [key(1), key(2), key(3)];
-        let reference = build_onion(
-            &[(&keys[0], b""), (&keys[1], b""), (&keys[2], b"")],
-            b"the core",
-        );
-        let mut onion = Vec::new();
-        let mut scratch = Vec::new();
-        build_onion_empty_into(&keys, b"the core", &mut onion, &mut scratch);
-        assert_eq!(onion, reference);
-        // Single-layer degenerate case too.
-        let single_ref = build_onion(&[(&keys[0], b"")], b"x");
-        build_onion_empty_into(&keys[..1], b"x", &mut onion, &mut scratch);
-        assert_eq!(onion, single_ref);
     }
 
     #[test]

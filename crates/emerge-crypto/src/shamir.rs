@@ -31,7 +31,9 @@ pub const MAX_SHARES: usize = 255;
 
 /// Splits `secret` into `n` shares with reconstruction threshold `m`.
 ///
-/// Share indices are `1..=n`.
+/// Share indices are `1..=n`; an empty secret yields `n` empty shares.
+/// This is [`ShareSlab::split_flat`] over a single secret, so the shares
+/// and the RNG stream position match a slab split of the same bytes.
 ///
 /// # Errors
 ///
@@ -43,171 +45,21 @@ pub fn split<R: RngCore>(
     n: usize,
     rng: &mut R,
 ) -> Result<Vec<KeyShare>, CryptoError> {
-    if m == 0 {
-        return Err(CryptoError::InvalidParameters("threshold m must be >= 1"));
-    }
-    if m > n {
-        return Err(CryptoError::InvalidParameters(
-            "threshold m cannot exceed share count n",
-        ));
-    }
-    if n > MAX_SHARES {
-        return Err(CryptoError::InvalidParameters(
-            "GF(256) sharing supports at most 255 shares",
-        ));
-    }
-
-    // One polynomial per secret byte, stored as a coefficient slab:
-    // `rows[j][i]` is coefficient `j` of byte `i`'s polynomial, so each
-    // degree is a contiguous slice and share evaluation becomes slice-wise
-    // Horner. Row 0 is the secret itself.
-    //
-    // The random rows are drawn with the byte-at-a-time call sequence of
-    // the pre-slab implementation (one `fill_bytes` of m-1 coefficients
-    // per secret byte, then single-byte redraws while the leading
-    // coefficient is zero), so the RNG stream — and therefore every
-    // package ever derived from a seed — is unchanged.
+    let mut slab = ShareSlab::new();
+    slab.split_flat(secret, secret.len(), m, n, rng)?;
+    // One secret: the share-major slab is `n` runs of `len` bytes.
     let len = secret.len();
-    let mut rows: Vec<Vec<u8>> = Vec::with_capacity(m);
-    rows.push(secret.to_vec());
-    for _ in 1..m {
-        rows.push(vec![0u8; len]);
-    }
-    if m > 1 {
-        let mut coeffs = vec![0u8; m - 1];
-        for i in 0..len {
-            rng.fill_bytes(&mut coeffs);
-            // The leading coefficient must be non-zero for the polynomial
-            // to have true degree m-1; a zero leading coefficient would
-            // weaken the threshold by one.
-            while coeffs[m - 2] == 0 {
-                let mut b = [0u8; 1];
-                rng.fill_bytes(&mut b);
-                coeffs[m - 2] = b[0];
-            }
-            for (row, &c) in rows[1..].iter_mut().zip(coeffs.iter()) {
-                row[i] = c;
-            }
-        }
-    }
-
-    // Share x = Horner over the coefficient rows, one fused
-    // multiply-accumulate slice op per degree.
-    let shares = (1..=n as u8)
-        .map(|x| {
-            let mut acc = rows[m - 1].clone();
-            for row in rows[..m - 1].iter().rev() {
-                gf256::horner_step_slice(&mut acc, row, x);
-            }
-            KeyShare::new(x, acc)
-        })
-        .collect();
-    Ok(shares)
+    Ok((1..=n)
+        .map(|x| KeyShare::new(x as u8, slab.data[(x - 1) * len..x * len].to_vec()))
+        .collect())
 }
 
-/// Splits many equal-length secrets with one slab evaluation.
-///
-/// Semantically `secrets.iter().map(|s| split(s, m, n, rng))`, and
-/// **stream-compatible** with it: the coefficient draws happen in the
-/// exact per-secret, per-byte call sequence of sequential [`split`]
-/// calls, so the RNG ends at the same position and every share value is
-/// bit-identical (the property suite pins both). The win is in the
-/// evaluation: one Horner walk over a `secrets.len() × len` coefficient
-/// slab turns thousands of 32-byte slice kernels into dozens of
-/// kilobyte-wide ones, which is where the vectorized GF(256) ladder
-/// actually reaches its throughput. This is the share-packaging hot
-/// path's kernel: one call per column splits all `n` next-column row
-/// keys.
-///
-/// Returns one share vector per secret: `out[s][i]` is share `i + 1` of
-/// `secrets[s]`.
-///
-/// # Errors
-///
-/// Returns [`CryptoError::InvalidParameters`] under the same conditions
-/// as [`split`], or when the secrets' lengths differ.
-pub fn split_many<R: RngCore>(
-    secrets: &[&[u8]],
-    m: usize,
-    n: usize,
-    rng: &mut R,
-) -> Result<Vec<Vec<KeyShare>>, CryptoError> {
-    if m == 0 {
-        return Err(CryptoError::InvalidParameters("threshold m must be >= 1"));
-    }
-    if m > n {
-        return Err(CryptoError::InvalidParameters(
-            "threshold m cannot exceed share count n",
-        ));
-    }
-    if n > MAX_SHARES {
-        return Err(CryptoError::InvalidParameters(
-            "GF(256) sharing supports at most 255 shares",
-        ));
-    }
-    let Some(first) = secrets.first() else {
-        return Ok(Vec::new());
-    };
-    let len = first.len();
-    if secrets.iter().any(|s| s.len() != len) {
-        return Err(CryptoError::InvalidParameters(
-            "split_many requires equal-length secrets",
-        ));
-    }
-
-    // Coefficient slab across all secrets: `rows[j][s*len + i]` is
-    // coefficient `j` of byte `i` of secret `s`'s polynomial.
-    let total = len * secrets.len();
-    let mut rows: Vec<Vec<u8>> = Vec::with_capacity(m);
-    let mut row0 = Vec::with_capacity(total);
-    for secret in secrets {
-        row0.extend_from_slice(secret);
-    }
-    rows.push(row0);
-    for _ in 1..m {
-        rows.push(vec![0u8; total]);
-    }
-    if m > 1 {
-        let mut coeffs = vec![0u8; m - 1];
-        for s in 0..secrets.len() {
-            for i in 0..len {
-                rng.fill_bytes(&mut coeffs);
-                while coeffs[m - 2] == 0 {
-                    let mut b = [0u8; 1];
-                    rng.fill_bytes(&mut b);
-                    coeffs[m - 2] = b[0];
-                }
-                for (row, &c) in rows[1..].iter_mut().zip(coeffs.iter()) {
-                    row[s * len + i] = c;
-                }
-            }
-        }
-    }
-
-    // One slab-wide Horner per share point.
-    let mut out: Vec<Vec<KeyShare>> = (0..secrets.len()).map(|_| Vec::with_capacity(n)).collect();
-    let mut acc = vec![0u8; total];
-    for x in 1..=n as u8 {
-        acc.copy_from_slice(&rows[m - 1]);
-        for row in rows[..m - 1].iter().rev() {
-            gf256::horner_step_slice(&mut acc, row, x);
-        }
-        for (s, shares) in out.iter_mut().enumerate() {
-            shares.push(KeyShare::new(x, acc[s * len..(s + 1) * len].to_vec()));
-        }
-    }
-    Ok(out)
-}
-
-/// A reusable share slab: the allocation-free counterpart of
-/// [`split_many`] for pooled hot loops.
+/// A reusable share slab: the one Shamir split kernel.
 ///
 /// [`ShareSlab::split_flat`] takes the secrets as one concatenated byte
 /// string and writes every share into an internal slab that is recycled
 /// across calls — after the first call at a given shape, splitting
-/// allocates nothing. Share bytes are bit-identical to [`split_many`]
-/// (and therefore to sequential [`split`] calls), and the RNG is left at
-/// the same stream position; the property suite pins both.
+/// allocates nothing. [`split`] is this kernel over one secret.
 #[derive(Debug, Default, Clone)]
 pub struct ShareSlab {
     /// Share-major slab: share `x` of secret `s` lives at
@@ -233,11 +85,19 @@ impl ShareSlab {
     /// in `secrets` into `n` shares each with threshold `m`, replacing
     /// the slab's previous contents.
     ///
+    /// Each secret's shares and RNG draws are those of a [`split`] of that
+    /// secret alone, secret after secret (the property suite pins both
+    /// against the byte-at-a-time reference). The gain is in the
+    /// evaluation: one Horner walk over the `count × len` coefficient slab
+    /// runs kilobyte-wide slice kernels instead of many 32-byte ones. The
+    /// share builder calls this once per column to split all `n`
+    /// next-column row keys.
+    ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidParameters`] under the same
-    /// conditions as [`split`], or when `secrets` is not a whole number
-    /// of `len`-byte secrets.
+    /// Returns [`CryptoError::InvalidParameters`] if `m == 0`, `m > n`,
+    /// `n > 255`, or `secrets` is not a whole number of `len`-byte
+    /// secrets.
     pub fn split_flat<R: RngCore>(
         &mut self,
         secrets: &[u8],
@@ -276,9 +136,16 @@ impl ShareSlab {
         self.len = len;
         self.n = n;
 
-        // Coefficient rows, identical layout and draw order to
-        // `split_many`: `rows[j][s*len + i]` is coefficient `j` of byte
-        // `i` of secret `s`, drawn per-secret, per-byte.
+        // One polynomial per secret byte, stored as a coefficient slab:
+        // `rows[j][s*len + i]` is coefficient `j` of byte `i` of secret
+        // `s`, so each degree is a contiguous slice and share evaluation
+        // becomes slice-wise Horner. Row 0 is the secrets themselves.
+        //
+        // The random rows are drawn with the byte-at-a-time call sequence
+        // of the reference split (one `fill_bytes` of m-1 coefficients per
+        // secret byte, then single-byte redraws while the leading
+        // coefficient is zero), so the RNG stream — and therefore every
+        // package ever derived from a seed — is unchanged.
         while self.rows.len() < m {
             self.rows.push(Vec::new());
         }
@@ -293,6 +160,9 @@ impl ShareSlab {
             for s in 0..count {
                 for i in 0..len {
                     rng.fill_bytes(&mut self.coeffs);
+                    // The leading coefficient must be non-zero for the
+                    // polynomial to have true degree m-1; a zero leading
+                    // coefficient would weaken the threshold by one.
                     while self.coeffs[m - 2] == 0 {
                         let mut b = [0u8; 1];
                         rng.fill_bytes(&mut b);
@@ -336,26 +206,37 @@ impl ShareSlab {
     pub fn count(&self) -> usize {
         self.count
     }
+}
 
-    /// Byte length of each secret in the last split.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the slab currently holds no shares.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Share count `n` of the last split.
-    pub fn n(&self) -> usize {
-        self.n
-    }
+/// Reconstructs the secret from at least `m` shares.
+///
+/// Extra shares beyond `m` are ignored: the first `m` distinct indices
+/// are used, and only their lengths must agree. It runs the same
+/// reconstruction body as [`combine_slab_cached_into`], reading each
+/// share where it lies.
+///
+/// # Errors
+///
+/// * [`CryptoError::InvalidParameters`] if `m == 0`.
+/// * [`CryptoError::NotEnoughShares`] if fewer than `m` distinct-index
+///   shares are supplied.
+/// * [`CryptoError::MalformedShare`] if a share has index 0, or the share
+///   lengths disagree.
+pub fn combine(shares: &[KeyShare], m: usize) -> Result<Vec<u8>, CryptoError> {
+    let mut secret = Vec::new();
+    combine_into(
+        shares.iter().map(|s| s.index),
+        |pos| &shares[pos].data,
+        m,
+        &mut WeightCache::default(),
+        &mut secret,
+    )?;
+    Ok(secret)
 }
 
 /// Reconstructs a secret from shares stored in a flat slab, writing into
-/// a caller-owned buffer: the allocation-free counterpart of
-/// [`combine_cached`].
+/// a caller-owned buffer, with a caller-held [`WeightCache`]: the
+/// reconstruction hot loop's form, allocation-free once warm.
 ///
 /// `indices[i]` is the share index of the `len`-byte share at
 /// `data[i*len..][..len]`. The first `m` distinct-index shares are used,
@@ -364,7 +245,8 @@ impl ShareSlab {
 ///
 /// # Errors
 ///
-/// Same contract as [`combine`] (uniform lengths are structural here).
+/// [`CryptoError::InvalidLength`] if `data` is not `indices.len()` shares
+/// of `len` bytes; otherwise the same contract as [`combine`].
 pub fn combine_slab_cached_into(
     indices: &[u8],
     data: &[u8],
@@ -373,21 +255,49 @@ pub fn combine_slab_cached_into(
     cache: &mut WeightCache,
     out: &mut Vec<u8>,
 ) -> Result<(), CryptoError> {
+    let expected = indices.len().saturating_mul(len);
+    if data.len() != expected {
+        return Err(CryptoError::InvalidLength {
+            context: "share slab",
+            expected,
+            actual: data.len(),
+        });
+    }
+    combine_into(
+        indices.iter().copied(),
+        |pos| &data[pos * len..(pos + 1) * len],
+        m,
+        cache,
+        out,
+    )
+}
+
+/// The one reconstruction body: picks the first `m` distinct indices
+/// from `indices`, reads share `pos` through `share`, and accumulates
+/// `λ_i·share_i` into `out` with the Lagrange weights computed once per
+/// index set. The field arithmetic is identical to per-byte
+/// interpolation, so the secret is bit-for-bit the same.
+fn combine_into<'a>(
+    indices: impl Iterator<Item = u8>,
+    share: impl Fn(usize) -> &'a [u8],
+    m: usize,
+    cache: &mut WeightCache,
+    out: &mut Vec<u8>,
+) -> Result<(), CryptoError> {
     if m == 0 {
         return Err(CryptoError::InvalidParameters("threshold m must be >= 1"));
     }
-    debug_assert_eq!(data.len(), indices.len() * len);
     let mut seen = [false; 256];
-    let mut chosen = [0u16; MAX_SHARES];
+    let mut chosen = [0usize; MAX_SHARES];
     let mut xs = [0u8; MAX_SHARES];
     let mut picked = 0usize;
-    for (pos, &x) in indices.iter().enumerate() {
+    for (pos, x) in indices.enumerate() {
         if x == 0 {
             return Err(CryptoError::MalformedShare("share index 0 is reserved"));
         }
         if !seen[x as usize] {
             seen[x as usize] = true;
-            chosen[picked] = pos as u16;
+            chosen[picked] = pos;
             xs[picked] = x;
             picked += 1;
             if picked == m {
@@ -401,29 +311,17 @@ pub fn combine_slab_cached_into(
             supplied: picked,
         });
     }
+    let len = share(chosen[0]).len();
+    if chosen[..m].iter().any(|&pos| share(pos).len() != len) {
+        return Err(CryptoError::MalformedShare("share lengths disagree"));
+    }
     let weights = cache.weights_for(&xs[..m]);
     out.clear();
     out.resize(len, 0);
     for (&pos, &w) in chosen[..m].iter().zip(weights.iter()) {
-        let share = &data[pos as usize * len..(pos as usize + 1) * len];
-        gf256::mul_acc_slice(out, share, w);
+        gf256::mul_acc_slice(out, share(pos), w);
     }
     Ok(())
-}
-
-/// Reconstructs the secret from at least `m` shares.
-///
-/// Extra shares beyond `m` are ignored (the first `m` distinct indices are
-/// used). All shares must have the same length.
-///
-/// # Errors
-///
-/// * [`CryptoError::NotEnoughShares`] if fewer than `m` distinct-index
-///   shares are supplied.
-/// * [`CryptoError::MalformedShare`] if a share has index 0, or the share
-///   lengths disagree.
-pub fn combine(shares: &[KeyShare], m: usize) -> Result<Vec<u8>, CryptoError> {
-    combine_cached(shares, m, &mut WeightCache::default())
 }
 
 /// A one-entry memo of the Lagrange-at-zero weight vector, keyed by the
@@ -447,68 +345,15 @@ impl WeightCache {
     /// previous call's.
     fn weights_for(&mut self, xs: &[u8]) -> &[u8] {
         if self.xs != xs {
-            // The `_into` form recomputes into the retained buffer, so a
-            // warm cache stays allocation-free even across index-set
-            // changes (different trials see different survivor sets).
+            // Recomputing into the retained buffer keeps a warm cache
+            // allocation-free even across index-set changes (different
+            // trials see different survivor sets).
             gf256::lagrange_weights_at_zero_into(xs, &mut self.weights);
             self.xs.clear();
             self.xs.extend_from_slice(xs);
         }
         &self.weights
     }
-}
-
-/// [`combine`] with a caller-held [`WeightCache`], for reconstruction
-/// loops that combine many share sets with the same indices.
-///
-/// # Errors
-///
-/// Identical to [`combine`].
-pub fn combine_cached(
-    shares: &[KeyShare],
-    m: usize,
-    cache: &mut WeightCache,
-) -> Result<Vec<u8>, CryptoError> {
-    if m == 0 {
-        return Err(CryptoError::InvalidParameters("threshold m must be >= 1"));
-    }
-    // Deduplicate indices, preserving order.
-    let mut seen = [false; 256];
-    let mut distinct: Vec<&KeyShare> = Vec::with_capacity(m);
-    for share in shares {
-        if share.index == 0 {
-            return Err(CryptoError::MalformedShare("share index 0 is reserved"));
-        }
-        if !seen[share.index as usize] {
-            seen[share.index as usize] = true;
-            distinct.push(share);
-            if distinct.len() == m {
-                break;
-            }
-        }
-    }
-    if distinct.len() < m {
-        return Err(CryptoError::NotEnoughShares {
-            threshold: m,
-            supplied: distinct.len(),
-        });
-    }
-    let len = distinct[0].data.len();
-    if distinct.iter().any(|s| s.data.len() != len) {
-        return Err(CryptoError::MalformedShare("share lengths disagree"));
-    }
-
-    // Lagrange weights once per share set (not once per byte), then one
-    // λ_i·share_i slice-accumulate per share. The field arithmetic is
-    // identical to per-byte interpolation, so the secret is bit-for-bit
-    // the same.
-    let xs: Vec<u8> = distinct.iter().map(|s| s.index).collect();
-    let weights = cache.weights_for(&xs);
-    let mut secret = vec![0u8; len];
-    for (share, &w) in distinct.iter().zip(weights.iter()) {
-        gf256::mul_acc_slice(&mut secret, &share.data, w);
-    }
-    Ok(secret)
 }
 
 /// The pre-slab byte-at-a-time implementation, kept verbatim as the
@@ -718,6 +563,42 @@ mod tests {
     }
 
     #[test]
+    fn shares_past_the_first_m_distinct_are_not_consulted() {
+        // A duplicate before the m-th distinct index and anything after
+        // it are ignored, even with another length or the reserved index.
+        let mut r = rng();
+        let shares = split(b"secret", 2, 3, &mut r).unwrap();
+        let mut short_dup = shares[0].clone();
+        short_dup.data.pop();
+        let mixed = vec![
+            shares[0].clone(),
+            short_dup,
+            shares[1].clone(),
+            KeyShare::new(0, vec![1]),
+            KeyShare::new(3, vec![]),
+        ];
+        assert_eq!(combine(&mixed, 2).unwrap(), b"secret");
+        assert_eq!(reference::combine(&mixed, 2).unwrap(), b"secret");
+    }
+
+    #[test]
+    fn short_slab_is_a_length_error() {
+        // Two indices claim 2 × 32 bytes, but the slab holds 40.
+        let mut out = Vec::new();
+        assert!(matches!(
+            combine_slab_cached_into(
+                &[1, 2],
+                &[0; 40],
+                32,
+                2,
+                &mut WeightCache::default(),
+                &mut out
+            ),
+            Err(CryptoError::InvalidLength { .. })
+        ));
+    }
+
+    #[test]
     fn shares_leak_nothing_individually() {
         // Statistical smoke test: a single share of two different secrets
         // should not let us distinguish them by simple equality patterns.
@@ -757,33 +638,6 @@ mod tests {
             prop_assert_eq!(fast_rng.next_u64(), ref_rng.next_u64());
         }
 
-        /// The batched multi-secret split is bit-identical to sequential
-        /// single-secret splits: same shares AND same RNG stream position
-        /// afterwards.
-        #[test]
-        fn split_many_matches_sequential_splits(
-            count in 0usize..6,
-            len in 1usize..40,
-            m in 1usize..8,
-            extra in 0usize..6,
-            seed: u64,
-        ) {
-            let n = m + extra;
-            let secrets: Vec<Vec<u8>> = (0..count)
-                .map(|s| (0..len).map(|i| (s * 131 + i * 7 + 1) as u8).collect())
-                .collect();
-            let views: Vec<&[u8]> = secrets.iter().map(|s| s.as_slice()).collect();
-            let mut batch_rng = StdRng::seed_from_u64(seed);
-            let mut seq_rng = StdRng::seed_from_u64(seed);
-            let batch = split_many(&views, m, n, &mut batch_rng).unwrap();
-            let sequential: Vec<Vec<KeyShare>> = secrets
-                .iter()
-                .map(|s| split(s, m, n, &mut seq_rng).unwrap())
-                .collect();
-            prop_assert_eq!(&batch, &sequential);
-            prop_assert_eq!(batch_rng.next_u64(), seq_rng.next_u64());
-        }
-
         /// The weight-based combine is bit-identical to per-byte Lagrange
         /// interpolation, including with extra and duplicate shares.
         #[test]
@@ -806,11 +660,12 @@ mod tests {
             );
         }
 
-        /// The pooled slab split is bit-identical to `split_many` — same
-        /// share bytes AND same RNG stream position — and a reused slab
-        /// behaves exactly like a fresh one.
+        /// A multi-secret slab split is bit-identical to sequential
+        /// byte-at-a-time reference splits — same share bytes AND same RNG
+        /// stream position — and a reused slab behaves exactly like a
+        /// fresh one.
         #[test]
-        fn share_slab_matches_split_many(
+        fn share_slab_matches_sequential_reference_splits(
             count in 0usize..6,
             len in 1usize..40,
             m in 1usize..8,
@@ -821,11 +676,13 @@ mod tests {
             let secrets: Vec<Vec<u8>> = (0..count)
                 .map(|s| (0..len).map(|i| (s * 131 + i * 7 + 1) as u8).collect())
                 .collect();
-            let views: Vec<&[u8]> = secrets.iter().map(|s| s.as_slice()).collect();
             let flat: Vec<u8> = secrets.concat();
 
-            let mut vec_rng = StdRng::seed_from_u64(seed);
-            let reference = split_many(&views, m, n, &mut vec_rng).unwrap();
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            let reference: Vec<Vec<KeyShare>> = secrets
+                .iter()
+                .map(|s| reference::split(s, m, n, &mut ref_rng).unwrap())
+                .collect();
 
             // Dirty the slab with a different shape first: reuse must not
             // leak state between splits.
@@ -841,13 +698,14 @@ mod tests {
                     prop_assert_eq!(slab.share(s, share.index), &share.data[..]);
                 }
             }
-            prop_assert_eq!(slab_rng.next_u64(), vec_rng.next_u64());
+            prop_assert_eq!(slab_rng.next_u64(), ref_rng.next_u64());
         }
 
-        /// The slab combine is bit-identical to `combine`, including its
-        /// duplicate-index handling and first-m-distinct selection.
+        /// The slab combine is bit-identical to per-byte Lagrange
+        /// interpolation, including its duplicate-index handling and
+        /// first-m-distinct selection.
         #[test]
-        fn combine_slab_matches_vec_combine(
+        fn combine_slab_matches_scalar_reference(
             secret in proptest::collection::vec(any::<u8>(), 1..48),
             m in 1usize..8,
             extra in 0usize..6,
@@ -866,7 +724,7 @@ mod tests {
             let mut out = Vec::new();
             combine_slab_cached_into(&indices, &data, secret.len(), m, &mut cache, &mut out)
                 .unwrap();
-            prop_assert_eq!(&out, &combine(&shares, m).unwrap());
+            prop_assert_eq!(&out, &reference::combine(&shares, m).unwrap());
             // Under-threshold errors match too.
             if m > 1 {
                 let short = m - 1;
@@ -874,7 +732,10 @@ mod tests {
                     &indices[..short], &data[..short * secret.len()],
                     secret.len(), m, &mut cache, &mut out,
                 );
-                prop_assert_eq!(e_slab.unwrap_err(), combine(&shares[..short], m).unwrap_err());
+                prop_assert_eq!(
+                    e_slab.unwrap_err(),
+                    reference::combine(&shares[..short], m).unwrap_err()
+                );
             }
         }
 
