@@ -2,10 +2,12 @@
 //!
 //! [`FaultySubstrate`] wraps any [`HolderSubstrate`] and injects a seeded
 //! [`FaultPlan`] at the trait surface — ghost tenants for disrupted
-//! holder contacts — while delegating everything else verbatim. Faults
-//! act only at hand-off contacts: holder placement (path construction)
-//! resolves exactly as on the bare world. With an empty plan the hook is
-//! a single branch and the wrapper neither allocates nor changes an
+//! holder contacts, through the one method it overrides beyond the five
+//! required delegations, `generation_at`. Faults act only at hand-off
+//! contacts: holder placement (path construction) resolves exactly as on
+//! the bare world, and the exposure predicates, trait defaults over the
+//! inner world's `generations`, see no fault. With an empty plan the hook
+//! is a single branch and the wrapper neither allocates nor changes an
 //! answer, so the golden fingerprints and the zero-allocation gate hold.
 //!
 //! [`run_faulted_trial_range`] is the factory trial loop of the wire
@@ -28,7 +30,6 @@ use emerge_faults::{FaultInjector, FaultPlan, FaultStats, FaultyResults, Recover
 use emerge_obs::trace::span;
 use emerge_sim::rng::SeedSource;
 use emerge_sim::time::SimTime;
-use rand::rngs::StdRng;
 use rand::RngCore;
 use std::sync::OnceLock;
 
@@ -62,10 +63,11 @@ fn ghosts() -> &'static [NodeInfo] {
 /// Only `generation_at` is faulted: a disrupted `(slot, t)` contact
 /// observes a *ghost tenant*, a benign `NodeInfo` with a far-future spawn
 /// no real tenant shares. Executors comparing spawn identities across
-/// arrival and departure therefore see the hop as lost. Every other
-/// method delegates to the inner substrate unchanged: holder resolution,
-/// so placement is fault-free, and the exposure predicates, so injected
-/// loss never masquerades as a confidentiality change.
+/// arrival and departure therefore see the hop as lost. The required
+/// methods delegate to the inner substrate unchanged: holder resolution,
+/// so placement is fault-free, and `generations`, which the exposure
+/// predicates read instead of `generation_at`, so injected loss never
+/// masquerades as a confidentiality change.
 #[derive(Debug)]
 pub struct FaultySubstrate<S> {
     inner: S,
@@ -115,27 +117,6 @@ impl<S: HolderSubstrate> HolderSubstrate for FaultySubstrate<S> {
             return &ghosts()[self.injector.ghost_index(slot, t, GHOST_POOL)];
         }
         self.inner.generation_at(slot, t)
-    }
-
-    // The exposure predicates delegate to the *inner* substrate (which may
-    // override the trait defaults, e.g. the analytic world) rather than rerouting
-    // through faulted `generation_at`: injected loss models availability,
-    // not confidentiality, so it must never grant or revoke an adversary
-    // exposure.
-    fn any_malicious_exposure(&self, slot: usize, from: SimTime, to: SimTime) -> bool {
-        self.inner.any_malicious_exposure(slot, from, to)
-    }
-
-    fn first_malicious_exposure(&self, slot: usize, from: SimTime, to: SimTime) -> Option<SimTime> {
-        self.inner.first_malicious_exposure(slot, from, to)
-    }
-
-    fn exposures_during(&self, slot: usize, from: SimTime, to: SimTime) -> usize {
-        self.inner.exposures_during(slot, from, to)
-    }
-
-    fn sample_distinct_slots(&self, count: usize, rng: &mut StdRng) -> Vec<usize> {
-        self.inner.sample_distinct_slots(count, rng)
     }
 }
 

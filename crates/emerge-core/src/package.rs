@@ -3,11 +3,11 @@
 //! Builds the actual byte-level packages the sender hands to the first
 //! column of holders at `ts`:
 //!
-//! * **Keyed schemes** (disjoint/joint): one onion per row whose layer `j`
-//!   is sealed with the column key `K_j`; the keys themselves are
-//!   pre-assigned to the column holders at `ts` (that is the scheme's
-//!   defining weakness under churn). Layer payloads carry the next-hop
-//!   addresses.
+//! * **Keyed schemes** (disjoint/joint): one onion per route — each
+//!   disjoint row, or the whole joint grid — whose layer `j` is sealed
+//!   with the column key `K_j`; the keys themselves are pre-assigned to
+//!   the column holders at `ts` (that is the scheme's defining weakness
+//!   under churn). Layer payloads carry the next-hop addresses.
 //! * **Share scheme**: a flat [`SharePackage`] (**format v2**) — one
 //!   segment per column, each segment holding that column's `n`
 //!   row-key-sealed headers and sealed *once* under a bundle key — plus a
@@ -305,18 +305,29 @@ impl KeyedLayerPayload {
 /// Packages for the disjoint/joint schemes.
 #[derive(Debug, Clone)]
 pub struct KeyedPackages {
-    /// One onion per row (`rows` entries).
+    /// One onion per row (`rows` entries). The joint rows all carry the
+    /// same bytes: the grid is one route.
     pub onions: Vec<Vec<u8>>,
     /// `K_j` per column, pre-assigned to every holder of that column at
     /// `ts`.
     pub column_keys: Vec<SymmetricKey>,
 }
 
-/// Builds the keyed-scheme packages.
-///
-/// For the disjoint scheme each row's onion routes along its own row; for
-/// the joint scheme every layer lists the entire next column, producing
-/// the column-complete forwarding pattern of Figure 4.
+/// Rows per keyed route (see [`build_keyed_packages`]).
+pub(crate) fn keyed_route_width(joint: bool, rows: usize) -> usize {
+    if joint {
+        rows
+    } else {
+        1
+    }
+}
+
+/// Builds the keyed-scheme packages: one onion sealed per *route* and
+/// handed to each of the route's rows. Each layer of a route's onion
+/// lists the route's holders of the next column. A disjoint row is a
+/// route of width 1; the joint grid is one route of width `rows`, which
+/// gives the column-complete forwarding pattern of Figure 4, so the
+/// joint rows carry identical bytes.
 ///
 /// # Errors
 ///
@@ -339,29 +350,29 @@ pub fn build_keyed_packages(
     };
     plan.check_shape(params)?;
     let (rows, cols) = (plan.rows, plan.cols);
+    let width = keyed_route_width(joint, rows);
     let column_keys: Vec<SymmetricKey> = (0..cols).map(|c| schedule.column_key(c)).collect();
 
     let mut onions = Vec::with_capacity(rows);
-    for row in 0..rows {
-        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(cols);
-        for col in 0..cols {
-            let next_hops = if col + 1 == cols {
-                Vec::new()
-            } else if joint {
-                (0..rows)
-                    .map(|r| plan.targets[r * cols + col + 1])
-                    .collect()
-            } else {
-                vec![plan.targets[row * cols + col + 1]]
-            };
-            payloads.push(KeyedLayerPayload { next_hops }.to_bytes());
-        }
+    for first_row in (0..rows).step_by(width) {
+        let payloads: Vec<Vec<u8>> = (0..cols)
+            .map(|col| {
+                let next_hops = if col + 1 == cols {
+                    Vec::new()
+                } else {
+                    (first_row..first_row + width)
+                        .map(|r| plan.targets[r * cols + col + 1])
+                        .collect()
+                };
+                KeyedLayerPayload { next_hops }.to_bytes()
+            })
+            .collect();
         let layers: Vec<(&SymmetricKey, &[u8])> = column_keys
             .iter()
             .zip(payloads.iter())
             .map(|(k, p)| (k, p.as_slice()))
             .collect();
-        onions.push(build_onion(&layers, secret));
+        onions.resize(first_row + width, build_onion(&layers, secret));
     }
 
     Ok(KeyedPackages {
@@ -1269,6 +1280,37 @@ mod tests {
         };
         let parsed = KeyedLayerPayload::from_bytes(&payload).unwrap();
         assert_eq!(parsed.next_hops, vec![plan.targets[3 + 1]]); // row 1, col 1
+    }
+
+    #[test]
+    fn joint_rows_share_one_onion_and_disjoint_rows_differ() {
+        // A joint grid is one route, so its rows carry identical bytes; a
+        // disjoint row is its own route, and its next hops make its onion
+        // differ from every other row's (from l = 2 on).
+        let ov = overlay(100);
+        let sched = schedule();
+        for k in 1..=5usize {
+            for l in 2..=8usize {
+                let sender = SymmetricKey::from_bytes([(10 * k + l) as u8; 32]);
+                let joint = SchemeParams::Joint { k, l };
+                let plan = construct_paths(&ov, &joint, &sender).unwrap();
+                let pkgs = build_keyed_packages(&plan, &joint, &sched, b"s").unwrap();
+                assert_eq!(pkgs.onions.len(), k);
+                assert!(
+                    pkgs.onions.iter().all(|onion| *onion == pkgs.onions[0]),
+                    "joint {k}x{l}"
+                );
+                let disjoint = SchemeParams::Disjoint { k, l };
+                let plan = construct_paths(&ov, &disjoint, &sender).unwrap();
+                let pkgs = build_keyed_packages(&plan, &disjoint, &sched, b"s").unwrap();
+                assert_eq!(pkgs.onions.len(), k);
+                for (row, onion) in pkgs.onions.iter().enumerate() {
+                    for other in &pkgs.onions[row + 1..] {
+                        assert_ne!(onion, other, "disjoint {k}x{l}, row {row}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

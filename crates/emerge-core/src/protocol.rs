@@ -15,14 +15,14 @@
 use crate::config::SchemeParams;
 use crate::error::EmergeError;
 use crate::package::{
-    decode_segment_headers_into, open_header_into, open_segment_headers_into,
+    decode_segment_headers_into, keyed_route_width, open_header_into, open_segment_headers_into,
     parse_share_segment_spans, visit_executor_payload, KeyedPackages, SegmentHeaders,
     SharePackages,
 };
 use crate::path::PathPlan;
 use crate::substrate::HolderSubstrate;
 use emerge_crypto::keys::SymmetricKey;
-use emerge_crypto::onion::{peel, peel_core, peel_in_place, LayerKind, Peeled};
+use emerge_crypto::onion::{peel_in_place, LayerKind};
 use emerge_crypto::shamir;
 use emerge_crypto::CryptoError;
 use emerge_sim::time::{SimDuration, SimTime};
@@ -78,9 +78,9 @@ impl RunReport {
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for non-keyed `params`, or
-/// a plan or packages whose shape does not match them, and propagates
-/// crypto failures.
+/// Returns [`EmergeError::InvalidParameters`] for non-keyed `params`, a
+/// plan or packages whose shape does not match them, or joint rows that
+/// do not carry one identical onion, and propagates crypto failures.
 pub fn execute_keyed<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
     plan: &PathPlan,
@@ -96,6 +96,14 @@ pub fn execute_keyed<S: HolderSubstrate + ?Sized>(
 /// The keyed executor: onions arrive at column `c` at `ts + c·th`, rest
 /// for one holding period and move on; the terminal holders release at
 /// `tr`. Writes the outcome into `out`.
+///
+/// The unit of state is the route (see
+/// [`crate::package::build_keyed_packages`]): every holder of a route's
+/// column holds the same bytes, so the executor keeps one onion per
+/// route, counts the column's surviving holders, and peels once per
+/// route and column. The joint rows must therefore carry identical
+/// onions; packages whose joint rows differ are
+/// [`EmergeError::InvalidParameters`].
 pub(crate) fn run_keyed<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
     plan: &PathPlan,
@@ -120,21 +128,35 @@ pub(crate) fn run_keyed<S: HolderSubstrate + ?Sized>(
             "keyed packages do not match the path plan".into(),
         ));
     }
+    let width = keyed_route_width(joint, rows);
+    if packages
+        .onions
+        .chunks(width)
+        .any(|route| route.iter().any(|onion| *onion != route[0]))
+    {
+        return Err(EmergeError::InvalidParameters(
+            "the rows of a keyed route must carry one identical onion".into(),
+        ));
+    }
     let th = config.emerging_period / cols as u64;
     let ts = config.ts;
     let tr = ts + config.emerging_period;
     out.clear();
 
-    // Onion in flight per row of the current column.
-    let mut held: Vec<Option<Vec<u8>>> = packages.onions.iter().cloned().map(Some).collect();
+    // Onion in flight per route at the current column.
+    let mut held: Vec<Option<Vec<u8>>> = packages
+        .onions
+        .iter()
+        .step_by(width)
+        .cloned()
+        .map(Some)
+        .collect();
+    let mut payload = Vec::new();
     let mut messages = rows as u64; // initial deliveries from the sender
     let mut terminal_count = 0u64;
 
-    // Adversary ledger: earliest acquisition time of each column key, and
-    // of an onion copy (with its bytes and the column it was taken at).
+    // Adversary ledger: earliest acquisition time of each column key.
     let mut adv_key_time: Vec<Option<SimTime>> = vec![None; cols];
-    let mut adv_onions: Vec<(SimTime, usize, Vec<u8>)> = Vec::new();
-
     if config.attack == AttackMode::ReleaseAhead {
         // Pre-assigned keys leak from any malicious tenant during the
         // half-open storage window [ts, arrival(col)), or from the tenant
@@ -161,60 +183,69 @@ pub(crate) fn run_keyed<S: HolderSubstrate + ?Sized>(
             }
         }
     }
+    // The adversary's best onion copy: the earliest instant it could
+    // peel it to the core before `tr`, the column it was taken at, and
+    // its bytes.
+    let mut adv_best: Option<(SimTime, usize)> = None;
+    let mut adv_copy = Vec::new();
 
     let mut now = ts;
     for col in 0..cols {
         let depart = now + th;
-        let mut next: Vec<Option<Vec<u8>>> = vec![None; rows];
-        for (row, onion) in held.iter_mut().enumerate() {
-            let Some(onion) = onion.take() else {
+        for (route, in_flight) in held.iter_mut().enumerate() {
+            let Some(onion) = in_flight else {
                 continue;
             };
-            let slot = plan.slot(row, col);
+            let holders = route * width..(route + 1) * width;
             // Release-ahead adversary copies the (pre-peel) onion on any
-            // malicious contact during the stay.
+            // malicious contact during the stay; the copy pays off once
+            // every key from this column on has leaked as well.
             if config.attack == AttackMode::ReleaseAhead {
-                if let Some(t) = substrate.first_malicious_exposure(slot, now, depart) {
-                    adv_onions.push((t, col, onion.clone()));
+                let when = holders
+                    .clone()
+                    .filter_map(|row| {
+                        substrate.first_malicious_exposure(plan.slot(row, col), now, depart)
+                    })
+                    .min()
+                    .and_then(|contact| {
+                        adv_key_time[col..]
+                            .iter()
+                            .try_fold(contact, |when, leak| leak.map(|t| when.max(t)))
+                    });
+                if let Some(when) =
+                    when.filter(|&w| w < tr && adv_best.is_none_or(|(best, _)| w < best))
+                {
+                    adv_best = Some((when, col));
+                    adv_copy.clone_from(onion);
                 }
             }
             // Drop attack: any malicious tenant during the stay destroys
-            // the copy (replication cannot resurrect what a malicious node
-            // refuses to hand over).
-            if config.attack == AttackMode::Drop
-                && substrate.any_malicious_exposure(slot, now, depart)
-            {
+            // that holder's copy (replication cannot resurrect what a
+            // malicious node refuses to hand over).
+            let survivors = holders
+                .filter(|&row| {
+                    config.attack != AttackMode::Drop
+                        || !substrate.any_malicious_exposure(plan.slot(row, col), now, depart)
+                })
+                .count() as u64;
+            if survivors == 0 {
+                *in_flight = None;
                 continue;
             }
-            // Peel this layer with the pre-assigned column key.
-            match peel(&packages.column_keys[col], &onion) {
-                Ok(Peeled::Intermediate { inner, .. }) => {
-                    if joint {
-                        // Forward to the whole next column; a single
-                        // survivor feeds every next holder.
-                        for slot_next in &mut next {
-                            if slot_next.is_none() {
-                                *slot_next = Some(inner.clone());
-                            }
-                        }
-                        messages += rows as u64;
-                    } else {
-                        next[row] = Some(inner);
-                        messages += 1;
-                    }
-                }
-                Ok(Peeled::Core { .. }) => {
-                    // Terminal layer: recover via peel_core.
-                    let (_, secret) = peel_core(&packages.column_keys[col], &onion)?;
+            // Peel this layer with the pre-assigned column key; each
+            // survivor forwards the inner onion to the route's next
+            // column, and a single survivor feeds all of it.
+            match peel_in_place(&packages.column_keys[col], onion, &mut payload)? {
+                LayerKind::Intermediate => messages += survivors * width as u64,
+                LayerKind::Core => {
                     if terminal_count == 0 {
-                        out.released_secret.extend_from_slice(&secret);
+                        out.released_secret.extend_from_slice(onion);
                     }
-                    terminal_count += 1;
+                    terminal_count += survivors;
+                    *in_flight = None;
                 }
-                Err(e) => return Err(EmergeError::Crypto(e)),
             }
         }
-        held = next;
         now = depart;
     }
 
@@ -226,49 +257,20 @@ pub(crate) fn run_keyed<S: HolderSubstrate + ?Sized>(
         out.failure = Some("no terminal holder delivered the secret");
     }
 
-    // Adversary reconstruction: take the best onion copy and peel it with
-    // the leaked column keys. Every key for columns >= the copy's column
-    // must be available; the reconstruction time is the max acquisition
-    // instant. Reconstruction uses the real ciphertexts.
-    if config.attack == AttackMode::ReleaseAhead {
-        for (t_onion, col0, bytes) in &adv_onions {
-            let mut when = *t_onion;
-            let keys: Option<Vec<&SymmetricKey>> = (*col0..cols)
-                .map(|c| {
-                    adv_key_time[c].map(|t| {
-                        when = when.max(t);
-                        &packages.column_keys[c]
-                    })
-                })
-                .collect();
-            let Some(keys) = keys else { continue };
-            if when >= tr {
-                continue; // no gain over waiting for the legitimate release
-            }
-            // Really peel it.
-            let mut onion = bytes.clone();
-            let mut secret = None;
-            for (i, key) in keys.iter().enumerate() {
-                if *col0 + i + 1 == cols {
-                    let (_, s) = peel_core(key, &onion)?;
-                    secret = Some(s);
-                } else {
-                    match peel(key, &onion)? {
-                        Peeled::Intermediate { inner, .. } => onion = inner,
-                        Peeled::Core { payload } => {
-                            secret = Some(payload);
-                            break;
-                        }
-                    }
-                }
-            }
-            // LINT-WAIVER(panic): the peel loop above always reduces a valid keyed onion to its core
-            let secret = secret.expect("keyed onion must peel to a core");
-            if out.adversary_at.is_none_or(|prev| when < prev) {
+    // Adversary reconstruction: really peel the best copy with the leaked
+    // column keys.
+    if let Some((when, col0)) = adv_best {
+        for key in &packages.column_keys[col0..] {
+            if peel_in_place(key, &mut adv_copy, &mut payload)? == LayerKind::Core {
                 out.adversary_at = Some(when);
-                out.adversary_secret.clear();
-                out.adversary_secret.extend_from_slice(&secret);
+                out.adversary_secret.extend_from_slice(&adv_copy);
+                break;
             }
+        }
+        if out.adversary_at.is_none() {
+            return Err(EmergeError::Crypto(CryptoError::Malformed(
+                "keyed onion must peel to a core",
+            )));
         }
     }
 
@@ -1304,6 +1306,14 @@ mod tests {
         // A plan of another shape than the parameters.
         let err = execute_keyed(&mut overlay, &narrow_plan, &wide, &narrow_pkgs, &config);
         assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
+        // Joint rows that differ: disjoint onions built on the joint plan
+        // peel, but the joint route carries one onion.
+        let disjoint = SchemeParams::Disjoint { k: 2, l: 3 };
+        let schedule = KeySchedule::new(SymmetricKey::from_bytes([12; 32]));
+        let rows_differ = build_keyed_packages(&narrow_plan, &disjoint, &schedule, SECRET).unwrap();
+        assert_ne!(rows_differ.onions[0], rows_differ.onions[1]);
+        let err = execute_keyed(&mut overlay, &narrow_plan, &narrow, &rows_differ, &config);
+        assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
         // The centralized scheme needs a one-holder plan.
         let mut report = PooledRunReport::default();
         let err = run_central(&mut overlay, &wide_plan, SECRET, &config, &mut report);
@@ -1345,6 +1355,45 @@ mod tests {
         // A four-column plan run with three-column parameters.
         let err = execute_share(&mut overlay, &plan_5x4, &share(5, 3), &pkgs_5x3, &config);
         assert!(matches!(err, Err(EmergeError::InvalidParameters(_))));
+    }
+
+    #[test]
+    fn joint_route_seals_and_opens_once_per_column() {
+        // A joint 4x8 package is one onion of 8 layers, and a passive run
+        // peels it once per column, however many holders each column has.
+        let params = SchemeParams::Joint { k: 4, l: 8 };
+        let mut world = overlay_with(10_000, 0.2, 26);
+        let sender = SymmetricKey::from_bytes([26; 32]);
+        let plan = construct_paths(&world, &params, &sender).unwrap();
+        let schedule = KeySchedule::new(sender);
+        let calls = |snapshot: &emerge_obs::MetricsSnapshot| {
+            let read = |name| snapshot.counter(name).unwrap_or(0);
+            (
+                read("crypto.aead.seal.calls"),
+                read("crypto.aead.open.calls"),
+            )
+        };
+        let previous = emerge_obs::collector::install(emerge_obs::Collector::new());
+        let pkgs = build_keyed_packages(&plan, &params, &schedule, SECRET).unwrap();
+        let built = emerge_obs::collector::snapshot().unwrap();
+        let report = execute_keyed(
+            &mut world,
+            &plan,
+            &params,
+            &pkgs,
+            &run_config(AttackMode::Passive),
+        )
+        .unwrap();
+        let ran = emerge_obs::collector::take().unwrap().snapshot();
+        if let Some(previous) = previous {
+            emerge_obs::collector::install(previous);
+        }
+        assert_eq!(calls(&built), (8, 0), "(seals, opens) of the build");
+        assert_eq!(calls(&ran), (8, 8), "(seals, opens) after the run");
+        assert_eq!(
+            report.released.map(|(_, secret)| secret),
+            Some(SECRET.to_vec())
+        );
     }
 
     #[test]

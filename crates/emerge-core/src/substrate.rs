@@ -2,8 +2,8 @@
 //!
 //! Everything `emerge-core` needs from a DHT is captured by the
 //! [`HolderSubstrate`] trait: resolving pseudo-random holder addresses to
-//! responsible slots, querying churn generations for the exposure
-//! predicates, sampling slots, and advancing virtual time. The sender
+//! responsible slots, querying churn generations for the tenant and
+//! exposure predicates, and advancing virtual time. The sender
 //! hands each key package to its holders directly, so nothing is stored
 //! in or looked up from the DHT. [`path`](crate::path),
 //! [`protocol`](crate::protocol) and [`emergence`](crate::emergence) are
@@ -16,7 +16,7 @@
 //!
 //! The workspace's `substrate_conformance` suite checks any backend
 //! against the trait's semantics. New backends (an async networked DHT)
-//! only need to implement this trait.
+//! only need the trait's five required methods.
 //!
 //! This module is the **only** place in `emerge-core` that names the
 //! concrete substrate type; everything else goes through the trait or
@@ -25,7 +25,6 @@
 use emerge_dht::id::NodeId;
 use emerge_dht::population::{self, NodeInfo};
 use emerge_sim::time::SimTime;
-use rand::rngs::StdRng;
 
 pub use emerge_dht::analytic::AnalyticSubstrate;
 pub use emerge_dht::overlay::OverlayConfig;
@@ -33,7 +32,13 @@ pub use emerge_dht::overlay::OverlayConfig;
 /// The DHT surface consumed by the key-routing schemes.
 ///
 /// Implementations must be deterministic for a fixed build seed: the
-/// schemes' reproducibility and parity guarantees rest on it.
+/// schemes' reproducibility and parity guarantees rest on it. Five
+/// methods are required; [`generation_at`](Self::generation_at) and the
+/// exposure predicates are defaults over
+/// [`generations`](Self::generations). The exposure predicates read
+/// `generations`, never `generation_at`, so a wrapper that overrides only
+/// `generation_at` (the fault plane's `FaultySubstrate`) changes who
+/// answers a hand-off contact but no adversary exposure.
 pub trait HolderSubstrate {
     /// Number of population slots (live nodes at any instant).
     fn n_nodes(&self) -> usize;
@@ -56,7 +61,9 @@ pub trait HolderSubstrate {
     fn generations(&self, slot: usize) -> &[NodeInfo];
 
     /// The generation occupying `slot` at time `t`.
-    fn generation_at(&self, slot: usize, t: SimTime) -> &NodeInfo;
+    fn generation_at(&self, slot: usize, t: SimTime) -> &NodeInfo {
+        population::tenant_at(self.generations(slot), t)
+    }
 
     /// Whether any generation of `slot` overlapping the half-open window `[from, to)` is
     /// malicious — the churn re-exposure predicate.
@@ -69,19 +76,6 @@ pub trait HolderSubstrate {
     fn first_malicious_exposure(&self, slot: usize, from: SimTime, to: SimTime) -> Option<SimTime> {
         population::first_malicious_exposure(self.generations(slot), from, to)
     }
-
-    /// Number of distinct generations whose tenancy overlaps the half-open window `[from, to)`
-    /// (the churn analysis' re-exposure count).
-    fn exposures_during(&self, slot: usize, from: SimTime, to: SimTime) -> usize {
-        population::exposures_during(self.generations(slot), from, to)
-    }
-
-    /// Samples `count` distinct slots uniformly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > n_nodes()`.
-    fn sample_distinct_slots(&self, count: usize, rng: &mut StdRng) -> Vec<usize>;
 }
 
 impl HolderSubstrate for AnalyticSubstrate {
@@ -103,21 +97,5 @@ impl HolderSubstrate for AnalyticSubstrate {
 
     fn generations(&self, slot: usize) -> &[NodeInfo] {
         AnalyticSubstrate::generations(self, slot)
-    }
-
-    fn generation_at(&self, slot: usize, t: SimTime) -> &NodeInfo {
-        AnalyticSubstrate::generation_at(self, slot, t)
-    }
-
-    fn any_malicious_exposure(&self, slot: usize, from: SimTime, to: SimTime) -> bool {
-        AnalyticSubstrate::any_malicious_exposure(self, slot, from, to)
-    }
-
-    fn exposures_during(&self, slot: usize, from: SimTime, to: SimTime) -> usize {
-        AnalyticSubstrate::exposures_during(self, slot, from, to)
-    }
-
-    fn sample_distinct_slots(&self, count: usize, rng: &mut StdRng) -> Vec<usize> {
-        AnalyticSubstrate::sample_distinct_slots(self, count, rng)
     }
 }

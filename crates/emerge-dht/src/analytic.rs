@@ -145,17 +145,6 @@ impl AnalyticSubstrate {
         population::tenant_at(self.generations(slot), t)
     }
 
-    /// Number of generations whose tenancy overlaps the half-open window `[from, to)`.
-    pub fn exposures_during(&self, slot: usize, from: SimTime, to: SimTime) -> usize {
-        population::exposures_during(self.generations(slot), from, to)
-    }
-
-    /// Whether any generation of `slot` overlapping the half-open window `[from, to)` is
-    /// malicious.
-    pub fn any_malicious_exposure(&self, slot: usize, from: SimTime, to: SimTime) -> bool {
-        population::any_malicious_exposure(self.generations(slot), from, to)
-    }
-
     /// Count of initially malicious nodes (generation 0; no timeline
     /// sampling needed).
     pub fn initial_malicious_count(&self) -> usize {
@@ -376,7 +365,11 @@ mod tests {
         // Over [0, 1000) with mean lifetime 100 we expect ~11 generations.
         let mut total = 0usize;
         for slot in 0..200 {
-            let e = sub.exposures_during(slot, SimTime::ZERO, SimTime::from_ticks(1000));
+            let e = population::exposures_during(
+                sub.generations(slot),
+                SimTime::ZERO,
+                SimTime::from_ticks(1000),
+            );
             assert!(e >= 1);
             total += e;
         }

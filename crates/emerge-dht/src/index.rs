@@ -28,7 +28,17 @@ pub struct IndexScratch {
 }
 
 impl SortedIdIndex {
-    /// Builds the index over `ids`, where position `i` is slot `i`.
+    /// Builds the index over `ids`, where position `i` is slot `i`:
+    /// [`rebuild`](Self::rebuild) into empty storage.
+    pub fn build(ids: &[NodeId]) -> Self {
+        let mut index = SortedIdIndex { sorted: Vec::new() };
+        index.rebuild(ids, &mut IndexScratch::default());
+        index
+    }
+
+    /// Rebuilds the index over `ids` in place, reusing both the sorted
+    /// storage and the caller's decoration scratch. `sort_unstable` is
+    /// in-place, so a warm rebuild performs no heap allocation.
     ///
     /// Uses a decorated sort: comparing 20-byte IDs byte-wise is the
     /// dominant cost of world construction at 10 000 slots, and almost
@@ -37,25 +47,6 @@ impl SortedIdIndex {
     /// integer compare and falls back to the full ID only on prefix ties
     /// — the tuple order equals the plain `(id, slot)` order, so the
     /// index (and every resolution built on it) is unchanged.
-    pub fn build(ids: &[NodeId]) -> Self {
-        let mut decorated: Vec<(u64, NodeId, u32)> = ids
-            .iter()
-            .enumerate()
-            .map(|(slot, id)| (prefix64(id), *id, slot as u32))
-            .collect();
-        decorated.sort_unstable();
-        SortedIdIndex {
-            sorted: decorated
-                .into_iter()
-                .map(|(_, id, slot)| (id, slot))
-                .collect(),
-        }
-    }
-
-    /// Rebuilds the index over `ids` in place — identical order and
-    /// content to [`SortedIdIndex::build`], but reusing both the sorted
-    /// storage and the caller's decoration scratch. `sort_unstable` is
-    /// in-place, so a warm rebuild performs no heap allocation.
     pub fn rebuild(&mut self, ids: &[NodeId], scratch: &mut IndexScratch) {
         scratch.decorated.clear();
         scratch.decorated.extend(

@@ -78,7 +78,8 @@ pub struct Genesis {
 
 impl Genesis {
     /// Samples generation-0 identities and the exact-count malicious
-    /// marking, deterministically from `seed`.
+    /// marking, deterministically from `seed`: [`resample`](Self::resample)
+    /// into empty buffers.
     ///
     /// # Panics
     ///
@@ -91,41 +92,19 @@ impl Genesis {
             (0.0..=1.0).contains(&config.malicious_fraction),
             "malicious fraction must be in [0, 1]"
         );
-        let n = config.n_nodes;
-        let mut id_rng = seed.stream("node-ids");
-        let initial_ids: Vec<NodeId> = (0..n).map(|_| NodeId::random(&mut id_rng)).collect();
-
-        // Exact ⌊p·n⌋ malicious marking over generation 0.
-        let mut mark_rng = seed.stream("malicious-marking");
-        let malicious_count = (config.malicious_fraction * n as f64).floor() as usize;
-        let mut indices: Vec<usize> = (0..n).collect();
-        indices.shuffle(&mut mark_rng);
-        let mut initial_malicious = vec![false; n];
-        for &i in indices.iter().take(malicious_count) {
-            initial_malicious[i] = true;
-        }
-
-        Genesis {
+        let mut genesis = Genesis {
             config: *config,
             seed: *seed,
-            initial_ids,
-            initial_malicious,
-        }
+            initial_ids: Vec::new(),
+            initial_malicious: Vec::new(),
+        };
+        genesis.resample(seed, &mut Vec::new());
+        genesis
     }
 
     /// Number of population slots.
     pub fn n_nodes(&self) -> usize {
         self.initial_ids.len()
-    }
-
-    /// The population's structural parameters.
-    pub fn config(&self) -> &OverlayConfig {
-        &self.config
-    }
-
-    /// The generation-0 ID of a slot.
-    pub fn initial_id(&self, slot: usize) -> NodeId {
-        self.initial_ids[slot]
     }
 
     /// All generation-0 IDs, in slot order.
@@ -196,8 +175,7 @@ impl Genesis {
 
     /// Re-samples generation-0 state in place from a new `seed`, reusing
     /// the identity and marking buffers (and the caller's shuffle
-    /// scratch). Bit-identical to [`Genesis::sample`] with the same
-    /// config; the [`OverlayConfig`] is retained.
+    /// scratch); the [`OverlayConfig`] is retained.
     pub fn resample(&mut self, seed: &SeedSource, shuffle_scratch: &mut Vec<usize>) {
         let n = self.config.n_nodes;
         self.seed = *seed;
@@ -206,6 +184,7 @@ impl Genesis {
         self.initial_ids
             .extend((0..n).map(|_| NodeId::random(&mut id_rng)));
 
+        // Exact ⌊p·n⌋ malicious marking over generation 0.
         let mut mark_rng = seed.stream("malicious-marking");
         let malicious_count = (self.config.malicious_fraction * n as f64).floor() as usize;
         shuffle_scratch.clear();

@@ -5,16 +5,13 @@
 //! runs trials `[first_trial, first_trial + count)`, each keyed by its
 //! global index, and no whole-batch form.
 //! [`run_sharded`] is the one place that splits a batch into such ranges
-//! ([`shard_ranges`]), runs them on worker threads
-//! ([`parallel_map_workers`]) and folds the partials back together
-//! ([`Merge`]). The "sharded == serial bit for bit" guarantee rests on
+//! ([`shard_ranges`]), runs each on its own scoped thread and folds the
+//! partials back together ([`Merge`]). The "sharded == serial bit for
+//! bit" guarantee rests on
 //! [`TrialDigest`], the FNV-1a accumulator whose [`mix64`]-finalized
 //! output is combined across trials by wrapping addition — associative
 //! and commutative, so any merge tree over disjoint ranges reproduces
 //! the serial digest exactly.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use emerge_obs::MetricsSnapshot;
 
@@ -63,12 +60,14 @@ impl<A: Merge, B: Merge> Merge for (A, B) {
 }
 
 /// Runs a batch of `trials` as `max(threads, 1)` contiguous ranges, one
-/// per worker thread, and merges the partials in shard order.
+/// per scoped worker thread (inline on the caller's thread when there is
+/// one range), and merges the partials in shard order.
 /// `range(first_trial, count)` is shared across workers, so per-shard
 /// state (worlds, workspaces) is built inside the call. The result equals
 /// one serial range call over `[0, trials)` on every counter-valued field
 /// and fingerprint, for any thread count; surplus workers run empty
-/// ranges, which merge as the identity.
+/// ranges, which merge as the identity. A panic inside `range` reaches
+/// the caller.
 ///
 /// # Errors
 ///
@@ -80,63 +79,30 @@ where
     F: Fn(usize, usize) -> Result<R, E> + Sync,
 {
     let ranges = shard_ranges(trials, threads);
-    let partials = parallel_map_workers(&ranges, threads, |&(first_trial, count)| {
-        range(first_trial, count)
-    });
+    let partials: Vec<Result<R, E>> = if let [(first_trial, count)] = ranges[..] {
+        vec![range(first_trial, count)]
+    } else {
+        let range = &range;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = ranges
+                .iter()
+                .map(|&(first_trial, count)| scope.spawn(move || range(first_trial, count)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| {
+                    worker
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
+                })
+                .collect()
+        })
+    };
     let mut merged = R::default();
     for partial in partials {
         merged.merge(&partial?);
     }
     Ok(merged)
-}
-
-/// Applies `f` to every item on `workers` scoped threads (clamped to
-/// `[1, items.len()]`), preserving input order. `workers == 1` runs
-/// inline on the caller's thread, which keeps single-threaded runs
-/// deterministic in scheduling as well as results. A panic inside `f`
-/// propagates to the caller.
-pub fn parallel_map_workers<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                // LINT-WAIVER(panic): a poisoned slot means a worker panicked, and that panic propagates via join first
-                *results[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                // LINT-WAIVER(panic): a poisoned slot means a worker panicked, and that panic propagates via join first
-                .expect("result slot poisoned")
-                // LINT-WAIVER(panic): the worker loop fills every slot before the threads are joined
-                .expect("every slot filled")
-        })
-        .collect()
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -209,6 +175,7 @@ pub fn metrics_digest(snapshot: &MetricsSnapshot) -> u64 {
 mod tests {
     use super::*;
     use emerge_obs::metrics::{CounterSnap, HistogramSnap, HIST_BUCKETS};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A toy batch result merged the way the engines merge theirs: a
     /// trial count and an index-keyed wrapping-sum fingerprint.
@@ -299,29 +266,34 @@ mod tests {
     }
 
     #[test]
-    fn explicit_worker_counts_agree() {
-        let items: Vec<u64> = (0..50).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for workers in [1usize, 2, 7, 64] {
-            assert_eq!(parallel_map_workers(&items, workers, |x| x * x), expect);
+    fn every_thread_count_gives_the_serial_result() {
+        let serial = run_sharded(50, 1, |first_trial, count| {
+            Ok::<_, String>(toy(first_trial, count))
+        });
+        assert_eq!(serial, Ok(toy(0, 50)));
+        for threads in [0usize, 2, 7, 64] {
+            let sharded = run_sharded(50, threads, |first_trial, count| {
+                Ok::<_, String>(toy(first_trial, count))
+            });
+            assert_eq!(sharded, serial, "{threads} threads");
         }
-        assert_eq!(parallel_map_workers(&items, 0, |x| x * x), expect);
-        assert!(parallel_map_workers(&[] as &[u64], 4, |x| *x).is_empty());
     }
 
     #[test]
     fn worker_panics_propagate_to_the_caller() {
-        let items: Vec<u64> = (0..32).collect();
-        for workers in [1usize, 4] {
+        for threads in [1usize, 4] {
             let caught = std::panic::catch_unwind(|| {
-                parallel_map_workers(&items, workers, |&x| {
-                    assert!(x != 17, "poisoned item");
-                    x
+                run_sharded(32, threads, |first_trial, count| {
+                    assert!(
+                        !(first_trial..first_trial + count).contains(&17),
+                        "poisoned trial"
+                    );
+                    Ok::<_, String>(toy(first_trial, count))
                 })
             });
             assert!(
                 caught.is_err(),
-                "a panic in f must not be swallowed (workers = {workers})"
+                "a panic in a range call must not be swallowed ({threads} threads)"
             );
         }
     }

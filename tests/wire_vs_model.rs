@@ -12,6 +12,7 @@ use self_emerging_data::core::package::{build_keyed_packages, build_share_packag
 use self_emerging_data::core::path::{construct_paths, PathPlan};
 use self_emerging_data::core::protocol::{execute_keyed, execute_share, AttackMode, RunConfig};
 use self_emerging_data::crypto::keys::SymmetricKey;
+use self_emerging_data::dht::population;
 use self_emerging_data::dht::{AnalyticSubstrate, OverlayConfig};
 use self_emerging_data::sim::time::{SimDuration, SimTime};
 
@@ -70,7 +71,11 @@ fn exposed_during_hold(
 ) -> bool {
     let th = SimDuration::from_ticks(PERIOD / plan.cols as u64);
     let arrival = SimTime::ZERO + th * col as u64;
-    overlay.any_malicious_exposure(plan.slot(row, col), arrival, arrival + th)
+    population::any_malicious_exposure(
+        overlay.generations(plan.slot(row, col)),
+        arrival,
+        arrival + th,
+    )
 }
 
 /// Whether the joint drop predicate (a column exposed in every row)
